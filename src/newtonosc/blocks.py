@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ResolutionError, WrongRegionError
 from .newton import NewtonPolygon
 from .opnorm import (
+    GRID_CAP,
     GRID_MIN,
     SAFETY,
     GridSpec,
@@ -202,7 +203,7 @@ def _block_operator(p: PhaseSpec, lam: float, j: int, k: int):
     side = max(rect[1] - rect[0], rect[3] - rect[2])
     required = side * lam * G * (2.0 / math.pi) * SAFETY
     n = max(GRID_MIN, _next_pow2(required))
-    if n > 4096:
+    if n > GRID_CAP:
         raise ResolutionError(f"block ({j},{k}) needs n={n} at lambda={lam}")
     g = GridSpec(n=n, domain=rect)
     return discretize(
@@ -215,7 +216,7 @@ def _block_operator(p: PhaseSpec, lam: float, j: int, k: int):
 
 
 def measure_block(p: PhaseSpec, lam: float, j: int, k: int, seed: int = 0) -> float:
-    """Spectral norm of one block: dense SVD when small, power iteration above."""
+    """Spectral norm of one block: dense SVD when small, Lanczos above."""
     op = _block_operator(p, lam, j, k)
     if op.shape[0] < _DENSE_BELOW:
         return float(np.linalg.norm(op.matrix, 2))

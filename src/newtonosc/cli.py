@@ -428,14 +428,14 @@ def _case_dyadpol_soundness():
     _check(rep.passed, "lower bound violated on the one-coefficient profile")
 
 
-def _case_power_vs_dense():
+def _case_lanczos_vs_dense():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
     grid = np.arange(40, dtype=float)
     op = DiscreteOperator(matrix=m, xs=grid, ys=grid, hx=1.0, hy=1.0)
     val, _ = operator_norm(op, tol=1e-13, max_iter=3000)
     ref = float(np.linalg.norm(m, 2))
-    _check(abs(val - ref) / ref < 1e-8, "power iteration vs dense SVD")
+    _check(abs(val - ref) / ref < 1e-8, "Lanczos norm vs dense SVD")
 
 
 def _case_adjoint_identity():
@@ -492,7 +492,7 @@ _SELFTEST_CASES = [
     ("partition telescoping", _case_partition_telescoping),
     ("envelope corners", _case_envelope_corners),
     ("dyadpol soundness", _case_dyadpol_soundness),
-    ("power iteration vs dense", _case_power_vs_dense),
+    ("Lanczos norm vs dense", _case_lanczos_vs_dense),
     ("adjoint identity", _case_adjoint_identity),
     ("static norm", _case_static_norm),
     ("puiseux exact root", _case_puiseux_exact_root),

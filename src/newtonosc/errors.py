@@ -31,9 +31,9 @@ class ResolutionError(RuntimeError):
 
 
 class NoConvergenceError(RuntimeError):
-    """Power iteration hit max_iter with convergence required.
+    """The norm solver hit max_iter with convergence required.
 
-    Carries the last two Rayleigh quotients for diagnosis.
+    Carries the last two Ritz estimates of the norm for diagnosis.
     """
 
     def __init__(self, message: str, quotients):

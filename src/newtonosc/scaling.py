@@ -103,7 +103,7 @@ def norm_at(p: PhaseSpec, lam: float, seed: int = 0, n0: int | None = None) -> N
     grid becomes the new base and the check repeats while the next
     check grid still fits under the refinement cap.  The fine pass is
     warm-started from the coarse singular vector, so it usually costs
-    only a few iterations.
+    only a few Lanczos steps.
     """
     g = auto_grid(p, lam) if n0 is None else GridSpec.square(int(n0), p.rho)
     op = discretize(p, lam, g)

@@ -95,7 +95,7 @@ class TestNorm:
         lam, n, norm, conv, iters = lines[2].split(",")
         assert float(lam) == 64.0
         assert int(n) == 128
-        assert abs(float(norm) - 0.2924592574) < 1e-8
+        assert abs(float(norm) - 0.29245937256238) < 1e-8
         assert float(conv) < 0.02
         assert int(iters) > 0
 
@@ -106,7 +106,7 @@ class TestNorm:
         s = d["samples"][0]
         assert s["lambda"] == 64.0
         assert s["valid"] is True
-        assert abs(s["norm"] - 0.2924592574) < 1e-8
+        assert abs(s["norm"] - 0.29245937256238) < 1e-8
 
 
 class TestSweep:
@@ -254,7 +254,7 @@ class TestSelftest:
         assert elapsed < 60.0
         assert "ok theta plateau" in out
         assert "ok polygon oracle" in out
-        assert "ok power iteration vs dense" in out
+        assert "ok Lanczos norm vs dense" in out
         assert out.strip().split("\n")[-1].startswith("selftest passed")
 
     def test_output_is_deterministic(self, capsys):

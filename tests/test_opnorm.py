@@ -183,10 +183,12 @@ class TestOperatorNorm:
         assert operator_norm(op, seed=0)[0] == 0.0
 
     def test_no_convergence_strict_mode(self):
+        # 64 singular values clustered just below 1: three Krylov steps
+        # cannot settle the top one to 1e-15
         op = DiscreteOperator(
-            matrix=np.diag([1.0, 1.0 - 1e-12, 0.5]).astype(complex),
-            xs=np.arange(3, dtype=float),
-            ys=np.arange(3, dtype=float),
+            matrix=np.diag(np.linspace(1.0, 0.95, 64)).astype(complex),
+            xs=np.arange(64, dtype=float),
+            ys=np.arange(64, dtype=float),
             hx=1.0,
             hy=1.0,
         )
@@ -213,6 +215,44 @@ class TestOperatorNorm:
         val2, it2 = operator_norm(op, tol=1e-12, v0=vec)
         assert val2 == pytest.approx(val, rel=1e-9)
         assert it2 <= 3
+
+
+def unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def relative_residual(matrix, val, vec):
+    """|T*T v - s^2 v| / s^2, computed in complex128 from the matrix itself."""
+    M = matrix.astype(np.complex128)
+    return float(np.linalg.norm(M.conj().T @ (M @ vec) - val**2 * vec)) / val**2
+
+
+class TestLanczosMechanism:
+    def test_clustered_top_pair(self):
+        # s2/s1 = 0.995: power iteration's step count grows like
+        # 1/(1 - s2^2/s1^2) (thousands here), a Krylov method's like its root
+        rng = np.random.default_rng(11)
+        n = 200
+        s = np.concatenate([[1.0, 0.995], np.linspace(0.99, 0.0, n - 2)])
+        M = unitary(rng, n) @ (s[:, None] * unitary(rng, n).conj().T)
+        grid = np.arange(n, dtype=float)
+        op = DiscreteOperator(matrix=M, xs=grid, ys=grid, hx=1.0, hy=1.0)
+        val, steps, vec = operator_norm(op, seed=0, return_vector=True)
+        assert abs(val - np.linalg.norm(M, 2)) <= 1e-8
+        assert steps <= 60
+        assert relative_residual(M, val, vec) <= 10 * 1e-6
+
+    def test_residual_random_operator(self):
+        op = random_op(np.random.default_rng(4), 96)
+        val, _, vec = operator_norm(op, seed=3, return_vector=True)
+        assert relative_residual(op.matrix, val, vec) <= 10 * 1e-6
+
+    def test_residual_complex64_kernel(self):
+        op = discretize(PhaseSpec(S=XY, rho=0.5), 256.0, GridSpec.square(2304, 0.5))
+        assert op.matrix.dtype == np.complex64
+        val, _, vec = operator_norm(op, seed=0, return_vector=True)
+        assert relative_residual(op.matrix, val, vec) <= 10 * 1e-6
 
 
 class TestBounds:

@@ -14,7 +14,7 @@ from newtonosc.errors import (
     ResolutionError,
 )
 from newtonosc.newton import analyze_decay
-from newtonosc.opnorm import NormSample, PhaseSpec
+from newtonosc.opnorm import GridSpec, NormSample, PhaseSpec, discretize
 from newtonosc.polycore import parse_poly
 from newtonosc.scaling import (
     ScalingReport,
@@ -69,7 +69,10 @@ class TestNormAt:
         p = PhaseSpec(S=parse_poly("x*y"), rho=0.5)
         s = norm_at(p, 64.0, seed=0)
         assert s.n == 128
-        assert s.value == pytest.approx(0.2924592574, rel=1e-8)
+        assert s.value == pytest.approx(0.29245937256238, rel=1e-8)
+        op = discretize(p, 64.0, GridSpec.square(s.n, p.rho))
+        dense = float(np.linalg.norm(op.matrix, 2))
+        assert s.value == pytest.approx(dense, rel=1e-10)
         assert s.conv_err < 1e-5
         assert s.valid
 
