@@ -63,9 +63,6 @@ class DyadicPartition:
     j_min: int
     j_max: int
 
-    def chi(self, j: int, t) -> np.ndarray:
-        return chi(j, t)
-
     def total(self, t) -> np.ndarray:
         """Telescoped sum of the rings over the whole j range."""
         t = np.asarray(t, dtype=float)
@@ -80,7 +77,7 @@ def build_partition(j_min: int, j_max: int) -> DyadicPartition:
     ts = np.geomspace(2.0 ** (-j_max - 2), 2.0 ** (-j_min + 1), 1000)
     total = np.zeros_like(ts)
     for j in range(j_min, j_max + 1):
-        total += part.chi(j, ts)
+        total += chi(j, ts)
     if float(np.max(np.abs(total - part.total(ts)))) > 1e-12:
         raise AssertionError("dyadic rings fail to telescope")
     plateau = (ts >= 2.0**-j_max) & (ts <= 2.0 ** (-j_min - 1))
@@ -309,36 +306,3 @@ def derivative_control(
             c2 = float(np.max(np.abs(eval_grid(Fyy, xs, ys)))) / (mu * 2.0 ** (2 * k))
             rows.append((j, k, c1, c2))
     return rows
-
-
-def reconstruction_error(
-    p: PhaseSpec,
-    lam: float,
-    j_max: int = 10,
-    trials: int = 20,
-    seed: int = 0,
-    n: int = 4096,
-) -> float:
-    """Worst relative defect of the block sum against the quadrant operator.
-
-    Both sides are sampled on one shared n x n grid; test functions are
-    supported in y in [2^-j_max, rho], inside the fully covered annulus.
-    """
-    j_min = first_block_scale(p.rho)
-    g = GridSpec.square(n, p.rho)
-    pos = lambda t: (t > 0).astype(float)
-    quad = discretize(p, lam, g, x_window=pos, y_window=pos)
-    mask = lambda t: theta(2.0**j_min * t) - theta(2.0 ** (j_max + 1) * t)
-    summed = discretize(p, lam, g, x_window=mask, y_window=mask)
-    ys = summed.ys
-    band = (ys >= 2.0**-j_max) & (ys <= p.rho)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        f = np.zeros(n, dtype=complex)
-        f[band] = rng.standard_normal(band.sum()) + 1j * rng.standard_normal(
-            band.sum()
-        )
-        defect = np.linalg.norm(quad.apply(f) - summed.apply(f))
-        worst = max(worst, float(defect / np.linalg.norm(f)))
-    return worst

@@ -80,6 +80,15 @@ def _emit_json(args, schema: dict, payload: dict) -> None:
     _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _csv_row(header: str, d: dict) -> str:
+    """d's values in header order: str as is, int by str, anything else by _fnum."""
+    values = (d[key] for key in header.split(","))
+    return ",".join(
+        v if isinstance(v, str) else str(v) if isinstance(v, int) else _fnum(v)
+        for v in values
+    )
+
+
 def _emit_csv(args, header: str, rows: list[str]) -> None:
     prov = _provenance(args)
     lines = [
@@ -225,16 +234,7 @@ def cmd_norm(args) -> int:
     if args.format == "json":
         _emit_json(args, NORM_SCHEMA, {"samples": [sample.to_dict()]})
     else:
-        row = ",".join(
-            [
-                _fnum(sample.lam),
-                str(sample.n),
-                _fnum(sample.value),
-                _fnum(sample.conv_err),
-                str(sample.iterations),
-            ]
-        )
-        _emit_csv(args, NORM_CSV_HEADER, [row])
+        _emit_csv(args, NORM_CSV_HEADER, [_csv_row(NORM_CSV_HEADER, sample.to_dict())])
     return 0
 
 
@@ -271,19 +271,7 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         _emit_json(args, SWEEP_SCHEMA, {"report": report.to_dict()})
     else:
-        rows = []
-        for s in report.samples:
-            rows.append(
-                ",".join(
-                    [
-                        _fnum(s.lam),
-                        str(s.n),
-                        _fnum(s.value),
-                        _fnum(s.conv_err),
-                        str(s.iterations),
-                    ]
-                )
-            )
+        rows = [_csv_row(NORM_CSV_HEADER, s.to_dict()) for s in report.samples]
         _emit_csv(args, NORM_CSV_HEADER, rows)
     return 0
 
@@ -302,23 +290,7 @@ def cmd_blocks(args) -> int:
         }
         _emit_json(args, BLOCKS_SCHEMA, payload)
     else:
-        rows = []
-        for e in estimates:
-            r = e.to_row()
-            rows.append(
-                ",".join(
-                    [
-                        str(r["j"]),
-                        str(r["k"]),
-                        r["region"],
-                        _fnum(r["mu"]),
-                        _fnum(r["measured"]),
-                        _fnum(r["size_bound"]),
-                        "" if r["osc_bound"] == "" else _fnum(r["osc_bound"]),
-                        _fnum(r["ratio"]),
-                    ]
-                )
-            )
+        rows = [_csv_row(BLOCKS_CSV_HEADER, e.to_row()) for e in estimates]
         _emit_csv(args, BLOCKS_CSV_HEADER, rows)
     return 0
 
@@ -408,7 +380,7 @@ def _case_theta_plateau():
 def _case_partition_telescoping():
     part = build_partition(2, 9)
     t = np.geomspace(2.0**-10, 1.0, 300)
-    s = sum(part.chi(j, t) for j in range(2, 10))
+    s = sum(chi(j, t) for j in range(2, 10))
     _check(
         float(np.max(np.abs(part.total(t) - s))) < 1e-12,
         "telescoped total deviates from the summed partition",

@@ -4,7 +4,8 @@ The operator acts by integrating e^{i lam S(x,y)} against a fixed smooth
 tensor-product cutoff.  Midpoint sampling with symmetric sqrt(h) weights
 turns it into a matrix whose spectral norm tracks the L2 operator norm
 once the grid resolves the oscillation; the sizing rule keeps
-lam * |grad S| * h below pi/2 with a safety factor.
+lam * |grad S| * h below pi/2 with a safety factor, where S is the
+canonical phase integrate_xy(S''_xy) that PhaseSpec stores.
 
 Alongside the discretization live the bound calculators used to control
 individual pieces of the operator: Schur row/column masses, the support
@@ -16,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import NoConvergenceError, ResolutionError
-from .polycore import BivarPoly, eval_grid
+from .polycore import BivarPoly, eval_grid, integrate_xy, mixed_derivative
 
 # grid sizing: hard cap on the base grid, oversampling safety factor,
 # and the dtype crossover that keeps large kernels affordable
@@ -31,14 +31,6 @@ SAFETY = 2.0
 COMPLEX64_ABOVE = 2048
 _CHUNK_ROWS = 512
 _PROBE = 64
-
-
-class CutoffKind(str, Enum):
-    TENSOR_BUMP = "TensorBump"
-
-
-class Quadrature(str, Enum):
-    MIDPOINT = "Midpoint"
 
 
 def bump(t):
@@ -53,20 +45,28 @@ def bump(t):
 
 @dataclass(frozen=True)
 class PhaseSpec:
+    """A phase S and the radius of its tensor-bump cutoff.
+
+    The norm depends on S only through F = S''_xy: adding g(x) + h(y)
+    multiplies the kernel on both sides by unimodular diagonals, on the
+    continuum and on any midpoint grid alike.  S is stored in the
+    canonical form integrate_xy(F), so pure terms cannot inflate the
+    grid sizing and every input with the same F builds the same kernel.
+    """
+
     S: BivarPoly
     rho: float = 0.5
-    cutoff: CutoffKind = CutoffKind.TENSOR_BUMP
 
     def __post_init__(self):
         if not 0 < self.rho <= 1:
             raise ValueError("cutoff radius must lie in (0, 1]")
+        object.__setattr__(self, "S", integrate_xy(mixed_derivative(self.S)))
 
 
 @dataclass(frozen=True)
 class GridSpec:
     n: int
     domain: tuple[float, float, float, float]
-    quadrature: Quadrature = Quadrature.MIDPOINT
 
     def __post_init__(self):
         if self.n < GRID_MIN:
@@ -210,13 +210,9 @@ def discretize(
         wy = wy * np.asarray(y_window(ys), dtype=float)
 
     M = np.empty((g.n, g.n), dtype=kernel_dtype(g.n))
-    terms = sorted(p.S.terms.items())
     for r0 in range(0, g.n, _CHUNK_ROWS):
         r1 = min(r0 + _CHUNK_ROWS, g.n)
-        phase = np.zeros((r1 - r0, g.n))
-        for (a, b), c in terms:
-            phase += float(c) * np.outer(xs[r0:r1] ** a, ys**b)
-        block = np.exp(1j * lam * phase)
+        block = np.exp(1j * lam * eval_grid(p.S, xs[r0:r1], ys))
         block *= wx[r0:r1, None]
         block *= wy[None, :]
         M[r0:r1] = block

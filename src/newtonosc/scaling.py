@@ -95,6 +95,18 @@ def _interp_start(vec: np.ndarray, ys_coarse, ys_fine) -> np.ndarray:
     return v / norm
 
 
+def _solve(p: PhaseSpec, lam: float, n: int, seed: int, start=None):
+    """Build and solve the n-point square grid; return (ys, value, steps, vec).
+
+    start = (ys, vec) of a coarser solve warm-starts this one.  Only the
+    nodes ys leave, so the kernel is freed before the next one is built.
+    """
+    op = discretize(p, lam, GridSpec.square(n, p.rho))
+    v0 = None if start is None else _interp_start(start[1], start[0], op.ys)
+    value, steps, vec = operator_norm(op, seed=seed, v0=v0, return_vector=True)
+    return op.ys, value, steps, vec
+
+
 def norm_at(p: PhaseSpec, lam: float, seed: int = 0, n0: int | None = None) -> NormSample:
     """Norm estimate at one lambda with grid-refinement error control.
 
@@ -105,25 +117,18 @@ def norm_at(p: PhaseSpec, lam: float, seed: int = 0, n0: int | None = None) -> N
     warm-started from the coarse singular vector, so it usually costs
     only a few Lanczos steps.
     """
-    g = auto_grid(p, lam) if n0 is None else GridSpec.square(int(n0), p.rho)
-    op = discretize(p, lam, g)
-    value, iters, vec = operator_norm(op, seed=seed, return_vector=True)
-    total = iters
-    n = g.n
+    n = auto_grid(p, lam).n if n0 is None else int(n0)
+    ys, value, total, vec = _solve(p, lam, n, seed)
     while True:
         n_fine = math.ceil(REFINE_FACTOR * n)
-        op_fine = discretize(p, lam, GridSpec.square(n_fine, p.rho))
-        v0 = _interp_start(vec, op.ys, op_fine.ys)
-        value_f, it_f, vec_f = operator_norm(
-            op_fine, seed=seed, v0=v0, return_vector=True
-        )
+        ys_f, value_f, it_f, vec_f = _solve(p, lam, n_fine, seed, start=(ys, vec))
         total += it_f
         conv = abs(value_f - value) / value_f if value_f > 0 else 0.0
         if conv < CONV_TOL or math.ceil(REFINE_FACTOR * n_fine) > REFINE_CAP:
             return NormSample(
                 lam=lam, n=n, value=value, conv_err=conv, iterations=total
             )
-        n, op, value, vec = n_fine, op_fine, value_f, vec_f
+        n, ys, value, vec = n_fine, ys_f, value_f, vec_f
 
 
 def sweep(p: PhaseSpec, cfg: SweepConfig | None = None) -> list[NormSample]:
@@ -300,7 +305,7 @@ def verify_theorem(
 
     retry = None
     if verdict == VERDICT_FAIL and _allow_retry:
-        half = PhaseSpec(S=p.S, rho=p.rho / 2, cutoff=p.cutoff)
+        half = PhaseSpec(S=p.S, rho=p.rho / 2)
         retry = verify_theorem(half, cfg, _allow_retry=False)
 
     return ScalingReport(

@@ -16,14 +16,13 @@ from newtonosc.blocks import (
     first_block_scale,
     measure_block,
     mu_for_block,
-    reconstruction_error,
     theta,
     verify_blocks,
 )
 from newtonosc.errors import WrongRegionError
 from newtonosc.newton import build_polygon
 from newtonosc.opnorm import PhaseSpec, size_bound
-from newtonosc.polycore import integrate_xy, parse_poly
+from newtonosc.polycore import BivarPoly, integrate_xy, parse_poly
 
 
 def polygon(s: str):
@@ -79,15 +78,15 @@ class TestChi:
                     assert np.all(chi(other, t)[inside] == 0)
 
     def test_partition_sums_to_one(self):
-        part = build_partition(2, 9)
+        build_partition(2, 9)
         t = np.geomspace(2.0**-9, 2.0**-3, 500)
-        total = sum(part.chi(j, t) for j in range(2, 10))
+        total = sum(chi(j, t) for j in range(2, 10))
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
     def test_telescoped_total_matches_sum(self):
         part = build_partition(1, 8)
         t = np.geomspace(2.0**-10, 2.0, 300)
-        s = sum(part.chi(j, t) for j in range(1, 9))
+        s = sum(chi(j, t) for j in range(1, 9))
         assert np.max(np.abs(part.total(t) - s)) < 1e-12
 
     def test_total_vanishes_at_origin(self):
@@ -298,6 +297,26 @@ class TestVerifyBlocks:
                 assert e.measured <= e.size * 1.01
 
 
+class TestBlockInvariance:
+    def test_sign_pure_terms_and_swap(self):
+        # -S conjugates a block kernel and g(x) + h(y) scales it by
+        # unimodular diagonals; swapping x and y transposes block (j, k)
+        # into block (k, j) of the swapped phase
+        S = parse_poly("x^3*y/3 + x*y^2")
+        swapped = BivarPoly({(b, a): c for (a, b), c in S.terms.items()})
+        lam = 2.0**8
+        p = PhaseSpec(S=S, rho=0.5)
+        for j, k in ((1, 2), (2, 1), (1, 4), (3, 2)):
+            ref = measure_block(p, lam, j, k)
+            for other, jk in (
+                (-S, (j, k)),
+                (S + parse_poly("x^4 - 5*y^3 + 2"), (j, k)),
+                (swapped, (k, j)),
+            ):
+                got = measure_block(PhaseSpec(S=other, rho=0.5), lam, *jk)
+                assert got == pytest.approx(ref, rel=1e-10)
+
+
 class TestDerivativeControl:
     def test_monomial_constants(self):
         rows = derivative_control(parse_poly("x*y"), polygon("x*y"), j_max=6)
@@ -315,10 +334,3 @@ class TestDerivativeControl:
         assert max(c1s) == pytest.approx(4.0, rel=0.01)
         assert max(c2s) == pytest.approx(2.0, rel=0.01)
         assert max(c1s) <= 8.0 and max(c2s) <= 8.0
-
-
-class TestReconstruction:
-    def test_block_sum_matches_direct_operator(self):
-        p = PhaseSpec(S=parse_poly("x^2*y^2/4"), rho=0.5)
-        err = reconstruction_error(p, 2.0**8, j_max=8, trials=5, seed=0, n=1024)
-        assert err <= 0.05

@@ -14,8 +14,22 @@ from newtonosc.errors import (
     ResolutionError,
 )
 from newtonosc.newton import analyze_decay
-from newtonosc.opnorm import GridSpec, NormSample, PhaseSpec, discretize
-from newtonosc.polycore import parse_poly
+from newtonosc.opnorm import (
+    GridSpec,
+    NormSample,
+    PhaseSpec,
+    auto_grid,
+    bump,
+    discretize,
+    operator_norm,
+)
+from newtonosc.polycore import (
+    BivarPoly,
+    eval_grid,
+    integrate_xy,
+    mixed_derivative,
+    parse_poly,
+)
 from newtonosc.scaling import (
     ScalingReport,
     SweepConfig,
@@ -93,6 +107,66 @@ class TestNormAt:
         p = PhaseSpec(S=parse_poly("x*y"), rho=0.85)
         with pytest.raises(ResolutionError, match="2048"):
             norm_at(p, 2.0**11)
+
+
+def swap_xy(S: BivarPoly) -> BivarPoly:
+    return BivarPoly({(b, a): c for (a, b), c in S.terms.items()})
+
+
+class TestInvariance:
+    # The norm depends on S only through F = S''_xy, is unchanged by
+    # S -> -S (the kernel is conjugated), and by swapping x and y (the
+    # kernel is transposed on the symmetric square grid).
+
+    MIXED = "x*y + x^2*y"
+    PURE = " + 3*x^4 - 2*y^3 + x - 7"
+
+    def test_canonical_phase(self):
+        for text in (self.MIXED, self.MIXED + self.PURE, "x + y^2", "-(y - x)^4/12"):
+            S = parse_poly(text)
+            assert PhaseSpec(S).S == integrate_xy(mixed_derivative(S))
+
+    def test_pure_terms_keep_grid_and_norm(self):
+        lam, rho = 128.0, 0.5
+        full = parse_poly(self.MIXED + self.PURE)
+        p0 = PhaseSpec(S=parse_poly(self.MIXED), rho=rho)
+        p = PhaseSpec(S=full, rho=rho)
+        g = auto_grid(p, lam)
+        assert g.n == auto_grid(p0, lam).n
+        value, _ = operator_norm(discretize(p, lam, g))
+        # the test's own kernel of the full phase, pure terms included
+        h = 2 * rho / g.n
+        xs = -rho + h * (np.arange(g.n) + 0.5)
+        w = bump(xs / rho) * np.sqrt(h)
+        kernel = np.exp(1j * lam * eval_grid(full, xs, xs)) * np.outer(w, w)
+        dense = float(np.linalg.norm(kernel, 2))
+        assert value == pytest.approx(dense, rel=1e-10)
+
+    def test_pure_terms_do_not_inflate_the_grid(self):
+        # |grad| of the full phase would ask for n = 5616 > GRID_CAP
+        p = PhaseSpec(S=parse_poly("x*y + 8*x^4 + 8*y^4"), rho=0.5)
+        s = norm_at(p, 512.0)
+        assert s.n == 1024
+        assert s.value == pytest.approx(0.10990609607770738, rel=1e-8)
+
+    @pytest.mark.parametrize("lam", [64.0, 256.0])
+    def test_sign_and_swap_complex128(self, lam):
+        S = parse_poly(self.MIXED)
+        base = norm_at(PhaseSpec(S=S, rho=0.5), lam)
+        assert base.n <= 2048
+        for other in (-S, swap_xy(S)):
+            s = norm_at(PhaseSpec(S=other, rho=0.5), lam)
+            assert s.n == base.n
+            assert s.value == pytest.approx(base.value, rel=1e-10)
+
+    def test_sign_and_swap_complex64(self):
+        # n0 = 2304 puts the kernel above the complex64 crossover at a
+        # third of the cost of the auto-sized n = 4096
+        S = parse_poly(self.MIXED)
+        base = norm_at(PhaseSpec(S=S, rho=0.5), 1024.0, n0=2304)
+        for other in (-S, swap_xy(S)):
+            s = norm_at(PhaseSpec(S=other, rho=0.5), 1024.0, n0=2304)
+            assert s.value == pytest.approx(base.value, rel=1e-6)
 
 
 class TestSweep:
