@@ -30,6 +30,8 @@ GRID_MIN = 16
 SAFETY = 2.0
 COMPLEX64_ABOVE = 2048
 _CHUNK_ROWS = 512
+# the resolution guard: at most pi/2 of phase across one grid cell
+_MAX_CELL_PHASE = math.pi / 2 + 1e-12
 _PROBE = 64
 
 
@@ -82,10 +84,12 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class NormSample:
-    """One refined norm estimate.
+    """One norm estimate with its quadrature-error estimate.
 
-    iterations counts Lanczos steps over every grid the refinement used;
-    each step is one T and one T* product.
+    conv_err is the relative gap to the check grid (n/2, or 2n where
+    n/2 is not a legal grid).  iterations counts Lanczos steps over
+    every grid solved for the sample, base and check grids alike; each
+    step is one T and one T* product.
     """
 
     lam: float
@@ -176,6 +180,18 @@ class DiscreteOperator:
         return np.conj(np.conj(self._cast(v)) @ self.matrix)
 
 
+def _cell_phase(p: PhaseSpec, lam: float, g: GridSpec) -> float:
+    """lam * |grad S| * h: the largest phase step across one cell of g."""
+    x0, x1, y0, y1 = g.domain
+    h = max((x1 - x0) / g.n, (y1 - y0) / g.n)
+    return lam * gradient_bound(p.S, g.domain) * h
+
+
+def resolves(p: PhaseSpec, lam: float, g: GridSpec) -> bool:
+    """True when discretize accepts g: at most pi/2 of phase per cell."""
+    return _cell_phase(p, lam, g) <= _MAX_CELL_PHASE
+
+
 def kernel_dtype(n: int):
     """complex128 up to the crossover size, complex64 above it."""
     return np.complex128 if n <= COMPLEX64_ABOVE else np.complex64
@@ -193,13 +209,12 @@ def discretize(
     Optional separable window callables multiply the cutoff; they carry
     the dyadic masks (and quadrant indicators) of the block decomposition.
     """
-    x0, x1, y0, y1 = g.domain
-    G = gradient_bound(p.S, g.domain)
-    h = max((x1 - x0) / g.n, (y1 - y0) / g.n)
-    if lam * G * h > math.pi / 2 + 1e-12:
+    step = _cell_phase(p, lam, g)
+    if step > _MAX_CELL_PHASE:
         raise ResolutionError(
-            f"grid n={g.n} does not resolve lambda={lam} (lam*G*h={lam * G * h:.3f})"
+            f"grid n={g.n} does not resolve lambda={lam} (lam*G*h={step:.3f})"
         )
+    x0, x1, y0, y1 = g.domain
     xs, hx = _midpoints(x0, x1, g.n)
     ys, hy = _midpoints(y0, y1, g.n)
     wx = bump(xs / p.rho) * math.sqrt(hx)
@@ -241,9 +256,9 @@ def operator_norm(
     value close below the top singular value with high probability
     (Kuczynski & Wozniakowski 1992).
 
-    v0 warm-starts the iteration (grid-refinement reruns pass the coarse
-    singular vector, interpolated); return_vector appends the Ritz
-    vector for exactly that use.
+    v0 warm-starts the iteration (the check grid of norm_at passes the
+    base grid's singular vector, interpolated onto its nodes);
+    return_vector appends the Ritz vector for exactly that use.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")

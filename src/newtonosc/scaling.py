@@ -19,12 +19,15 @@ import numpy as np
 from .errors import DomainError, InsufficientSamplesError
 from .newton import DecayReport, DegeneracyKind, analyze_decay
 from .opnorm import (
+    GRID_CAP,
+    GRID_MIN,
     GridSpec,
     NormSample,
     PhaseSpec,
     auto_grid,
     discretize,
     operator_norm,
+    resolves,
 )
 from .polycore import mixed_derivative
 
@@ -37,14 +40,9 @@ __all__ = [
     "log_exponent_fit",
     "compensated",
     "verify_theorem",
-    "REFINE_FACTOR",
-    "REFINE_CAP",
     "CONV_TOL",
 ]
 
-REFINE_FACTOR = 1.5
-# the refinement check may overshoot the base-grid cap by one factor
-REFINE_CAP = 6144
 CONV_TOL = 0.02
 FLAT_SPREAD = 1e-6
 
@@ -85,54 +83,64 @@ class SweepConfig:
                 raise ValueError("fit_window must be an increasing pair")
 
 
-def _interp_start(vec: np.ndarray, ys_coarse, ys_fine) -> np.ndarray:
-    re = np.interp(ys_fine, ys_coarse, vec.real)
-    im = np.interp(ys_fine, ys_coarse, vec.imag)
+def _interp_start(vec: np.ndarray, ys_source, ys_target) -> Optional[np.ndarray]:
+    """vec on the nodes ys_source, interpolated onto ys_target, unit norm."""
+    re = np.interp(ys_target, ys_source, vec.real)
+    im = np.interp(ys_target, ys_source, vec.imag)
     v = re + 1j * im
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
-        return vec  # degenerate; let the caller's seed take over
+        return None  # degenerate; let the caller's seed take over
     return v / norm
 
 
 def _solve(p: PhaseSpec, lam: float, n: int, seed: int, start=None):
-    """Build and solve the n-point square grid; return (ys, value, steps, vec).
+    """Build and solve the n-point square grid; return (value, steps, (ys, vec)).
 
-    start = (ys, vec) of a coarser solve warm-starts this one.  Only the
+    start = (ys, vec) of another solve warm-starts this one.  Only the
     nodes ys leave, so the kernel is freed before the next one is built.
     """
     op = discretize(p, lam, GridSpec.square(n, p.rho))
     v0 = None if start is None else _interp_start(start[1], start[0], op.ys)
     value, steps, vec = operator_norm(op, seed=seed, v0=v0, return_vector=True)
-    return op.ys, value, steps, vec
+    return value, steps, (op.ys, vec)
+
+
+def _legal(p: PhaseSpec, lam: float, n: int) -> bool:
+    return n >= GRID_MIN and resolves(p, lam, GridSpec.square(n, p.rho))
 
 
 def norm_at(p: PhaseSpec, lam: float, seed: int = 0, n0: int | None = None) -> NormSample:
-    """Norm estimate at one lambda with grid-refinement error control.
+    """Norm estimate at one lambda with grid-check error control.
 
-    The estimate at n grid points is accepted once it agrees with the
-    estimate at ceil(1.5 n) to within 2 percent; otherwise the finer
-    grid becomes the new base and the check repeats while the next
-    check grid still fits under the refinement cap.  The fine pass is
-    warm-started from the coarse singular vector, so it usually costs
-    only a few Lanczos steps.
+    The base grid n is solved first, from the caller's seed.  Its
+    estimate is checked against the grid n/2, or against 2n where n/2
+    is below GRID_MIN or does not resolve lambda; conv_err is the
+    relative gap |v(n) - v(check)| / v(n).  The midpoint rule on the
+    bump-windowed kernel converges spectrally, so the gap to n/2 is a
+    conservative estimate of the error at n.  If the gap reaches 2 percent the base doubles and
+    is compared with the grid already solved, while 2n fits under
+    GRID_CAP.  Each solve after the first is warm-started from the
+    singular vector of the other grid of the pair.
     """
     n = auto_grid(p, lam).n if n0 is None else int(n0)
-    ys, value, total, vec = _solve(p, lam, n, seed)
+    runs = {n: _solve(p, lam, n, seed)}
+    m = n // 2 if _legal(p, lam, n // 2) else 2 * n
     while True:
-        n_fine = math.ceil(REFINE_FACTOR * n)
-        ys_f, value_f, it_f, vec_f = _solve(p, lam, n_fine, seed, start=(ys, vec))
-        total += it_f
-        conv = abs(value_f - value) / value_f if value_f > 0 else 0.0
-        if conv < CONV_TOL or math.ceil(REFINE_FACTOR * n_fine) > REFINE_CAP:
-            return NormSample(
-                lam=lam, n=n, value=value, conv_err=conv, iterations=total
-            )
-        n, ys, value, vec = n_fine, ys_f, value_f, vec_f
+        # one grid of the pair is solved; the other warm-starts from it
+        for k, other in ((m, n), (n, m)):
+            if k not in runs:
+                runs[k] = _solve(p, lam, k, seed, start=runs[other][2])
+        value, value_m = runs[n][0], runs[m][0]
+        conv = abs(value - value_m) / value if value > 0 else 0.0
+        if conv < CONV_TOL or 2 * n > GRID_CAP:
+            steps = sum(r[1] for r in runs.values())
+            return NormSample(lam=lam, n=n, value=value, conv_err=conv, iterations=steps)
+        n, m = 2 * n, n
 
 
 def sweep(p: PhaseSpec, cfg: SweepConfig | None = None) -> list[NormSample]:
-    """One refined NormSample per configured lambda.
+    """One checked NormSample per configured lambda.
 
     Samples are independent of each other; assembly order follows the
     (increasing) lambda grid, so the output is deterministic for a

@@ -14,7 +14,9 @@ from newtonosc.errors import (
     ResolutionError,
 )
 from newtonosc.newton import analyze_decay
+from newtonosc import scaling
 from newtonosc.opnorm import (
+    GRID_MIN,
     GridSpec,
     NormSample,
     PhaseSpec,
@@ -32,6 +34,7 @@ from newtonosc.polycore import (
 )
 from newtonosc.scaling import (
     ScalingReport,
+    _interp_start,
     SweepConfig,
     compensated,
     fit_decay,
@@ -107,6 +110,114 @@ class TestNormAt:
         p = PhaseSpec(S=parse_poly("x*y"), rho=0.85)
         with pytest.raises(ResolutionError, match="2048"):
             norm_at(p, 2.0**11)
+
+
+def dense_norm(p: PhaseSpec, lam: float, n: int) -> float:
+    return float(np.linalg.norm(discretize(p, lam, GridSpec.square(n, p.rho)).matrix, 2))
+
+
+def built_grids(monkeypatch) -> list[int]:
+    """Record the n of every kernel norm_at builds."""
+    grids = []
+    real = scaling.discretize
+
+    def recording(p, lam, g, *args, **kwargs):
+        grids.append(g.n)
+        return real(p, lam, g, *args, **kwargs)
+
+    monkeypatch.setattr(scaling, "discretize", recording)
+    return grids
+
+
+class TestGridCheck:
+    # conv_err compares the base grid n with the check grid n/2, or
+    # with 2n where n/2 is below GRID_MIN or does not resolve lambda
+
+    @pytest.mark.parametrize(
+        "text, rho, lam, seed", [("x*y", 0.5, 64.0, 0), ("x^2*y^2/4", 0.9, 32.0, 3)]
+    )
+    def test_value_is_the_base_solve_and_conv_err_the_half_grid_gap(
+        self, text, rho, lam, seed
+    ):
+        p = PhaseSpec(S=parse_poly(text), rho=rho)
+        s = norm_at(p, lam, seed=seed)
+        op = discretize(p, lam, GridSpec.square(s.n, rho))
+        assert s.value == operator_norm(op, seed=seed)[0]
+        v, v_half = dense_norm(p, lam, s.n), dense_norm(p, lam, s.n // 2)
+        assert s.conv_err == pytest.approx(abs(v - v_half) / v, abs=1e-9)
+
+    def test_half_grid_is_the_only_check(self, monkeypatch):
+        grids = built_grids(monkeypatch)
+        s = norm_at(PhaseSpec(S=parse_poly("x*y"), rho=0.5), 64.0)
+        assert grids == [128, 64] and s.n == 128
+
+    def test_fallback_to_double_at_grid_min(self, monkeypatch):
+        p = PhaseSpec(S=parse_poly("x*y"), rho=0.5)
+        grids = built_grids(monkeypatch)
+        s = norm_at(p, 8.0)
+        assert s.n == GRID_MIN
+        assert grids == [GRID_MIN, 2 * GRID_MIN]
+        v, v_double = dense_norm(p, 8.0, GRID_MIN), dense_norm(p, 8.0, 2 * GRID_MIN)
+        assert s.conv_err == pytest.approx(abs(v - v_double) / v, abs=1e-9)
+
+    def test_fallback_to_double_when_half_does_not_resolve(self, monkeypatch):
+        # n0 = 64 resolves lambda 64 (lam*G*h ~ 0.98), n = 32 does not
+        p = PhaseSpec(S=parse_poly("x*y"), rho=0.5)
+        with pytest.raises(ResolutionError):
+            discretize(p, 64.0, GridSpec.square(32, 0.5))
+        grids = built_grids(monkeypatch)
+        s = norm_at(p, 64.0, n0=64)
+        assert grids == [64, 128] and s.n == 64
+        assert s.valid
+
+    def test_failed_check_doubles_the_base(self, monkeypatch):
+        # n = 16 checks against 32 and fails; 32 is compared with the
+        # 16 already solved and fails; 64 against 32 passes
+        monkeypatch.setattr(scaling, "CONV_TOL", 1e-6)
+        p = PhaseSpec(S=parse_poly("-(y-x)^4/12"), rho=0.5)
+        grids = built_grids(monkeypatch)
+        s = norm_at(p, 16.0)
+        assert grids == [16, 32, 64]
+        assert s.n == 64
+        assert s.conv_err < 1e-6
+        v, v_half = dense_norm(p, 16.0, 64), dense_norm(p, 16.0, 32)
+        assert s.conv_err == pytest.approx(abs(v - v_half) / v, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "text, rho, lam",
+        [
+            ("x^2*y^2/4", 0.9, 16.0),
+            ("x^2*y^2/4", 0.9, 32.0),
+            ("-(y-x)^4/12", 0.5, 32.0),
+            ("-(y-x)^4/12", 0.5, 64.0),
+            # n = GRID_MIN, checked against 2n
+            ("-(y-x)^4/12", 0.5, 16.0),
+            ("x*y", 0.5, 8.0),
+        ],
+    )
+    def test_conv_err_bounds_the_true_error(self, text, rho, lam):
+        p = PhaseSpec(S=parse_poly(text), rho=rho)
+        s = norm_at(p, lam)
+        reference = dense_norm(p, lam, 512)
+        true_err = abs(s.value - reference) / reference
+        assert true_err > 1e-10
+        assert s.conv_err >= true_err
+
+
+class TestInterpStart:
+    def test_zero_vector_gives_none(self):
+        ys_source = np.linspace(-0.5, 0.5, 32)
+        ys_target = np.linspace(-0.5, 0.5, 16)
+        assert _interp_start(np.zeros(32, dtype=complex), ys_source, ys_target) is None
+
+    @pytest.mark.parametrize("n_source, n_target", [(32, 16), (16, 32)])
+    def test_target_length_and_unit_norm(self, n_source, n_target):
+        ys_source = np.linspace(-0.5, 0.5, n_source)
+        ys_target = np.linspace(-0.5, 0.5, n_target)
+        vec = np.exp(2j * ys_source) * (1 + ys_source)
+        v = _interp_start(vec, ys_source, ys_target)
+        assert v.shape == (n_target,)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
 
 
 def swap_xy(S: BivarPoly) -> BivarPoly:
