@@ -58,7 +58,6 @@ from .polycore import (
     PuiseuxTerm,
     Reality,
     eval_branch,
-    eval_poly,
     integrate_xy,
     mixed_derivative,
     parse_poly,
@@ -115,7 +114,6 @@ __all__ = [
     "discretize",
     "envelope_corners",
     "eval_branch",
-    "eval_poly",
     "expand_branches",
     "fit_decay",
     "integrate_xy",

@@ -20,13 +20,11 @@ from .errors import ResolutionError, WrongRegionError
 from .newton import NewtonPolygon
 from .opnorm import (
     GRID_CAP,
-    GRID_MIN,
-    SAFETY,
     GridSpec,
     PhaseSpec,
-    _next_pow2,
     discretize,
     gradient_bound,
+    grid_points,
     op_vdc_bound,
     operator_norm,
     size_bound,
@@ -35,6 +33,8 @@ from .polycore import BivarPoly, eval_grid, mixed_derivative
 
 _DENSE_BELOW = 256
 _SAMPLE = 16
+# a block counts as a violation when it measures above this many times its bound
+_RATIO_CAP = 10.0
 
 
 def _w(s) -> np.ndarray:
@@ -146,11 +146,11 @@ def block_rect(j: int, k: int) -> tuple[float, float, float, float]:
     )
 
 
-def empirical_range(F: BivarPoly, j: int, k: int, n: int = _SAMPLE):
-    """(min, max) of |F| over an n x n sample of the block rectangle."""
+def empirical_range(F: BivarPoly, j: int, k: int):
+    """(min, max) of |F| over a _SAMPLE x _SAMPLE sample of the block rectangle."""
     x0, x1, y0, y1 = block_rect(j, k)
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
+    xs = np.linspace(x0, x1, _SAMPLE)
+    ys = np.linspace(y0, y1, _SAMPLE)
     vals = np.abs(eval_grid(F, xs, ys))
     return float(vals.min()), float(vals.max())
 
@@ -196,10 +196,7 @@ def first_block_scale(rho: float) -> int:
 
 def _block_operator(p: PhaseSpec, lam: float, j: int, k: int):
     rect = block_rect(j, k)
-    G = gradient_bound(p.S, rect)
-    side = max(rect[1] - rect[0], rect[3] - rect[2])
-    required = side * lam * G * (2.0 / math.pi) * SAFETY
-    n = max(GRID_MIN, _next_pow2(required))
+    n, _ = grid_points(lam, gradient_bound(p.S, rect), rect)
     if n > GRID_CAP:
         raise ResolutionError(f"block ({j},{k}) needs n={n} at lambda={lam}")
     g = GridSpec(n=n, domain=rect)
@@ -227,13 +224,12 @@ def verify_blocks(
     polygon: NewtonPolygon,
     D: float = 3.0,
     j_max: int = 6,
-    ratio_cap: float = 10.0,
     seed: int = 0,
 ):
     """Measure every block with j, k <= j_max against its claimed bounds.
 
     Returns (estimates, summary); summary carries the worst measured/bound
-    ratio per region kind, the blocks exceeding ratio_cap * bound, and any
+    ratio per region kind, the blocks exceeding _RATIO_CAP * bound, and any
     per-block resolution failures.
     """
     F = mixed_derivative(p.S)
@@ -266,7 +262,7 @@ def verify_blocks(
     worst: dict[str, float] = {}
     for e in estimates:
         worst[e.region.kind] = max(worst.get(e.region.kind, 0.0), e.ratio)
-    violations = [e for e in estimates if e.measured > ratio_cap * e.bound]
+    violations = [e for e in estimates if e.measured > _RATIO_CAP * e.bound]
     summary = {
         "lambda": lam,
         "D": D,
@@ -276,33 +272,3 @@ def verify_blocks(
         "resolution_failures": failures,
     }
     return estimates, summary
-
-
-def derivative_control(
-    F: BivarPoly,
-    polygon: NewtonPolygon,
-    D: float = 3.0,
-    j_max: int = 6,
-    j_min: int = 1,
-):
-    """Sampled |dF/dy| / (mu*2^k) and |d2F/dy2| / (mu*4^k) per gap block.
-
-    The claim behind the oscillation bound is that these stay O(1)
-    uniformly over gap blocks; callers assert stability of the maxima.
-    """
-    Fy = F.diff("y")
-    Fyy = Fy.diff("y")
-    rows = []
-    for j in range(j_min, j_max + 1):
-        for k in range(j_min, j_max + 1):
-            region = classify_block(j, k, polygon, D)
-            if region.kind != "Gap":
-                continue
-            mu = mu_for_block(j, k, region, polygon)
-            x0, x1, y0, y1 = block_rect(j, k)
-            xs = np.linspace(x0, x1, _SAMPLE)
-            ys = np.linspace(y0, y1, _SAMPLE)
-            c1 = float(np.max(np.abs(eval_grid(Fy, xs, ys)))) / (mu * 2.0**k)
-            c2 = float(np.max(np.abs(eval_grid(Fyy, xs, ys)))) / (mu * 2.0 ** (2 * k))
-            rows.append((j, k, c1, c2))
-    return rows

@@ -337,29 +337,25 @@ def _case_parse_round_trip():
 
 
 def _case_polygon_oracle():
+    # independent of the hull construction: a support point is a vertex iff
+    # it uniquely minimizes w1*a + w2*b over some positive direction, and
+    # directions up to 13 reach every normal cone for exponents in [0, 6]
+    directions = [(w1, w2) for w1 in range(1, 14) for w2 in range(1, 14)]
     rng = np.random.default_rng(0)
     for _ in range(40):
         pts = {tuple(q) for q in rng.integers(0, 7, size=(rng.integers(1, 6), 2))}
         F = parse_poly(" + ".join(f"x^{a}*y^{b}" for a, b in sorted(pts)))
-        got = build_polygon(F).vertices
-        # independent construction: Pareto-minimal points, then the
-        # lower-left convex chain
-        pareto = [
-            p
-            for p in sorted(pts)
-            if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pts)
-        ]
-        chain: list[tuple[int, int]] = []
-        for p in sorted(pareto, key=lambda t: (t[0], -t[1])):
-            while len(chain) >= 2:
-                (x0, y0), (x1, y1) = chain[-2], chain[-1]
-                # drop the middle point when it sits on or above the chord
-                if (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0) <= 0:
-                    chain.pop()
-                else:
-                    break
-            chain.append(p)
-        _check(tuple(chain) == got, f"polygon mismatch on {sorted(pts)}")
+        found = set()
+        for w1, w2 in directions:
+            vals = {p: w1 * p[0] + w2 * p[1] for p in pts}
+            best = min(vals.values())
+            argmin = [p for p, v in vals.items() if v == best]
+            if len(argmin) == 1:
+                found.add(argmin[0])
+        _check(
+            tuple(sorted(found)) == build_polygon(F).vertices,
+            f"polygon mismatch on {sorted(pts)}",
+        )
 
 
 def _case_decay_rates():

@@ -22,13 +22,15 @@ class EdgeData:
 
     upper is the endpoint with the larger y (smaller x), lower the other.
     gamma = horizontal run over vertical drop, n = the vertical drop, so
-    the segment spans n rows and gamma*n columns.
+    the segment spans n rows and gamma*n columns.  x is an int on the
+    polygon of F and may be a Fraction on the polygons of the Puiseux
+    recursion.
     """
 
     gamma: Fraction
     n: int
-    upper: tuple[int, int]
-    lower: tuple[int, int]
+    upper: tuple[int | Fraction, int]
+    lower: tuple[int | Fraction, int]
 
 
 @dataclass(frozen=True)
@@ -54,43 +56,54 @@ def build_polygon(F: BivarPoly) -> NewtonPolygon:
     """
     if not F:
         raise EmptyPolygonError("the zero polynomial has no Newton polygon")
-    columns: dict[int, int] = {}
-    for a, b in F.support():
-        if a not in columns or b < columns[a]:
-            columns[a] = b
-    staircase = sorted(columns.items())
-    # keep only strict descents: later columns at the same height are
-    # dominated and can never be hull vertices
-    pareto: list[tuple[int, int]] = []
-    for x, y in staircase:
-        if not pareto or y < pareto[-1][1]:
-            pareto.append((x, y))
-
-    hull: list[tuple[int, int]] = []
-    for p in pareto:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
-            hull.pop()
-        hull.append(p)
-
-    edges = []
-    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
-        edges.append(
-            EdgeData(
-                gamma=Fraction(x1 - x0, y0 - y1),
-                n=y0 - y1,
-                upper=(x0, y0),
-                lower=(x1, y1),
-            )
-        )
+    hull = lower_hull(F.support())
     return NewtonPolygon(
         vertices=tuple(hull),
-        edges=tuple(edges),
+        edges=hull_edges(hull),
         A=hull[0][0],
         B=hull[-1][1],
     )
 
 
-def _cross(o, a, b) -> int:
+def lower_hull(points) -> list[tuple]:
+    """Vertices of the hull of points + positive quadrant, left to right.
+
+    x may be an int or a Fraction (the Puiseux recursion builds polygons
+    with fractional exponents); y is an int.  All arithmetic is exact.
+    """
+    columns: dict = {}
+    for a, b in points:
+        if a not in columns or b < columns[a]:
+            columns[a] = b
+    # keep only strict descents: later columns at the same height are
+    # dominated and can never be hull vertices
+    pareto: list[tuple] = []
+    for x, y in sorted(columns.items()):
+        if not pareto or y < pareto[-1][1]:
+            pareto.append((x, y))
+
+    hull: list[tuple] = []
+    for p in pareto:
+        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
+            hull.pop()
+        hull.append(p)
+    return hull
+
+
+def hull_edges(hull) -> tuple[EdgeData, ...]:
+    """The compact edges between consecutive vertices of lower_hull."""
+    return tuple(
+        EdgeData(
+            gamma=Fraction(x1 - x0, y0 - y1),
+            n=y0 - y1,
+            upper=(x0, y0),
+            lower=(x1, y1),
+        )
+        for (x0, y0), (x1, y1) in zip(hull, hull[1:])
+    )
+
+
+def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 

@@ -1,16 +1,18 @@
-"""Discretized oscillatory operators and their elementary norm bounds.
+"""Discretized oscillatory operators, their norms, and two norm bounds.
 
 The operator acts by integrating e^{i lam S(x,y)} against a fixed smooth
 tensor-product cutoff.  Midpoint sampling with symmetric sqrt(h) weights
 turns it into a matrix whose spectral norm tracks the L2 operator norm
 once the grid resolves the oscillation; the sizing rule keeps
 lam * |grad S| * h below pi/2 with a safety factor, where S is the
-canonical phase integrate_xy(S''_xy) that PhaseSpec stores.
+canonical phase integrate_xy(S''_xy) that PhaseSpec stores.  grid_points
+is that rule's one home: the square grids of auto_grid and the block
+grids of the dyadic decomposition are both sized by it.
 
-Alongside the discretization live the bound calculators used to control
-individual pieces of the operator: Schur row/column masses, the support
-size bound, the operator oscillation bound (lam*mu)^(-1/2), and the two
-scalar checkers (oscillatory integral decay and sublevel measure).
+The spectral norm comes from Golub-Kahan-Lanczos bidiagonalization.
+Alongside it live the two bounds the block decomposition compares
+against: the support size bound and the operator oscillation bound
+(lam*mu)^(-1/2).
 """
 
 from __future__ import annotations
@@ -118,35 +120,51 @@ def _midpoints(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
     return lo + h * (np.arange(n) + 0.5), h
 
 
-def gradient_bound(S: BivarPoly, domain, probe: int = _PROBE) -> float:
+def gradient_bound(S: BivarPoly, domain) -> float:
     """Sampled max of |dS/dx| + |dS/dy| over the rectangle."""
     x0, x1, y0, y1 = domain
-    xs, _ = _midpoints(x0, x1, probe)
-    ys, _ = _midpoints(y0, y1, probe)
+    xs, _ = _midpoints(x0, x1, _PROBE)
+    ys, _ = _midpoints(y0, y1, _PROBE)
     sx = eval_grid(S.diff("x"), xs, ys)
     sy = eval_grid(S.diff("y"), xs, ys)
     return float(np.max(np.abs(sx) + np.abs(sy)))
 
 
 def _next_pow2(x: float) -> int:
-    n = 1
-    while n < x:
-        n *= 2
-    return n
+    """Smallest power of two >= x; 1 for x <= 1 and for x infinite.
+
+    Exact for every float, and it returns for x = inf, so grid_points can
+    size a grid before its caller checks the cap.
+    """
+    if not x > 1:
+        return 1
+    m, e = math.frexp(x)
+    return 2 ** (e - 1) if m == 0.5 else 2**e
 
 
-def auto_grid(
-    p: PhaseSpec, lam: float, cap: int = GRID_CAP, safety: float = SAFETY
-) -> GridSpec:
+def grid_points(lam: float, G: float, domain) -> tuple[int, float]:
+    """Points per side that give >= 4 samples per oscillation on domain.
+
+    G bounds |dS/dx| + |dS/dy| there (gradient_bound).  Returns (n,
+    required): required is the raw count side * lam * G * (2/pi) * SAFETY
+    for the longer side, and n the power of two at or above it, at least
+    GRID_MIN.  Callers apply their own cap.
+    """
+    x0, x1, y0, y1 = domain
+    side = max(x1 - x0, y1 - y0)
+    required = side * lam * G * (2.0 / math.pi) * SAFETY
+    return max(GRID_MIN, _next_pow2(required)), required
+
+
+def auto_grid(p: PhaseSpec, lam: float) -> GridSpec:
     """Pick n so the full-square grid gives >= 4 samples per oscillation."""
     domain = (-p.rho, p.rho, -p.rho, p.rho)
-    G = gradient_bound(p.S, domain)
-    required = 2 * p.rho * lam * G * (2.0 / math.pi) * safety
-    if required > cap:
+    n, required = grid_points(lam, gradient_bound(p.S, domain), domain)
+    if required > GRID_CAP:
         raise ResolutionError(
-            f"lambda={lam} needs n>{cap} on the full square (required {required:.0f})"
+            f"lambda={lam} needs n>{GRID_CAP} on the full square (required {required:.0f})"
         )
-    return GridSpec(n=max(GRID_MIN, _next_pow2(required)), domain=domain)
+    return GridSpec(n=n, domain=domain)
 
 
 @dataclass
@@ -187,9 +205,15 @@ def _cell_phase(p: PhaseSpec, lam: float, g: GridSpec) -> float:
     return lam * gradient_bound(p.S, g.domain) * h
 
 
-def resolves(p: PhaseSpec, lam: float, g: GridSpec) -> bool:
-    """True when discretize accepts g: at most pi/2 of phase per cell."""
-    return _cell_phase(p, lam, g) <= _MAX_CELL_PHASE
+def resolves(p: PhaseSpec, lam: float, n: int) -> bool:
+    """True when the n-point square grid is legal and discretize accepts it.
+
+    Legal means n >= GRID_MIN; discretize accepts at most pi/2 of phase
+    per cell.
+    """
+    if n < GRID_MIN:
+        return False
+    return _cell_phase(p, lam, GridSpec.square(n, p.rho)) <= _MAX_CELL_PHASE
 
 
 def kernel_dtype(n: int):
@@ -319,16 +343,6 @@ def _reorthogonalize(w: np.ndarray, basis: list[np.ndarray]) -> None:
             w -= np.vdot(q, w) * q
 
 
-def schur_bound(op: DiscreteOperator) -> float:
-    """sqrt(max row mass * max column mass); ignores oscillation entirely.
-
-    With the sqrt(h) weighting this equals the continuum
-    (sup_y int |K| dx * sup_x int |K| dy)^(1/2) up to quadrature.
-    """
-    A = np.abs(op.matrix)
-    return math.sqrt(float(A.sum(axis=1).max()) * float(A.sum(axis=0).max()))
-
-
 def size_bound(delta_x: float, delta_y: float) -> float:
     """Support-size bound sqrt(dx*dy) for kernels of modulus at most one."""
     if delta_x <= 0 or delta_y <= 0:
@@ -341,70 +355,3 @@ def op_vdc_bound(lam: float, mu: float) -> float:
     if lam <= 0 or mu <= 0:
         raise ValueError("lam and mu must be positive")
     return (lam * mu) ** -0.5
-
-
-# 1-D quadrature sizing for the scalar checks: same 4-samples-per-wavelength
-# rule, but a far higher cap since the cost is linear
-_SCALAR_CAP = 2**20
-
-
-def _scalar_grid(phi, a: float, b: float, lam: float) -> tuple[np.ndarray, float]:
-    probe = np.linspace(a, b, 4097)
-    dphi = np.gradient(phi(probe), probe)
-    G = float(np.max(np.abs(dphi)))
-    required = (b - a) * lam * G * (2.0 / math.pi) * SAFETY
-    if required > _SCALAR_CAP:
-        raise ResolutionError(
-            f"scalar quadrature needs n>{_SCALAR_CAP} (required {required:.0f})"
-        )
-    n = max(4096, _next_pow2(required))
-    ts, h = _midpoints(a, b, n)
-    return ts, h
-
-
-def scalar_vdc_check(
-    phi, psi, psi_prime, k: int, mu: float, interval, lam: float
-) -> tuple[float, float]:
-    """Oscillatory decay check: |int e^{i lam phi} psi| vs the k-th order bound.
-
-    rhs = (lam*mu)^(-1/k) * (|psi(a)| + |psi(b)| + int |psi'|); the caller
-    asserts |phi^(k)| >= mu (and monotone phi' when k = 1); we spot-check
-    the k = 1 monotonicity on a sample grid.
-    """
-    if k < 1:
-        raise ValueError("derivative order k must be at least 1")
-    if lam <= 0 or mu <= 0:
-        raise ValueError("lam and mu must be positive")
-    a, b = interval
-    if not a < b:
-        raise ValueError("empty interval")
-    if k == 1:
-        probe = np.linspace(a, b, 2049)
-        dphi = np.diff(phi(probe))
-        if np.any(dphi > 0) and np.any(dphi < 0):
-            raise ValueError("k=1 requires monotone phi'")
-    ts, h = _scalar_grid(phi, a, b, lam)
-    lhs = float(np.abs(np.sum(np.exp(1j * lam * phi(ts)) * psi(ts)) * h))
-    total_var = float(np.sum(np.abs(psi_prime(ts))) * h)
-    amp = abs(float(psi(a))) + abs(float(psi(b))) + total_var
-    rhs = (lam * mu) ** (-1.0 / k) * amp
-    return lhs, rhs
-
-
-def sublevel_check(
-    f, gamma: float, k: int, mu: float, interval, n: int = 200001
-) -> tuple[float, float]:
-    """Measure of {|f| <= gamma} by fine-grid counting vs A_k (gamma/mu)^(1/k).
-
-    A_k = 2k * 2^(1/k), an admissible constant when |f^(k)| >= mu holds on
-    the interval (caller-asserted).
-    """
-    if k < 1:
-        raise ValueError("derivative order k must be at least 1")
-    if gamma < 0 or mu <= 0:
-        raise ValueError("gamma must be nonnegative and mu positive")
-    a, b = interval
-    ts, h = _midpoints(a, b, n)
-    measure = float(np.count_nonzero(np.abs(f(ts)) <= gamma)) * h
-    A_k = 2 * k * 2.0 ** (1.0 / k)
-    return measure, A_k * (gamma / mu) ** (1.0 / k)

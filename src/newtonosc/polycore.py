@@ -361,16 +361,6 @@ def integrate_xy(mixed: BivarPoly) -> BivarPoly:
     )
 
 
-def eval_poly(poly: BivarPoly, x: float, y: float) -> float:
-    """Evaluate at float arguments through exact rational arithmetic.
-
-    The binary values of x and y are taken as exact rationals, the sum is
-    formed exactly, and a single rounding happens on return, so the result
-    is the correctly rounded value of the polynomial at (x, y).
-    """
-    return float(poly.eval_exact(Fraction(x), Fraction(y)))
-
-
 def eval_grid(poly: BivarPoly, xs, ys) -> np.ndarray:
     """Vectorized float evaluation on a tensor grid: out[i, j] = p(xs[i], ys[j])."""
     xs = np.asarray(xs, dtype=float)

@@ -2,7 +2,8 @@
 
 Exponents stay exact Fractions throughout; coefficients are complex
 doubles.  Each recursion level picks a slope from the (fractional) Newton
-polygon of the transformed polynomial, solves the edge polynomial for
+polygon of the transformed polynomial, which newton.lower_hull and
+newton.hull_edges build exactly as for F, solves the edge polynomial for
 leading coefficients, substitutes, and recurses.  Ramification is tracked
 per branch; there is never a global x -> x^(1/r) substitution.
 
@@ -22,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EmptyPolygonError, NumericalUnderflowError
+from .newton import EdgeData, hull_edges, lower_hull
 from .polycore import BivarPoly, PuiseuxBranch, PuiseuxTerm, Reality, eval_branch
 
 # Floor for the relative clustering tolerance.  An exact m-fold root of an
@@ -85,51 +87,21 @@ class BranchSet:
         }
 
 
-# --- fractional Newton polygon helpers -------------------------------------
+# --- edge polynomials -------------------------------------------------------
 
 
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _hull(support):
-    """Lower-left hull vertices of (Fraction, int) points, left to right."""
-    cols: dict[Fraction, int] = {}
-    for e, k in support:
-        if e not in cols or k < cols[e]:
-            cols[e] = k
-    pareto: list[tuple[Fraction, int]] = []
-    for e, k in sorted(cols.items()):
-        if not pareto or k < pareto[-1][1]:
-            pareto.append((e, k))
-    hull: list[tuple[Fraction, int]] = []
-    for p in pareto:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
-            hull.pop()
-        hull.append(p)
-    return hull
-
-
-def _edges(hull):
-    out = []
-    for (e0, k0), (e1, k1) in zip(hull, hull[1:]):
-        out.append((Fraction(e1 - e0, k0 - k1), (e0, k0), (e1, k1)))
-    return out
-
-
-def _edge_poly(poly, gamma, upper, lower):
+def _edge_poly(poly, edge: EdgeData):
     """Coefficients (highest power first) of the edge polynomial psi.
 
     psi(z) collects the support points on the edge; its nonzero roots are
-    the admissible leading coefficients at exponent gamma.  The constant
-    term sits at the lower vertex, so zero is never a root.
+    the admissible leading coefficients at exponent edge.gamma.  The
+    constant term sits at the lower vertex, so zero is never a root.
     """
-    e_up, k_up = upper
-    k_lo = lower[1]
-    deg = k_up - k_lo
-    coeffs = np.zeros(deg + 1, dtype=complex)
+    e_up, k_up = edge.upper
+    k_lo = edge.lower[1]
+    coeffs = np.zeros(edge.n + 1, dtype=complex)
     for (e, k), c in poly.items():
-        if k_lo <= k <= k_up and e == e_up + gamma * (k_up - k):
+        if k_lo <= k <= k_up and e == e_up + edge.gamma * (k_up - k):
             coeffs[k_up - k] = c
     return coeffs
 
@@ -258,8 +230,8 @@ def _expand(poly, m, prefix, gamma_prev, order, out):
         out.append({"terms": list(prefix), "mult": v, "exact": True, "order": None})
         poly = {(e, k - v): c for (e, k), c in poly.items()}
 
-    target = [edge for edge in _edges(_hull(poly.keys())) if edge[0] > gamma_prev]
-    k_top = target[0][1][1] if target else 0
+    target = [e for e in hull_edges(lower_hull(poly.keys())) if e.gamma > gamma_prev]
+    k_top = target[0].upper[1] if target else 0
     leftover = m - v - k_top
     if leftover < 0:
         raise RuntimeError("sheet accounting failed during expansion")
@@ -277,20 +249,19 @@ def _expand(poly, m, prefix, gamma_prev, order, out):
         )
 
     horizon = 0
-    for gamma, upper, lower in target:
-        n_e = upper[1] - lower[1]
-        if gamma > order:
-            horizon += n_e
+    for edge in target:
+        if edge.gamma > order:
+            horizon += edge.n
             continue
-        psi = _edge_poly(poly, gamma, upper, lower)
+        psi = _edge_poly(poly, edge)
         roots = list(np.roots(psi))
         for mean, size in _cluster_roots(roots):
             c = _snap(_polish_root(psi, mean, size))
             _expand(
-                _substitute(poly, gamma, c),
+                _substitute(poly, edge.gamma, c),
                 size,
-                prefix + [(gamma, c)],
-                gamma,
+                prefix + [(edge.gamma, c)],
+                edge.gamma,
                 order,
                 out,
             )
@@ -311,15 +282,15 @@ def _expand(poly, m, prefix, gamma_prev, order, out):
         else:
             # top level: a branch needs its leading term even when that
             # term already sits beyond the requested order
-            for gamma, upper, lower in target:
-                if gamma <= order:
+            for edge in target:
+                if edge.gamma <= order:
                     continue
-                psi = _edge_poly(poly, gamma, upper, lower)
+                psi = _edge_poly(poly, edge)
                 for mean, size in _cluster_roots(list(np.roots(psi))):
                     c = _snap(_polish_root(psi, mean, size))
                     out.append(
                         {
-                            "terms": [(gamma, c)],
+                            "terms": [(edge.gamma, c)],
                             "mult": size,
                             "exact": False,
                             "split": size > 1,

@@ -20,7 +20,6 @@ from .errors import DomainError, InsufficientSamplesError
 from .newton import DecayReport, DegeneracyKind, analyze_decay
 from .opnorm import (
     GRID_CAP,
-    GRID_MIN,
     GridSpec,
     NormSample,
     PhaseSpec,
@@ -106,10 +105,6 @@ def _solve(p: PhaseSpec, lam: float, n: int, seed: int, start=None):
     return value, steps, (op.ys, vec)
 
 
-def _legal(p: PhaseSpec, lam: float, n: int) -> bool:
-    return n >= GRID_MIN and resolves(p, lam, GridSpec.square(n, p.rho))
-
-
 def norm_at(p: PhaseSpec, lam: float, seed: int = 0, n0: int | None = None) -> NormSample:
     """Norm estimate at one lambda with grid-check error control.
 
@@ -125,7 +120,7 @@ def norm_at(p: PhaseSpec, lam: float, seed: int = 0, n0: int | None = None) -> N
     """
     n = auto_grid(p, lam).n if n0 is None else int(n0)
     runs = {n: _solve(p, lam, n, seed)}
-    m = n // 2 if _legal(p, lam, n // 2) else 2 * n
+    m = n // 2 if resolves(p, lam, n // 2) else 2 * n
     while True:
         # one grid of the pair is solved; the other warm-starts from it
         for k, other in ((m, n), (n, m)):

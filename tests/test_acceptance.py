@@ -122,7 +122,7 @@ class TestCriterion2:
             f"informational slope={rep.slope:.4f}, {elapsed:.1f}s",
         )
         assert pred_ok, f"predicted exponent {rep.predicted}, not -1/4"
-        assert all_valid, "a sample failed the refinement check"
+        assert all_valid, "a sample failed its grid check"
         assert rate_ok, (
             f"top-octave slope {top_slope:.4f} outside "
             f"-0.25 +- {cfg.tol_slope:g}"
@@ -332,10 +332,10 @@ class TestCriterion8:
             8,
             "numerical hygiene",
             ok,
-            f"power-vs-SVD worst={worst_rel:.2e} vs 1e-8, "
+            f"Lanczos-vs-SVD worst={worst_rel:.2e} vs 1e-8, "
             f"adjoint worst={worst_adj:.2e} vs 1e-12, "
             f"conv_err<0.02 on {sum(s.valid for s in samples)}/{len(samples)} samples",
         )
-        assert svd_ok, f"power iteration off dense SVD by {worst_rel:.2e}"
+        assert svd_ok, f"Lanczos norm off dense SVD by {worst_rel:.2e}"
         assert adj_ok, f"adjoint identity violated at {worst_adj:.2e}"
         assert all_valid and conv_ok

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from newtonosc.blocks import (
+    _SAMPLE,
     BlockEstimate,
     DyadicPartition,
     Region,
     block_rect,
     build_partition,
     chi,
+    _block_operator,
     classify_block,
-    derivative_control,
     empirical_range,
     first_block_scale,
     measure_block,
@@ -19,14 +20,44 @@ from newtonosc.blocks import (
     theta,
     verify_blocks,
 )
-from newtonosc.errors import WrongRegionError
-from newtonosc.newton import build_polygon
+from newtonosc.errors import ResolutionError, WrongRegionError
+from newtonosc.newton import NewtonPolygon, build_polygon
 from newtonosc.opnorm import PhaseSpec, size_bound
-from newtonosc.polycore import BivarPoly, integrate_xy, parse_poly
+from newtonosc.polycore import BivarPoly, eval_grid, integrate_xy, parse_poly
 
 
 def polygon(s: str):
     return build_polygon(parse_poly(s))
+
+
+def derivative_control(
+    F: BivarPoly,
+    polygon: NewtonPolygon,
+    D: float = 3.0,
+    j_max: int = 6,
+    j_min: int = 1,
+):
+    """Sampled |dF/dy| / (mu*2^k) and |d2F/dy2| / (mu*4^k) per gap block.
+
+    The claim behind the oscillation bound is that these stay O(1)
+    uniformly over gap blocks; callers assert stability of the maxima.
+    """
+    Fy = F.diff("y")
+    Fyy = Fy.diff("y")
+    rows = []
+    for j in range(j_min, j_max + 1):
+        for k in range(j_min, j_max + 1):
+            region = classify_block(j, k, polygon, D)
+            if region.kind != "Gap":
+                continue
+            mu = mu_for_block(j, k, region, polygon)
+            x0, x1, y0, y1 = block_rect(j, k)
+            xs = np.linspace(x0, x1, _SAMPLE)
+            ys = np.linspace(y0, y1, _SAMPLE)
+            c1 = float(np.max(np.abs(eval_grid(Fy, xs, ys)))) / (mu * 2.0**k)
+            c2 = float(np.max(np.abs(eval_grid(Fyy, xs, ys)))) / (mu * 2.0 ** (2 * k))
+            rows.append((j, k, c1, c2))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +257,28 @@ class TestBlockRect:
         assert first_block_scale(0.5) == 1
         assert first_block_scale(1.0) == 0
         assert first_block_scale(0.25) == 2
+
+
+class TestBlockGrid:
+    PHASE = PhaseSpec(S=parse_poly("x^2*y^2/4"), rho=0.5)
+
+    def test_pinned_sizes(self):
+        # opnorm.grid_points on the block rectangle, with G from
+        # gradient_bound there; GRID_MIN at lambda 0
+        pinned = {
+            (1, 1, 0.0): 16,
+            (2, 1, 256.0): 128,
+            (1, 1, 256.0): 256,
+            (1, 3, 2048.0): 512,
+            (4, 6, 2048.0): 16,
+        }
+        for (j, k, lam), n in pinned.items():
+            op = _block_operator(self.PHASE, lam, j, k)
+            assert op.shape == (n, n), (j, k, lam)
+
+    def test_over_cap_names_the_block_grid(self):
+        with pytest.raises(ResolutionError, match=r"^block \(1,2\) needs n=8192 at lambda=16384\.0$"):
+            _block_operator(self.PHASE, 2.0**14, 1, 2)
 
 
 class TestVerifyBlocks:

