@@ -47,7 +47,6 @@ from .newton import (
 from .opnorm import (
     DiscreteOperator,
     GridSpec,
-    NormSample,
     PhaseSpec,
     discretize,
     operator_norm,
@@ -64,6 +63,7 @@ from .polycore import (
 )
 from .puiseux import BranchSet, branch_residual_order, expand_branches
 from .scaling import (
+    NormSample,
     ScalingReport,
     SweepConfig,
     fit_decay,

@@ -234,6 +234,8 @@ def verify_blocks(
     """
     F = mixed_derivative(p.S)
     j_min = first_block_scale(p.rho)
+    if j_max < j_min:
+        raise ValueError(f"j_max={j_max} is below the first block scale {j_min}")
     estimates: list[BlockEstimate] = []
     failures: list[tuple[int, int, str]] = []
     for j in range(j_min, j_max + 1):

@@ -1,7 +1,7 @@
 """Command-line front end: analyze, norm, sweep, blocks, dyadpol, selftest.
 
-Every JSON payload carries a schema tag and a provenance block (seed and
-thread count), is validated against the subcommand's schema before it is
+Every JSON payload carries a schema tag and a provenance block (the
+seed), is validated against the subcommand's schema before it is
 written, and serializes floats as shortest round-trip decimals and
 rationals as p/q strings, so identical invocations produce identical
 bytes.
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -40,7 +39,7 @@ from .polycore import integrate_xy, mixed_derivative, parse_poly
 from .puiseux import branch_residual_order, expand_branches
 from .scaling import SweepConfig, norm_at, verify_theorem
 
-SCHEMA_ID = "newton-osc/1"
+SCHEMA_ID = "newton-osc/2"
 
 NORM_CSV_HEADER = "lambda,n,norm,conv_err,iterations"
 BLOCKS_CSV_HEADER = "j,k,region,mu,measured,size_bound,osc_bound,ratio"
@@ -48,17 +47,6 @@ BLOCKS_CSV_HEADER = "j,k,region,mu,measured,size_bound,osc_bound,ratio"
 
 # ---------------------------------------------------------------------------
 # output plumbing
-
-
-def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("NEWTONOSC_THREADS")
-    return int(env) if env else 1
-
-
-def _provenance(args) -> dict:
-    return {"seed": getattr(args, "seed", 0), "threads": _threads(args)}
 
 
 def _fnum(x: float) -> str:
@@ -75,7 +63,7 @@ def _write(args, text: str) -> None:
 
 
 def _emit_json(args, schema: dict, payload: dict) -> None:
-    payload = {"schema": SCHEMA_ID, "provenance": _provenance(args), **payload}
+    payload = {"schema": SCHEMA_ID, "provenance": {"seed": args.seed}, **payload}
     jsonschema.validate(payload, schema)
     _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -90,11 +78,7 @@ def _csv_row(header: str, d: dict) -> str:
 
 
 def _emit_csv(args, header: str, rows: list[str]) -> None:
-    prov = _provenance(args)
-    lines = [
-        f"# {SCHEMA_ID} seed={prov['seed']} threads={prov['threads']}",
-        header,
-    ]
+    lines = [f"# {SCHEMA_ID} seed={args.seed}", header]
     lines.extend(rows)
     _write(args, "\n".join(lines) + "\n")
 
@@ -119,8 +103,8 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 _PROV = {
     "type": "object",
-    "required": ["seed", "threads"],
-    "properties": {"seed": {"type": "integer"}, "threads": {"type": "integer"}},
+    "required": ["seed"],
+    "properties": {"seed": {"type": "integer"}},
 }
 
 _SAMPLE = {
@@ -400,7 +384,7 @@ def _case_lanczos_vs_dense():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
     grid = np.arange(40, dtype=float)
-    op = DiscreteOperator(matrix=m, xs=grid, ys=grid, hx=1.0, hy=1.0)
+    op = DiscreteOperator(matrix=m, xs=grid, ys=grid)
     val, _ = operator_norm(op, tol=1e-13, max_iter=3000)
     ref = float(np.linalg.norm(m, 2))
     _check(abs(val - ref) / ref < 1e-8, "Lanczos norm vs dense SVD")
@@ -410,7 +394,7 @@ def _case_adjoint_identity():
     rng = np.random.default_rng(1)
     m = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
     grid = np.arange(30, dtype=float)
-    op = DiscreteOperator(matrix=m, xs=grid, ys=grid, hx=1.0, hy=1.0)
+    op = DiscreteOperator(matrix=m, xs=grid, ys=grid)
     v = rng.standard_normal(30) + 1j * rng.standard_normal(30)
     w = rng.standard_normal(30) + 1j * rng.standard_normal(30)
     lhs = np.vdot(w, op.apply(v))
@@ -496,10 +480,7 @@ def _add_common(sp, phase=True, fmt_default=None):
             action="store_true",
             help="treat the expression as F = S''_xy and synthesize S",
         )
-        sp.add_argument("--rho", type=float, default=0.5, help="cutoff radius")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=None,
-                    help="recorded in provenance (NEWTONOSC_THREADS as fallback)")
     sp.add_argument("--out", default="-", help="output path, - for stdout")
     if fmt_default is not None:
         sp.add_argument("--format", choices=("json", "csv"), default=fmt_default)
@@ -519,11 +500,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("norm", help="operator norm at one lambda")
     _add_common(sp, fmt_default="csv")
+    sp.add_argument("--rho", type=float, default=0.5, help="cutoff radius")
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
     sp.set_defaults(fn=cmd_norm)
 
     sp = sub.add_parser("sweep", help="lambda sweep, decay fit, and verdict")
     _add_common(sp, fmt_default="json")
+    sp.add_argument("--rho", type=float, default=0.5, help="cutoff radius")
     sp.add_argument("--lambdas", default=None, help="comma-separated lambda grid")
     sp.add_argument("--tol-slope", type=float, default=0.1)
     sp.add_argument("--fit-window", default=None, help="lo,hi lambda sub-range")
@@ -533,6 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("blocks", help="dyadic block estimates at one lambda")
     _add_common(sp, fmt_default="csv")
+    sp.add_argument("--rho", type=float, default=0.5, help="cutoff radius")
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
     sp.add_argument("--D", type=float, default=3.0, help="near-edge band width")
     sp.add_argument("--j-max", type=int, default=6)
@@ -547,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_dyadpol)
 
     sp = sub.add_parser("selftest", help="frozen examples and oracle agreements")
-    _add_common(sp, phase=False, fmt_default=None)
+    sp.add_argument("--out", default="-", help="output path, - for stdout")
     sp.set_defaults(fn=cmd_selftest)
 
     return ap

@@ -217,6 +217,8 @@ def verify_lower_bound(
     Each trial draws its own generator from (master_seed, trial index), so
     any single trial can be replayed in isolation.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     powers = np.arange(1, profile.N + 1)
     min_observed = math.inf
     worst_trial = -1

@@ -31,7 +31,7 @@ class ResolutionError(RuntimeError):
 
 
 class NoConvergenceError(RuntimeError):
-    """The norm solver hit max_iter with convergence required.
+    """The norm solver reached max_iter before its residual met tol.
 
     Carries the last two Ritz estimates of the norm for diagnosis.
     """

@@ -205,6 +205,7 @@ def detect_degeneracy(F: BivarPoly, branches=None, order=None) -> Degeneracy:
 
     branches may be passed in to reuse an existing expansion; otherwise
     one is computed at the given order (default 4 * total_degree + 8).
+    checked_order is the order of the expansion actually used.
     """
     polygon = build_polygon(F)
     if polygon.A != 0 or polygon.B != 0:
@@ -216,8 +217,6 @@ def detect_degeneracy(F: BivarPoly, branches=None, order=None) -> Degeneracy:
         return Degeneracy(DegeneracyKind.NON_DEGENERATE)
     N = edge.n
 
-    if order is None:
-        order = Fraction(4 * F.total_degree() + 8)
     if branches is None:
         from .puiseux import expand_branches
 
@@ -238,7 +237,7 @@ def detect_degeneracy(F: BivarPoly, branches=None, order=None) -> Degeneracy:
     if sheet.exact:
         return Degeneracy(DegeneracyKind.COMPLETELY_DEGENERATE, N=N, c=c.real)
     return Degeneracy(
-        DegeneracyKind.UNDETERMINED, N=N, c=c.real, checked_order=Fraction(order)
+        DegeneracyKind.UNDETERMINED, N=N, c=c.real, checked_order=branches.order
     )
 
 
@@ -282,12 +281,12 @@ class DecayReport:
         }
 
 
-def analyze_decay(F: BivarPoly, branches=None, order=None) -> DecayReport:
+def analyze_decay(F: BivarPoly, branches=None) -> DecayReport:
     """Polygon, crossing, per-edge rates, and degeneracy in one report."""
     polygon = build_polygon(F)
     t0, delta, crossing = decay_rate(polygon)
     rates = edge_rates(polygon) if polygon.edges else ()
-    degeneracy = detect_degeneracy(F, branches=branches, order=order)
+    degeneracy = detect_degeneracy(F, branches=branches)
     return DecayReport(
         t0=t0,
         delta=delta,

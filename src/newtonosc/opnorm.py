@@ -84,37 +84,6 @@ class GridSpec:
         return cls(n=n, domain=(-rho, rho, -rho, rho))
 
 
-@dataclass(frozen=True)
-class NormSample:
-    """One norm estimate with its quadrature-error estimate.
-
-    conv_err is the relative gap to the check grid (n/2, or 2n where
-    n/2 is not a legal grid).  iterations counts Lanczos steps over
-    every grid solved for the sample, base and check grids alike; each
-    step is one T and one T* product.
-    """
-
-    lam: float
-    n: int
-    value: float
-    conv_err: float
-    iterations: int
-
-    @property
-    def valid(self) -> bool:
-        return self.conv_err < 0.02
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "n": self.n,
-            "norm": self.value,
-            "conv_err": self.conv_err,
-            "iterations": self.iterations,
-            "valid": self.valid,
-        }
-
-
 def _midpoints(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
     h = (hi - lo) / n
     return lo + h * (np.arange(n) + 0.5), h
@@ -146,13 +115,14 @@ def grid_points(lam: float, G: float, domain) -> tuple[int, float]:
     """Points per side that give >= 4 samples per oscillation on domain.
 
     G bounds |dS/dx| + |dS/dy| there (gradient_bound).  Returns (n,
-    required): required is the raw count side * lam * G * (2/pi) * SAFETY
+    required): required is the raw count side * |lam| * G * (2/pi) * SAFETY
     for the longer side, and n the power of two at or above it, at least
-    GRID_MIN.  Callers apply their own cap.
+    GRID_MIN.  Callers apply their own cap.  The kernel at -lam is the
+    entrywise conjugate of the one at lam, so only |lam| sizes the grid.
     """
     x0, x1, y0, y1 = domain
     side = max(x1 - x0, y1 - y0)
-    required = side * lam * G * (2.0 / math.pi) * SAFETY
+    required = side * abs(lam) * G * (2.0 / math.pi) * SAFETY
     return max(GRID_MIN, _next_pow2(required)), required
 
 
@@ -178,9 +148,6 @@ class DiscreteOperator:
     matrix: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
-    hx: float
-    hy: float
-    lam: float = 0.0
 
     @property
     def shape(self):
@@ -199,10 +166,10 @@ class DiscreteOperator:
 
 
 def _cell_phase(p: PhaseSpec, lam: float, g: GridSpec) -> float:
-    """lam * |grad S| * h: the largest phase step across one cell of g."""
+    """|lam| * |grad S| * h: the largest phase step across one cell of g."""
     x0, x1, y0, y1 = g.domain
     h = max((x1 - x0) / g.n, (y1 - y0) / g.n)
-    return lam * gradient_bound(p.S, g.domain) * h
+    return abs(lam) * gradient_bound(p.S, g.domain) * h
 
 
 def resolves(p: PhaseSpec, lam: float, n: int) -> bool:
@@ -232,9 +199,10 @@ def discretize(
 
     Optional separable window callables multiply the cutoff; they carry
     the dyadic masks (and quadrant indicators) of the block decomposition.
+    A NaN lam fails the resolution guard like an unresolved one.
     """
     step = _cell_phase(p, lam, g)
-    if step > _MAX_CELL_PHASE:
+    if not step <= _MAX_CELL_PHASE:
         raise ResolutionError(
             f"grid n={g.n} does not resolve lambda={lam} (lam*G*h={step:.3f})"
         )
@@ -255,7 +223,7 @@ def discretize(
         block *= wx[r0:r1, None]
         block *= wy[None, :]
         M[r0:r1] = block
-    return DiscreteOperator(matrix=M, xs=xs, ys=ys, hx=hx, hy=hy, lam=lam)
+    return DiscreteOperator(matrix=M, xs=xs, ys=ys)
 
 
 def operator_norm(
@@ -263,7 +231,6 @@ def operator_norm(
     tol: float = 1e-6,
     max_iter: int = 500,
     seed: int = 0,
-    require_converged: bool = False,
     v0: np.ndarray | None = None,
     return_vector: bool = False,
 ):
@@ -278,7 +245,8 @@ def operator_norm(
     Krylov space is invariant or spans the whole domain, where the Ritz
     value is exact up to rounding.  A random start keeps the top Ritz
     value close below the top singular value with high probability
-    (Kuczynski & Wozniakowski 1992).
+    (Kuczynski & Wozniakowski 1992).  Reaching max_iter without any of
+    these raises NoConvergenceError.
 
     v0 warm-starts the iteration (the check grid of norm_at passes the
     base grid's singular vector, interpolated onto its nodes);
@@ -321,12 +289,11 @@ def operator_norm(
             break
         V.append(r / betas[-1])
     else:
-        if require_converged:
-            raise NoConvergenceError(
-                f"bidiagonalization residual {resid:.2e} above {tol:.0e} "
-                f"after {max_iter} steps",
-                quotients=(s_prev, s),
-            )
+        raise NoConvergenceError(
+            f"bidiagonalization residual {resid:.2e} above {tol:.0e} "
+            f"after {max_iter} steps",
+            quotients=(s_prev, s),
+        )
     if not return_vector:
         return s, k
     return s, k, sum(y * v for y, v in zip(Yt[0], V))

@@ -145,14 +145,6 @@ class BivarPoly:
             out[key] = out.get(key, Fraction(0)) + c * deg
         return BivarPoly._raw(out)
 
-    def eval_exact(self, x: RationalLike, y: RationalLike) -> Fraction:
-        x = Fraction(x)
-        y = Fraction(y)
-        total = Fraction(0)
-        for (a, b), c in self._terms.items():
-            total += c * x**a * y**b
-        return total
-
     def render(self) -> str:
         """Canonical string form; parse_poly(render(p)) == p."""
         if not self._terms:

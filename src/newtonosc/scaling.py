@@ -21,7 +21,6 @@ from .newton import DecayReport, DegeneracyKind, analyze_decay
 from .opnorm import (
     GRID_CAP,
     GridSpec,
-    NormSample,
     PhaseSpec,
     auto_grid,
     discretize,
@@ -31,23 +30,55 @@ from .opnorm import (
 from .polycore import mixed_derivative
 
 __all__ = [
+    "NormSample",
     "SweepConfig",
     "ScalingReport",
     "norm_at",
     "sweep",
     "fit_decay",
     "log_exponent_fit",
-    "compensated",
     "verify_theorem",
     "CONV_TOL",
 ]
 
+# a sample is valid when its grid check agrees to this relative gap
 CONV_TOL = 0.02
 FLAT_SPREAD = 1e-6
 
 VERDICT_PASS = "Pass"
 VERDICT_FAIL = "Fail"
 VERDICT_INCONCLUSIVE = "Inconclusive"
+
+
+@dataclass(frozen=True)
+class NormSample:
+    """One norm estimate with its quadrature-error estimate.
+
+    conv_err is the relative gap to the check grid (n/2, or 2n where
+    n/2 is not a legal grid).  iterations counts Lanczos steps over
+    every grid solved for the sample, base and check grids alike; each
+    step is one T and one T* product.
+    """
+
+    lam: float
+    n: int
+    value: float
+    conv_err: float
+    iterations: int
+
+    @property
+    def valid(self) -> bool:
+        return self.conv_err < CONV_TOL
+
+    def to_dict(self) -> dict:
+        return {
+            "lambda": self.lam,
+            "n": self.n,
+            "norm": self.value,
+            "conv_err": self.conv_err,
+            "iterations": self.iterations,
+            "valid": self.valid,
+        }
 
 
 def _default_lambdas() -> tuple[float, ...]:
@@ -209,14 +240,6 @@ def log_exponent_fit(samples: Sequence[NormSample], N: int) -> float:
     x = np.log2(np.log2(lam))
     slope, _ = _ols(x, y)
     return slope
-
-
-def compensated(samples: Sequence[NormSample], exponent: float) -> np.ndarray:
-    """norm * lambda^exponent over the valid samples, sweep order."""
-    pts = [s for s in samples if s.valid]
-    lam = np.array([s.lam for s in pts], dtype=float)
-    vals = np.array([s.value for s in pts], dtype=float)
-    return vals * lam ** float(exponent)
 
 
 @dataclass(frozen=True)

@@ -311,7 +311,7 @@ class TestCriterion8:
             n = int(rng.integers(16, 129))
             m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             grid = np.arange(n, dtype=float)
-            op = DiscreteOperator(matrix=m, xs=grid, ys=grid, hx=1.0, hy=1.0)
+            op = DiscreteOperator(matrix=m, xs=grid, ys=grid)
             val, _ = operator_norm(op, tol=1e-13, max_iter=5000)
             ref = float(np.linalg.norm(m, 2))
             worst_rel = max(worst_rel, abs(val - ref) / ref)

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line driver via in-process main()."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import time
 import pytest
 
 import newtonosc
-from newtonosc.cli import main
+from newtonosc.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -30,7 +31,7 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         blob = json.loads(err)
-        assert blob["schema"] == "newton-osc/1"
+        assert blob["schema"] == "newton-osc/2"
         assert blob["error"]["type"] == "ParseError"
 
     def test_empty_polygon_is_3(self, capsys):
@@ -57,8 +58,8 @@ class TestExitCodes:
 class TestAnalyze:
     def test_plain_hyperbolic_phase(self, capsys):
         d = run_json(capsys, "analyze", "--phase", "x*y")
-        assert d["schema"] == "newton-osc/1"
-        assert d["provenance"] == {"seed": 0, "threads": 1}
+        assert d["schema"] == "newton-osc/2"
+        assert d["provenance"] == {"seed": 0}
         assert d["mixed_derivative"] == "1"
         assert d["polygon"]["vertices"] == [[0, 0]]
         assert d["decay"]["delta"] == "1"
@@ -86,13 +87,22 @@ class TestAnalyze:
         )
         assert d["branches"]["order"] == "4"
 
+    def test_order_flag_sets_checked_order(self, capsys):
+        # the cluster is Undetermined at the order the branches were cut
+        d = run_json(
+            capsys, "analyze", "--mixed", "--phase", "(y-x)^2 - x^7", "--order", "3"
+        )
+        deg = d["decay"]["degeneracy"]
+        assert deg["kind"] == "Undetermined"
+        assert deg["checked_order"] == d["branches"]["order"] == "3"
+
 
 class TestNorm:
     def test_csv_default(self, capsys):
         code, out, _ = run(capsys, "norm", "--phase", "x*y", "--lambda", "64")
         assert code == 0
         lines = out.strip().split("\n")
-        assert lines[0] == "# newton-osc/1 seed=0 threads=1"
+        assert lines[0] == "# newton-osc/2 seed=0"
         assert lines[1] == "lambda,n,norm,conv_err,iterations"
         lam, n, norm, conv, iters = lines[2].split(",")
         assert float(lam) == 64.0
@@ -194,6 +204,13 @@ class TestBlocks:
         assert s["worst_ratio"]["Gap"] < 1.0
         assert len(d["estimates"]) == 9
 
+    def test_empty_block_range_is_1(self, capsys):
+        code, out, err = run(
+            capsys, "blocks", "--phase", "x*y", "--lambda", "64", "--j-max", "0"
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
 
 class TestDyadpol:
     def test_two_coefficient_profile_passes(self, capsys):
@@ -206,6 +223,12 @@ class TestDyadpol:
         v = d["verification"]
         assert v["pass"] is True
         assert v["min_observed"] >= v["bound"]
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_is_1(self, capsys, trials):
+        code, out, err = run(capsys, "dyadpol", "--r", "0,6", "--trials", trials)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
 
 
 class TestDeterminism:
@@ -228,23 +251,36 @@ class TestDeterminism:
 
 
 class TestProvenance:
-    def test_threads_flag_recorded(self, capsys):
-        d = run_json(
-            capsys, "analyze", "--phase", "x*y", "--threads", "4"
-        )
-        assert d["provenance"]["threads"] == 4
-
-    def test_threads_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("NEWTONOSC_THREADS", "3")
-        d = run_json(capsys, "analyze", "--phase", "x*y")
-        assert d["provenance"]["threads"] == 3
-
     def test_seed_recorded(self, capsys):
         code, out, _ = run(
             capsys, "norm", "--phase", "x*y", "--lambda", "64", "--seed", "5"
         )
         assert code == 0
-        assert out.startswith("# newton-osc/1 seed=5 threads=1")
+        assert out.startswith("# newton-osc/2 seed=5\n")
+
+
+class TestSurface:
+    # every option is read by its subcommand; a new one must be added here
+    EXPECTED = {
+        "analyze": {"phase", "mixed", "seed", "out", "order"},
+        "norm": {"phase", "mixed", "seed", "out", "format", "rho", "lam"},
+        "sweep": {
+            "phase", "mixed", "seed", "out", "format", "rho",
+            "lambdas", "tol_slope", "fit_window", "emit_plot_data",
+        },
+        "blocks": {"phase", "mixed", "seed", "out", "format", "rho", "lam", "D", "j_max"},
+        "dyadpol": {"seed", "out", "r", "C", "trials", "h_density"},
+        "selftest": {"out"},
+    }
+
+    def test_option_set_per_subcommand(self):
+        ap = build_parser()
+        sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+        found = {
+            name: {a.dest for a in sp._actions if not isinstance(a, argparse._HelpAction)}
+            for name, sp in sub.choices.items()
+        }
+        assert found == self.EXPECTED
 
 
 class TestSelftest:

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from newtonosc import scaling
 from newtonosc.opnorm import (
     GRID_MIN,
     GridSpec,
-    NormSample,
     PhaseSpec,
     auto_grid,
     bump,
@@ -33,10 +33,10 @@ from newtonosc.polycore import (
     parse_poly,
 )
 from newtonosc.scaling import (
+    NormSample,
     ScalingReport,
     _interp_start,
     SweepConfig,
-    compensated,
     fit_decay,
     log_exponent_fit,
     norm_at,
@@ -44,6 +44,14 @@ from newtonosc.scaling import (
     sweep,
     verify_theorem,
 )
+
+
+def compensated(samples: Sequence[NormSample], exponent: float) -> np.ndarray:
+    """norm * lambda^exponent over the valid samples, sweep order."""
+    pts = [s for s in samples if s.valid]
+    lam = np.array([s.lam for s in pts], dtype=float)
+    vals = np.array([s.value for s in pts], dtype=float)
+    return vals * lam ** float(exponent)
 
 
 def mk_samples(lams, values, conv=0.0):
@@ -110,6 +118,27 @@ class TestNormAt:
         p = PhaseSpec(S=parse_poly("x*y"), rho=0.85)
         with pytest.raises(ResolutionError, match="2048"):
             norm_at(p, 2.0**11)
+
+    def test_negative_lambda_is_the_conjugate_kernel(self):
+        # T at -lambda is the entrywise conjugate of T at lambda: same grid,
+        # same norm, and the grid must be sized from |lambda|
+        p = PhaseSpec(S=parse_poly("x*y"), rho=0.85)
+        a = norm_at(p, 256.0)
+        b = norm_at(p, -256.0)
+        assert a.n == b.n == 1024
+        assert b.value == pytest.approx(a.value, rel=1e-10)
+        assert b.valid
+
+    def test_nan_lambda_is_refused(self):
+        p = PhaseSpec(S=parse_poly("x*y"), rho=0.5)
+        with pytest.raises(ResolutionError):
+            norm_at(p, math.nan)
+
+    def test_validity_reads_conv_tol(self, monkeypatch):
+        s = NormSample(lam=16.0, n=64, value=0.3, conv_err=1e-10, iterations=20)
+        assert s.valid
+        monkeypatch.setattr(scaling, "CONV_TOL", 1e-20)
+        assert not s.valid
 
 
 def dense_norm(p: PhaseSpec, lam: float, n: int) -> float:
