@@ -215,10 +215,14 @@ def verify_lower_bound(
     """Randomized check of min |P| >= 1/B over E.
 
     Each trial draws its own generator from (master_seed, trial index), so
-    any single trial can be replayed in isolation.
+    any single trial can be replayed in isolation.  h_density draws per
+    interval come on top of the interval endpoints; 0 samples the
+    endpoints alone.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if h_density < 0:
+        raise ValueError(f"h_density must be at least 0, got {h_density}")
     powers = np.arange(1, profile.N + 1)
     min_observed = math.inf
     worst_trial = -1

@@ -7,7 +7,10 @@ once the grid resolves the oscillation; the sizing rule keeps
 lam * |grad S| * h below pi/2 with a safety factor, where S is the
 canonical phase integrate_xy(S''_xy) that PhaseSpec stores.  grid_points
 is that rule's one home: the square grids of auto_grid and the block
-grids of the dyadic decomposition are both sized by it.
+grids of the dyadic decomposition are both sized by it.  On the square
+grid, centred at the origin, a phase whose support has a parity
+(parity_sectors) splits T into sectors of side n/2 that discretize
+builds one at a time.
 
 The spectral norm comes from Golub-Kahan-Lanczos bidiagonalization.
 Alongside it live the two bounds the block decomposition compares
@@ -184,8 +187,32 @@ def resolves(p: PhaseSpec, lam: float, n: int) -> bool:
 
 
 def kernel_dtype(n: int):
-    """complex128 up to the crossover size, complex64 above it."""
+    """complex128 up to the crossover size, complex64 above it.
+
+    n is the side of the stored matrix, not of the grid: a parity sector
+    of the n-point grid stores n/2 per side, so n = 4096 sectors are
+    complex128.
+    """
     return np.complex128 if n <= COMPLEX64_ABOVE else np.complex64
+
+
+def parity_sectors(S: BivarPoly) -> tuple:
+    """The parity sectors T splits into on a square grid centred at 0.
+
+    Reads the support of the canonical phase integrate_xy(S''_xy), the
+    terms c x^a y^b of S with a, b >= 1.  When every a + b is even,
+    K(-x, -y) = K(x, y): T maps even inputs to even outputs and odd to
+    odd, and ||T|| is the larger of the two sector norms, so the result
+    is (1, -1).  When every a and b is even, the odd sector vanishes and
+    the result is (1,).  Otherwise T has no such symmetry: (None,), the
+    full kernel.
+    """
+    support = [(a, b) for a, b in S.terms if a and b]
+    if any((a + b) % 2 for a, b in support):
+        return (None,)
+    if all(a % 2 == 0 for a, _ in support):
+        return (1,)
+    return (1, -1)
 
 
 def discretize(
@@ -194,12 +221,22 @@ def discretize(
     g: GridSpec,
     x_window=None,
     y_window=None,
+    sector=None,
 ) -> DiscreteOperator:
     """Sample e^{i lam S} chi on the grid with midpoint weights.
 
     Optional separable window callables multiply the cutoff; they carry
     the dyadic masks (and quadrant indicators) of the block decomposition.
     A NaN lam fails the resolution guard like an unresolved one.
+
+    sector (one of parity_sectors(p.S), on an even grid centred at the
+    origin, without windows) builds that sector of T instead, on the
+    nodes x, y > 0 only.  With E and O the even-in-y and odd-in-y terms
+    of S, sector 1 is 2 w_x w_y e^{i lam E} cos(lam O) and sector -1 is
+    2 w_x w_y e^{i lam E} sin(lam O): K(x, y) +- K(x, -y) up to the unit
+    factor i, with the mirrored halves folded in.  Its spectral norm is
+    the norm of T on the even or odd inputs.  The resolution guard
+    still reads the full grid.
     """
     step = _cell_phase(p, lam, g)
     if not step <= _MAX_CELL_PHASE:
@@ -215,11 +252,31 @@ def discretize(
         wx = wx * np.asarray(x_window(xs), dtype=float)
     if y_window is not None:
         wy = wy * np.asarray(y_window(ys), dtype=float)
+    even, odd = p.S, None
+    if sector is not None:
+        if (
+            sector not in parity_sectors(p.S)
+            or g.n % 2
+            or (x0, y0) != (-x1, -y1)
+            or x_window is not None
+            or y_window is not None
+        ):
+            raise ValueError(
+                f"sector {sector} needs a phase with that parity and an even, "
+                "unwindowed grid centred at the origin"
+            )
+        half = g.n // 2
+        xs, ys, wx, wy = xs[half:], ys[half:], 2.0 * wx[half:], wy[half:]
+        even = BivarPoly({k: c for k, c in p.S.terms.items() if k[1] % 2 == 0})
+        odd = BivarPoly({k: c for k, c in p.S.terms.items() if k[1] % 2})
+        fold = np.cos if sector == 1 else np.sin
 
-    M = np.empty((g.n, g.n), dtype=kernel_dtype(g.n))
-    for r0 in range(0, g.n, _CHUNK_ROWS):
-        r1 = min(r0 + _CHUNK_ROWS, g.n)
-        block = np.exp(1j * lam * eval_grid(p.S, xs[r0:r1], ys))
+    M = np.empty((xs.size, ys.size), dtype=kernel_dtype(xs.size))
+    for r0 in range(0, xs.size, _CHUNK_ROWS):
+        r1 = min(r0 + _CHUNK_ROWS, xs.size)
+        block = np.exp(1j * lam * eval_grid(even, xs[r0:r1], ys))
+        if odd:
+            block *= fold(lam * eval_grid(odd, xs[r0:r1], ys))
         block *= wx[r0:r1, None]
         block *= wy[None, :]
         M[r0:r1] = block

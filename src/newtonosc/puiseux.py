@@ -386,15 +386,18 @@ def _record_to_branch(rec) -> PuiseuxBranch:
 def expand_branches(F: BivarPoly, order=None) -> BranchSet:
     """Expand every solution sheet of F = 0 through the origin.
 
-    order bounds the largest exponent computed (default 4*total_degree + 8);
-    larger is slower and rarely needed.  Pure x and y factors are split off
-    into axis_roots first, so a monomial comes back with no branches.
+    order bounds the largest exponent computed (default 4*total_degree + 8)
+    and must be positive; larger is slower and rarely needed.  Pure x and
+    y factors are split off into axis_roots first, so a monomial comes
+    back with no branches.
     """
     if not F:
         raise EmptyPolygonError("the zero polynomial has no branch structure")
     if order is None:
         order = Fraction(4 * F.total_degree() + 8)
     order = Fraction(order)
+    if order <= 0:
+        raise ValueError(f"branch order must be positive, got {order}")
 
     A = min(a for a, _ in F.support())
     B = min(b for _, b in F.support())

@@ -25,6 +25,7 @@ from .opnorm import (
     auto_grid,
     discretize,
     operator_norm,
+    parity_sectors,
     resolves,
 )
 from .polycore import mixed_derivative
@@ -55,9 +56,11 @@ class NormSample:
     """One norm estimate with its quadrature-error estimate.
 
     conv_err is the relative gap to the check grid (n/2, or 2n where
-    n/2 is not a legal grid).  iterations counts Lanczos steps over
-    every grid solved for the sample, base and check grids alike; each
-    step is one T and one T* product.
+    n/2 is not a legal grid).  iterations counts Lanczos steps summed
+    over every parity sector of every grid solved for the sample, base
+    and check grids alike; each step is one product with a sector
+    matrix (the full kernel when the phase has no parity) and one with
+    its adjoint.
     """
 
     lam: float
@@ -125,15 +128,28 @@ def _interp_start(vec: np.ndarray, ys_source, ys_target) -> Optional[np.ndarray]
 
 
 def _solve(p: PhaseSpec, lam: float, n: int, seed: int, start=None):
-    """Build and solve the n-point square grid; return (value, steps, (ys, vec)).
+    """Build and solve the n-point square grid, one parity sector at a time.
 
-    start = (ys, vec) of another solve warm-starts this one.  Only the
-    nodes ys leave, so the kernel is freed before the next one is built.
+    Returns (value, steps, starts): the largest sector norm, the Lanczos
+    steps summed over sectors, and starts = {sector: (ys, vec)}.  An odd
+    n, or a phase without parity, has the single sector None, the full
+    kernel.  The starts of another grid with the same sector list
+    warm-start each sector from its own.  Only nodes and vectors leave,
+    so each kernel is freed before the next one is built.
     """
-    op = discretize(p, lam, GridSpec.square(n, p.rho))
-    v0 = None if start is None else _interp_start(start[1], start[0], op.ys)
-    value, steps, vec = operator_norm(op, seed=seed, v0=v0, return_vector=True)
-    return value, steps, (op.ys, vec)
+    sectors = parity_sectors(p.S) if n % 2 == 0 else (None,)
+    if start is not None and tuple(start) != sectors:
+        start = None
+    g = GridSpec.square(n, p.rho)
+    value, steps, starts = 0.0, 0, {}
+    for sector in sectors:
+        op = discretize(p, lam, g, sector=sector)
+        v0 = None if start is None else _interp_start(start[sector][1], start[sector][0], op.ys)
+        s, k, vec = operator_norm(op, seed=seed, v0=v0, return_vector=True)
+        value, steps = max(value, s), steps + k
+        starts[sector] = (op.ys, vec)
+        del op
+    return value, steps, starts
 
 
 def norm_at(p: PhaseSpec, lam: float, seed: int = 0, n0: int | None = None) -> NormSample:
@@ -146,8 +162,11 @@ def norm_at(p: PhaseSpec, lam: float, seed: int = 0, n0: int | None = None) -> N
     bump-windowed kernel converges spectrally, so the gap to n/2 is a
     conservative estimate of the error at n.  If the gap reaches 2 percent the base doubles and
     is compared with the grid already solved, while 2n fits under
-    GRID_CAP.  Each solve after the first is warm-started from the
-    singular vector of the other grid of the pair.
+    GRID_CAP.  Each grid is solved one parity sector at a time
+    (_solve), and its value is the largest sector norm.  Each solve
+    after the first is warm-started from the singular vector of the
+    same sector of the other grid of the pair, when both grids have the
+    same sector list.
     """
     n = auto_grid(p, lam).n if n0 is None else int(n0)
     runs = {n: _solve(p, lam, n, seed)}

@@ -96,6 +96,14 @@ class TestAnalyze:
         assert deg["kind"] == "Undetermined"
         assert deg["checked_order"] == d["branches"]["order"] == "3"
 
+    @pytest.mark.parametrize("order", ["0", "-2"])
+    def test_nonpositive_order_is_1(self, capsys, order):
+        code, out, err = run(
+            capsys, "analyze", "--mixed", "--phase", "(y-x)^2 - x^7", "--order", order
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
 
 class TestNorm:
     def test_csv_default(self, capsys):
@@ -229,6 +237,15 @@ class TestDyadpol:
         code, out, err = run(capsys, "dyadpol", "--r", "0,6", "--trials", trials)
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "ValueError"
+
+    def test_negative_h_density_is_1(self, capsys):
+        argv = ("dyadpol", "--r", "0,6", "--trials", "5", "--h-density")
+        code, out, err = run(capsys, *argv, "-2")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+        # 0 still samples the interval endpoints alone
+        d = run_json(capsys, *argv, "0")
+        assert d["verification"]["h_density"] == 0
 
 
 class TestDeterminism:

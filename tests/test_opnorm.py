@@ -20,9 +20,10 @@ from newtonosc.opnorm import (
     kernel_dtype,
     op_vdc_bound,
     operator_norm,
+    parity_sectors,
     size_bound,
 )
-from newtonosc.polycore import parse_poly
+from newtonosc.polycore import BivarPoly, parse_poly
 from newtonosc.scaling import NormSample
 
 XY = parse_poly("x*y")
@@ -225,6 +226,67 @@ class TestDiscretize:
         n_half, _ = operator_norm(half, seed=1)
         assert n_half <= n_full + 1e-12
         assert operator_norm(zero, seed=1)[0] == 0.0
+
+
+class TestParitySectors:
+    # pure terms drop out of the canonical phase, so x*y + x^3 has the
+    # sectors of x*y
+    CORPUS = [
+        ("x*y", (1, -1)),
+        ("-(y-x)^4/12", (1, -1)),
+        ("x^2*y^2/4", (1,)),
+        ("x^3*y/3 + x*y^2", (None,)),
+        ("x*y + x^2*y", (None,)),
+        ("x*y + x^3", (1, -1)),
+    ]
+
+    @pytest.mark.parametrize("text, sectors", CORPUS)
+    def test_support_table_sign_and_swap(self, text, sectors):
+        S = parse_poly(text)
+        swapped = BivarPoly({(b, a): c for (a, b), c in S.terms.items()})
+        for other in (S, -S, swapped):
+            assert parity_sectors(other) == sectors
+            assert parity_sectors(PhaseSpec(S=other).S) == sectors
+
+    @pytest.mark.parametrize("lam", [16.0, 64.0, 256.0])
+    @pytest.mark.parametrize("text, sectors", CORPUS)
+    def test_largest_sector_is_the_full_norm(self, text, sectors, lam):
+        p = PhaseSpec(S=parse_poly(text), rho=0.5)
+        g = auto_grid(p, lam)
+        full = float(np.linalg.norm(discretize(p, lam, g).matrix, 2))
+        ops = [discretize(p, lam, g, sector=k) for k in sectors]
+        assert all(op.matrix.dtype == np.complex128 for op in ops)
+        largest = max(float(np.linalg.norm(op.matrix, 2)) for op in ops)
+        assert largest == pytest.approx(full, rel=1e-12)
+
+    def test_n4096_sectors_are_complex128_and_match_the_full_kernel(self):
+        # x*y, rho 0.85, lambda 1024: the top sample of criterion 1
+        p = PhaseSpec(S=XY, rho=0.85)
+        g = GridSpec.square(4096, 0.85)
+        K = discretize(p, 1024.0, g).matrix
+        assert K.dtype == np.complex64
+        plus, minus = K[2048:, 2048:], K[2048:, 2047::-1]
+        del K
+        for k, folded in ((1, plus + minus), (-1, (plus - minus) / 1j)):
+            M = discretize(p, 1024.0, g, sector=k).matrix
+            assert M.shape == (2048, 2048) and M.dtype == np.complex128
+            assert np.max(np.abs(M - folded)) <= 1e-6 * np.max(np.abs(M))
+
+    @pytest.mark.parametrize(
+        "text, grid, sector, window",
+        [
+            ("x^2*y^2/4", GridSpec.square(64, 0.5), -1, False),  # odd sector vanishes
+            ("x^3*y/3 + x*y^2", GridSpec.square(64, 0.5), 1, False),  # no parity
+            ("x*y", GridSpec.square(33, 0.5), 1, False),  # odd grid
+            ("x*y", GridSpec(n=64, domain=(0.0, 0.5, -0.5, 0.5)), 1, False),  # off centre
+            ("x*y", GridSpec.square(64, 0.5), 1, True),  # windowed
+        ],
+    )
+    def test_sector_needs_parity_and_a_centred_even_grid(self, text, grid, sector, window):
+        p = PhaseSpec(S=parse_poly(text), rho=0.5)
+        x_window = (lambda x: np.ones_like(x)) if window else None
+        with pytest.raises(ValueError, match="sector"):
+            discretize(p, 8.0, grid, x_window=x_window, sector=sector)
 
 
 class TestOperatorNorm:

@@ -24,6 +24,7 @@ from newtonosc.opnorm import (
     bump,
     discretize,
     operator_norm,
+    parity_sectors,
 )
 from newtonosc.polycore import (
     BivarPoly,
@@ -145,13 +146,13 @@ def dense_norm(p: PhaseSpec, lam: float, n: int) -> float:
     return float(np.linalg.norm(discretize(p, lam, GridSpec.square(n, p.rho)).matrix, 2))
 
 
-def built_grids(monkeypatch) -> list[int]:
-    """Record the n of every kernel norm_at builds."""
+def built_grids(monkeypatch) -> list[tuple]:
+    """Record the (n, sector) of every kernel norm_at builds."""
     grids = []
     real = scaling.discretize
 
     def recording(p, lam, g, *args, **kwargs):
-        grids.append(g.n)
+        grids.append((g.n, kwargs.get("sector")))
         return real(p, lam, g, *args, **kwargs)
 
     monkeypatch.setattr(scaling, "discretize", recording)
@@ -170,22 +171,25 @@ class TestGridCheck:
     ):
         p = PhaseSpec(S=parse_poly(text), rho=rho)
         s = norm_at(p, lam, seed=seed)
-        op = discretize(p, lam, GridSpec.square(s.n, rho))
-        assert s.value == operator_norm(op, seed=seed)[0]
+        g = GridSpec.square(s.n, rho)
+        assert s.value == max(
+            operator_norm(discretize(p, lam, g, sector=k), seed=seed)[0]
+            for k in parity_sectors(p.S)
+        )
         v, v_half = dense_norm(p, lam, s.n), dense_norm(p, lam, s.n // 2)
         assert s.conv_err == pytest.approx(abs(v - v_half) / v, abs=1e-9)
 
     def test_half_grid_is_the_only_check(self, monkeypatch):
         grids = built_grids(monkeypatch)
         s = norm_at(PhaseSpec(S=parse_poly("x*y"), rho=0.5), 64.0)
-        assert grids == [128, 64] and s.n == 128
+        assert grids == [(128, 1), (128, -1), (64, 1), (64, -1)] and s.n == 128
 
     def test_fallback_to_double_at_grid_min(self, monkeypatch):
         p = PhaseSpec(S=parse_poly("x*y"), rho=0.5)
         grids = built_grids(monkeypatch)
         s = norm_at(p, 8.0)
         assert s.n == GRID_MIN
-        assert grids == [GRID_MIN, 2 * GRID_MIN]
+        assert grids == [(GRID_MIN, 1), (GRID_MIN, -1), (2 * GRID_MIN, 1), (2 * GRID_MIN, -1)]
         v, v_double = dense_norm(p, 8.0, GRID_MIN), dense_norm(p, 8.0, 2 * GRID_MIN)
         assert s.conv_err == pytest.approx(abs(v - v_double) / v, abs=1e-9)
 
@@ -196,7 +200,7 @@ class TestGridCheck:
             discretize(p, 64.0, GridSpec.square(32, 0.5))
         grids = built_grids(monkeypatch)
         s = norm_at(p, 64.0, n0=64)
-        assert grids == [64, 128] and s.n == 64
+        assert grids == [(64, 1), (64, -1), (128, 1), (128, -1)] and s.n == 64
         assert s.valid
 
     def test_failed_check_doubles_the_base(self, monkeypatch):
@@ -206,7 +210,7 @@ class TestGridCheck:
         p = PhaseSpec(S=parse_poly("-(y-x)^4/12"), rho=0.5)
         grids = built_grids(monkeypatch)
         s = norm_at(p, 16.0)
-        assert grids == [16, 32, 64]
+        assert grids == [(16, 1), (16, -1), (32, 1), (32, -1), (64, 1), (64, -1)]
         assert s.n == 64
         assert s.conv_err < 1e-6
         v, v_half = dense_norm(p, 16.0, 64), dense_norm(p, 16.0, 32)
@@ -231,6 +235,47 @@ class TestGridCheck:
         true_err = abs(s.value - reference) / reference
         assert true_err > 1e-10
         assert s.conv_err >= true_err
+
+
+class TestParityDispatch:
+    # norm_at solves one kernel per parity sector of each grid
+
+    @pytest.mark.parametrize(
+        "text, rho, lam, sectors",
+        [
+            ("x^2*y^2/4", 0.9, 32.0, (1,)),
+            ("x*y", 0.5, 64.0, (1, -1)),
+            ("x^3*y/3 + x*y^2", 0.5, 64.0, (None,)),
+        ],
+    )
+    def test_kernels_per_grid(self, monkeypatch, text, rho, lam, sectors):
+        built = []
+        real = scaling.discretize
+
+        def recording(p, lam, g, **kwargs):
+            op = real(p, lam, g, **kwargs)
+            built.append((g.n, kwargs.get("sector"), op.shape))
+            return op
+
+        monkeypatch.setattr(scaling, "discretize", recording)
+        s = norm_at(PhaseSpec(S=parse_poly(text), rho=rho), lam)
+        expected = []
+        for n in (s.n, s.n // 2):
+            m = n if sectors == (None,) else n // 2
+            expected += [(n, k, (m, m)) for k in sectors]
+        assert built == expected
+
+    def test_odd_base_keeps_the_full_kernel_and_starts_the_check_cold(self, monkeypatch):
+        # n0 = 33 has no sectors; its check grid 16 has two, so no
+        # start vector can pass between them and every solve is cold
+        p = PhaseSpec(S=parse_poly("x*y"), rho=0.5)
+        grids = built_grids(monkeypatch)
+        s = norm_at(p, 8.0, n0=33)
+        assert grids == [(33, None), (16, 1), (16, -1)]
+        cold = [discretize(p, 8.0, GridSpec.square(33, 0.5))]
+        cold += [discretize(p, 8.0, GridSpec.square(16, 0.5), sector=k) for k in (1, -1)]
+        assert s.iterations == sum(operator_norm(op)[1] for op in cold)
+        assert s.value == pytest.approx(dense_norm(p, 8.0, 33), rel=1e-10)
 
 
 class TestInterpStart:
