@@ -1,15 +1,14 @@
 """Decay analysis for oscillatory integrals with polynomial phases.
 
 Exact combinatorics (Newton polygon, fractional power series of the zero
-set of the mixed Hessian) drive predicted decay rates; matrix free
-discretizations measure them; block and sublevel estimates check the
-machinery in between.
+set of the mixed Hessian) drive predicted decay rates; dense midpoint
+discretizations of the operator measure them; dyadic block estimates and
+the dyadic-coefficient lower bound check the machinery in between.
 """
 
 from .blocks import (
     BlockEstimate,
     Region,
-    build_partition,
     chi,
     classify_block,
     theta,
@@ -28,7 +27,6 @@ from .errors import (
     EmptyPolygonError,
     InsufficientSamplesError,
     NegativeExponentError,
-    NoCompactEdgesError,
     NoConvergenceError,
     NumericalUnderflowError,
     ParseError,
@@ -89,7 +87,6 @@ __all__ = [
     "LowerBoundSet",
     "NegativeExponentError",
     "NewtonPolygon",
-    "NoCompactEdgesError",
     "NoConvergenceError",
     "NormSample",
     "NumericalUnderflowError",
@@ -105,7 +102,6 @@ __all__ = [
     "WrongRegionError",
     "analyze_decay",
     "branch_residual_order",
-    "build_partition",
     "build_polygon",
     "chi",
     "classify_block",

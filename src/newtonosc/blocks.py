@@ -59,34 +59,6 @@ def chi(j: int, t) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DyadicPartition:
-    j_min: int
-    j_max: int
-
-    def total(self, t) -> np.ndarray:
-        """Telescoped sum of the rings over the whole j range."""
-        t = np.asarray(t, dtype=float)
-        return theta(2.0**self.j_min * t) - theta(2.0 ** (self.j_max + 1) * t)
-
-
-def build_partition(j_min: int, j_max: int) -> DyadicPartition:
-    if j_min > j_max:
-        raise ValueError("empty dyadic range")
-    part = DyadicPartition(j_min=j_min, j_max=j_max)
-    # the telescoping identity is the whole point; spot-check it densely
-    ts = np.geomspace(2.0 ** (-j_max - 2), 2.0 ** (-j_min + 1), 1000)
-    total = np.zeros_like(ts)
-    for j in range(j_min, j_max + 1):
-        total += chi(j, ts)
-    if float(np.max(np.abs(total - part.total(ts)))) > 1e-12:
-        raise AssertionError("dyadic rings fail to telescope")
-    plateau = (ts >= 2.0**-j_max) & (ts <= 2.0 ** (-j_min - 1))
-    if float(np.max(np.abs(total[plateau] - 1.0))) > 1e-12:
-        raise AssertionError("dyadic rings do not sum to one on the plateau")
-    return part
-
-
-@dataclass(frozen=True)
 class Region:
     kind: str
     nu: int | None = None
@@ -230,8 +202,13 @@ def verify_blocks(
 
     Returns (estimates, summary); summary carries the worst measured/bound
     ratio per region kind, the blocks exceeding _RATIO_CAP * bound, and any
-    per-block resolution failures.
+    per-block resolution failures.  T at -lam is the conjugate kernel,
+    so a gap block at any lam != 0 is bounded by op_vdc_bound(|lam|, mu).
     """
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
+    if not D > 0:  # refuses NaN too
+        raise ValueError(f"band width D must be positive, got {D}")
     F = mixed_derivative(p.S)
     j_min = first_block_scale(p.rho)
     if j_max < j_min:
@@ -251,8 +228,8 @@ def verify_blocks(
                 failures.append((j, k, str(exc)))
                 continue
             size = size_bound(3.0 * 2.0 ** (-j - 1), 3.0 * 2.0 ** (-k - 1))
-            if region.kind == "Gap" and lam > 0:
-                osc = op_vdc_bound(lam, mu)
+            if region.kind == "Gap" and lam != 0:
+                osc = op_vdc_bound(abs(lam), mu)
             else:
                 osc = math.inf
             estimates.append(

@@ -94,13 +94,6 @@ class LowerBoundSet:
     def bound(self) -> float:
         return 1.0 / self.B
 
-    def contains(self, h: float) -> bool:
-        if not 0 <= h <= 1:
-            return False
-        if h <= 2.0**self.leading_beta:
-            return True
-        return any(2.0**a <= h <= 2.0**b for a, b in self.intervals)
-
     def to_dict(self) -> dict:
         return {
             "leading_beta": self.leading_beta,

@@ -18,10 +18,6 @@ class EmptyPolygonError(ValueError):
     """The zero polynomial has no Newton polygon."""
 
 
-class NoCompactEdgesError(ValueError):
-    """A single-vertex polygon has no edges to report rates for."""
-
-
 class WrongRegionError(ValueError):
     """Monomial size formulas only apply on gap blocks."""
 

@@ -12,7 +12,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .errors import EmptyPolygonError, NoCompactEdgesError
+from .errors import EmptyPolygonError
 from .polycore import BivarPoly, Reality
 
 
@@ -156,10 +156,8 @@ class EdgeRate:
 def edge_rates(polygon: NewtonPolygon) -> tuple[EdgeRate, ...]:
     """Per-edge exponents, edges numbered 1..m in increasing gamma.
 
-    Raises NoCompactEdgesError for a single-vertex polygon.
+    A single-vertex polygon has no compact edges and gives ().
     """
-    if not polygon.edges:
-        raise NoCompactEdgesError("polygon has a single vertex and no compact edges")
     rates = []
     for nu, edge in enumerate(polygon.edges, start=1):
         a_nu, b_nu = edge.lower
@@ -192,7 +190,7 @@ class Degeneracy:
     checked_order: Optional[Fraction] = None
 
 
-def detect_degeneracy(F: BivarPoly, branches=None, order=None) -> Degeneracy:
+def detect_degeneracy(F: BivarPoly, branches=None) -> Degeneracy:
     """Classify F as completely degenerate, not, or undetermined.
 
     Complete degeneracy requires the exact shape U * (y - f(x))^N with U a
@@ -204,7 +202,7 @@ def detect_degeneracy(F: BivarPoly, branches=None, order=None) -> Degeneracy:
     cluster is reported Undetermined at the order it was checked.
 
     branches may be passed in to reuse an existing expansion; otherwise
-    one is computed at the given order (default 4 * total_degree + 8).
+    one is computed at the default order (4 * total_degree + 8).
     checked_order is the order of the expansion actually used.
     """
     polygon = build_polygon(F)
@@ -220,7 +218,7 @@ def detect_degeneracy(F: BivarPoly, branches=None, order=None) -> Degeneracy:
     if branches is None:
         from .puiseux import expand_branches
 
-        branches = expand_branches(F, order=order)
+        branches = expand_branches(F)
 
     if branches.axis_roots != (0, 0) or len(branches.branches) != 1:
         return Degeneracy(DegeneracyKind.NON_DEGENERATE)
@@ -285,7 +283,6 @@ def analyze_decay(F: BivarPoly, branches=None) -> DecayReport:
     """Polygon, crossing, per-edge rates, and degeneracy in one report."""
     polygon = build_polygon(F)
     t0, delta, crossing = decay_rate(polygon)
-    rates = edge_rates(polygon) if polygon.edges else ()
     degeneracy = detect_degeneracy(F, branches=branches)
     return DecayReport(
         t0=t0,
@@ -293,6 +290,6 @@ def analyze_decay(F: BivarPoly, branches=None) -> DecayReport:
         boundary_crossing=crossing,
         A=polygon.A,
         B=polygon.B,
-        edges=rates,
+        edges=edge_rates(polygon),
         degeneracy=degeneracy,
     )

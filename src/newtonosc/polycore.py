@@ -65,9 +65,6 @@ class BivarPoly:
     def support(self) -> frozenset[tuple[int, int]]:
         return frozenset(self._terms)
 
-    def coefficient(self, a: int, b: int) -> Fraction:
-        return self._terms.get((a, b), Fraction(0))
-
     def total_degree(self) -> int:
         if not self._terms:
             return 0

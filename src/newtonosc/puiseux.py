@@ -435,10 +435,10 @@ def expand_branches(F: BivarPoly, order=None) -> BranchSet:
 
 # --- residual check ---------------------------------------------------------
 
+_RESIDUAL_XS = (0.1, 0.05, 0.025, 0.0125)
 
-def branch_residual_order(
-    F: BivarPoly, branch: PuiseuxBranch, xs=(0.1, 0.05, 0.025, 0.0125)
-) -> float:
+
+def branch_residual_order(F: BivarPoly, branch: PuiseuxBranch) -> float:
     """Least-squares slope of log |F(x, branch(x))| against log x.
 
     A branch truncated at order K with leading exponent g should score at
@@ -451,7 +451,7 @@ def branch_residual_order(
     eps = float(np.finfo(float).eps)
     residuals = []
     machine_zero = True
-    for x in xs:
+    for x in _RESIDUAL_XS:
         y = complex(eval_branch(branch, x))
         value = 0j
         scale = 0.0
@@ -470,7 +470,7 @@ def branch_residual_order(
         residuals.append(r)
     if machine_zero:
         return math.inf
-    pts = [(math.log(x), math.log(r)) for x, r in zip(xs, residuals) if r > 0.0]
+    pts = [(math.log(x), math.log(r)) for x, r in zip(_RESIDUAL_XS, residuals) if r > 0.0]
     if len(pts) < 2:
         return math.inf
     lx = np.array([p[0] for p in pts])

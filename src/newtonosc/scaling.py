@@ -108,7 +108,7 @@ class SweepConfig:
             raise ValueError("lambda values must be positive")
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise ValueError("lambda values must be strictly increasing")
-        if self.tol_slope <= 0:
+        if not self.tol_slope > 0:  # refuses NaN too
             raise ValueError("tol_slope must be positive")
         if self.fit_window is not None:
             lo, hi = self.fit_window
@@ -131,18 +131,15 @@ def _solve(p: PhaseSpec, lam: float, n: int, seed: int, start=None):
     """Build and solve the n-point square grid, one parity sector at a time.
 
     Returns (value, steps, starts): the largest sector norm, the Lanczos
-    steps summed over sectors, and starts = {sector: (ys, vec)}.  An odd
-    n, or a phase without parity, has the single sector None, the full
-    kernel.  The starts of another grid with the same sector list
-    warm-start each sector from its own.  Only nodes and vectors leave,
-    so each kernel is freed before the next one is built.
+    steps summed over sectors, and starts = {sector: (ys, vec)}.  A phase
+    without parity has the single sector None, the full kernel.  The
+    starts of the other grid of the pair warm-start each sector from its
+    own.  Only nodes and vectors leave, so each kernel is freed before
+    the next one is built.
     """
-    sectors = parity_sectors(p.S) if n % 2 == 0 else (None,)
-    if start is not None and tuple(start) != sectors:
-        start = None
     g = GridSpec.square(n, p.rho)
     value, steps, starts = 0.0, 0, {}
-    for sector in sectors:
+    for sector in parity_sectors(p.S):
         op = discretize(p, lam, g, sector=sector)
         v0 = None if start is None else _interp_start(start[sector][1], start[sector][0], op.ys)
         s, k, vec = operator_norm(op, seed=seed, v0=v0, return_vector=True)
@@ -152,7 +149,7 @@ def _solve(p: PhaseSpec, lam: float, n: int, seed: int, start=None):
     return value, steps, starts
 
 
-def norm_at(p: PhaseSpec, lam: float, seed: int = 0, n0: int | None = None) -> NormSample:
+def norm_at(p: PhaseSpec, lam: float, seed: int = 0) -> NormSample:
     """Norm estimate at one lambda with grid-check error control.
 
     The base grid n is solved first, from the caller's seed.  Its
@@ -165,10 +162,11 @@ def norm_at(p: PhaseSpec, lam: float, seed: int = 0, n0: int | None = None) -> N
     GRID_CAP.  Each grid is solved one parity sector at a time
     (_solve), and its value is the largest sector norm.  Each solve
     after the first is warm-started from the singular vector of the
-    same sector of the other grid of the pair, when both grids have the
-    same sector list.
+    same sector of the other grid of the pair.  auto_grid returns a
+    power of two >= GRID_MIN, so n, its check grid and every doubling
+    are even and share the phase's sector list.
     """
-    n = auto_grid(p, lam).n if n0 is None else int(n0)
+    n = auto_grid(p, lam).n
     runs = {n: _solve(p, lam, n, seed)}
     m = n // 2 if resolves(p, lam, n // 2) else 2 * n
     while True:

@@ -6,10 +6,8 @@ import pytest
 from newtonosc.blocks import (
     _SAMPLE,
     BlockEstimate,
-    DyadicPartition,
     Region,
     block_rect,
-    build_partition,
     chi,
     _block_operator,
     classify_block,
@@ -109,24 +107,19 @@ class TestChi:
                     assert np.all(chi(other, t)[inside] == 0)
 
     def test_partition_sums_to_one(self):
-        build_partition(2, 9)
         t = np.geomspace(2.0**-9, 2.0**-3, 500)
         total = sum(chi(j, t) for j in range(2, 10))
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
     def test_telescoped_total_matches_sum(self):
-        part = build_partition(1, 8)
+        # the rings j = 1..8 sum to theta(2^1 t) - theta(2^9 t)
         t = np.geomspace(2.0**-10, 2.0, 300)
         s = sum(chi(j, t) for j in range(1, 9))
-        assert np.max(np.abs(part.total(t) - s)) < 1e-12
+        assert np.max(np.abs(theta(2 * t) - theta(512 * t) - s)) < 1e-12
 
     def test_total_vanishes_at_origin(self):
-        part = build_partition(1, 8)
-        assert part.total(np.array([0.0, -1.0, 2.0**-12])).tolist() == [0, 0, 0]
-
-    def test_empty_range_rejected(self):
-        with pytest.raises(ValueError):
-            build_partition(5, 4)
+        t = np.array([0.0, -1.0, 2.0**-12])
+        assert sum(chi(j, t) for j in range(1, 9)).tolist() == [0, 0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,14 @@ class TestSweep:
         )
         assert d["report"]["verdict"] == "Pass"
 
+    def test_nan_tol_slope_is_1(self, capsys):
+        code, out, err = run(
+            capsys,
+            "sweep", "--phase", "x*y", "--lambdas", "16,32,64,128", "--tol-slope", "nan",
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
 
 class TestBlocks:
     def test_csv_rows(self, capsys):
@@ -218,6 +226,30 @@ class TestBlocks:
         )
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_nonfinite_lambda_is_1(self, capsys, lam):
+        code, out, err = run(capsys, "blocks", "--phase", "x*y", "--lambda", lam)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("D", ["0", "-1", "nan"])
+    def test_nonpositive_band_width_is_1(self, capsys, D):
+        argv = ("blocks", "--phase", "x*y", "--lambda", "256", "--D", D)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "ValueError"
+
+    def test_negative_lambda_keeps_the_oscillation_bound(self, capsys):
+        # T at -lambda is the conjugate kernel: same norms, same bounds
+        argv = ("blocks", "--phase", "x^2*y^2/4", "--j-max", "3", "--format", "json")
+        pos = run_json(capsys, *argv, "--lambda", "256")["estimates"]
+        neg = run_json(capsys, *argv, "--lambda", "-256")["estimates"]
+        assert any(e["osc_bound"] != "" for e in pos)
+        for a, b in zip(pos, neg, strict=True):
+            assert b["osc_bound"] == a["osc_bound"]
+            assert b["measured"] == pytest.approx(a["measured"], rel=1e-12)
+            assert b["ratio"] == pytest.approx(a["ratio"], rel=1e-12)
 
 
 class TestDyadpol:
@@ -298,6 +330,27 @@ class TestSurface:
             for name, sp in sub.choices.items()
         }
         assert found == self.EXPECTED
+
+    # the package's public names; a new one must be added here
+    EXPORTS = {
+        "BivarPoly", "BlockEstimate", "BranchSet", "DecayReport", "DegeneracyKind",
+        "DiscreteOperator", "DomainError", "EmptyPolygonError", "ExponentProfile",
+        "GridSpec", "InsufficientSamplesError", "LowerBoundReport", "LowerBoundSet",
+        "NegativeExponentError", "NewtonPolygon", "NoConvergenceError", "NormSample",
+        "NumericalUnderflowError", "ParseError", "PhaseSpec", "PuiseuxBranch",
+        "PuiseuxTerm", "Reality", "Region", "ResolutionError", "ScalingReport",
+        "SweepConfig", "WrongRegionError", "analyze_decay", "branch_residual_order",
+        "build_polygon", "chi", "classify_block", "decay_rate", "detect_degeneracy",
+        "discretize", "envelope_corners", "eval_branch", "expand_branches", "fit_decay",
+        "integrate_xy", "lower_bound_set", "mixed_derivative", "norm_at",
+        "operator_norm", "parse_poly", "predicted_exponent", "sweep", "theta",
+        "verify_blocks", "verify_lower_bound", "verify_theorem",
+    }
+
+    def test_package_exports(self):
+        assert len(newtonosc.__all__) == len(self.EXPORTS)
+        assert set(newtonosc.__all__) == self.EXPORTS
+        assert all(hasattr(newtonosc, name) for name in self.EXPORTS)
 
 
 class TestSelftest:

@@ -102,10 +102,11 @@ class TestNormAt:
         assert s.conv_err < 1e-5
         assert s.valid
 
-    def test_grid_override_agrees(self):
+    def test_grid_override_agrees(self, monkeypatch):
         p = PhaseSpec(S=parse_poly("x*y"), rho=0.5)
         a = norm_at(p, 64.0, seed=0)
-        b = norm_at(p, 64.0, seed=0, n0=64)
+        force_grid(monkeypatch, 64)
+        b = norm_at(p, 64.0, seed=0)
         assert b.n == 64
         assert b.value == pytest.approx(a.value, rel=1e-5)
 
@@ -144,6 +145,11 @@ class TestNormAt:
 
 def dense_norm(p: PhaseSpec, lam: float, n: int) -> float:
     return float(np.linalg.norm(discretize(p, lam, GridSpec.square(n, p.rho)).matrix, 2))
+
+
+def force_grid(monkeypatch, n: int) -> None:
+    """Make norm_at start from the n-point grid instead of auto_grid's."""
+    monkeypatch.setattr(scaling, "auto_grid", lambda p, lam: GridSpec.square(n, p.rho))
 
 
 def built_grids(monkeypatch) -> list[tuple]:
@@ -194,12 +200,13 @@ class TestGridCheck:
         assert s.conv_err == pytest.approx(abs(v - v_double) / v, abs=1e-9)
 
     def test_fallback_to_double_when_half_does_not_resolve(self, monkeypatch):
-        # n0 = 64 resolves lambda 64 (lam*G*h ~ 0.98), n = 32 does not
+        # n = 64 resolves lambda 64 (lam*G*h ~ 0.98), n = 32 does not
         p = PhaseSpec(S=parse_poly("x*y"), rho=0.5)
         with pytest.raises(ResolutionError):
             discretize(p, 64.0, GridSpec.square(32, 0.5))
         grids = built_grids(monkeypatch)
-        s = norm_at(p, 64.0, n0=64)
+        force_grid(monkeypatch, 64)
+        s = norm_at(p, 64.0)
         assert grids == [(64, 1), (64, -1), (128, 1), (128, -1)] and s.n == 64
         assert s.valid
 
@@ -264,18 +271,6 @@ class TestParityDispatch:
             m = n if sectors == (None,) else n // 2
             expected += [(n, k, (m, m)) for k in sectors]
         assert built == expected
-
-    def test_odd_base_keeps_the_full_kernel_and_starts_the_check_cold(self, monkeypatch):
-        # n0 = 33 has no sectors; its check grid 16 has two, so no
-        # start vector can pass between them and every solve is cold
-        p = PhaseSpec(S=parse_poly("x*y"), rho=0.5)
-        grids = built_grids(monkeypatch)
-        s = norm_at(p, 8.0, n0=33)
-        assert grids == [(33, None), (16, 1), (16, -1)]
-        cold = [discretize(p, 8.0, GridSpec.square(33, 0.5))]
-        cold += [discretize(p, 8.0, GridSpec.square(16, 0.5), sector=k) for k in (1, -1)]
-        assert s.iterations == sum(operator_norm(op)[1] for op in cold)
-        assert s.value == pytest.approx(dense_norm(p, 8.0, 33), rel=1e-10)
 
 
 class TestInterpStart:
@@ -344,13 +339,14 @@ class TestInvariance:
             assert s.n == base.n
             assert s.value == pytest.approx(base.value, rel=1e-10)
 
-    def test_sign_and_swap_complex64(self):
-        # n0 = 2304 puts the kernel above the complex64 crossover at a
+    def test_sign_and_swap_complex64(self, monkeypatch):
+        # n = 2304 puts the kernel above the complex64 crossover at a
         # third of the cost of the auto-sized n = 4096
         S = parse_poly(self.MIXED)
-        base = norm_at(PhaseSpec(S=S, rho=0.5), 1024.0, n0=2304)
+        force_grid(monkeypatch, 2304)
+        base = norm_at(PhaseSpec(S=S, rho=0.5), 1024.0)
         for other in (-S, swap_xy(S)):
-            s = norm_at(PhaseSpec(S=other, rho=0.5), 1024.0, n0=2304)
+            s = norm_at(PhaseSpec(S=other, rho=0.5), 1024.0)
             assert s.value == pytest.approx(base.value, rel=1e-6)
 
 
