@@ -538,6 +538,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a --phase value such as "-(y-x)^4/12" as a flag
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--phase" and argv[i][:1] == "-" and argv[i][:2] != "--":
+            argv[i - 1 : i + 1] = ["--phase=" + argv[i]]
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -22,15 +22,13 @@ class EdgeData:
 
     upper is the endpoint with the larger y (smaller x), lower the other.
     gamma = horizontal run over vertical drop, n = the vertical drop, so
-    the segment spans n rows and gamma*n columns.  x is an int on the
-    polygon of F and may be a Fraction on the polygons of the Puiseux
-    recursion.
+    the segment spans n rows and gamma*n columns.  Both are lattice points.
     """
 
     gamma: Fraction
     n: int
-    upper: tuple[int | Fraction, int]
-    lower: tuple[int | Fraction, int]
+    upper: tuple[int, int]
+    lower: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -65,24 +63,23 @@ def build_polygon(F: BivarPoly) -> NewtonPolygon:
     )
 
 
-def lower_hull(points) -> list[tuple]:
+def lower_hull(points) -> list[tuple[int, int]]:
     """Vertices of the hull of points + positive quadrant, left to right.
 
-    x may be an int or a Fraction (the Puiseux recursion builds polygons
-    with fractional exponents); y is an int.  All arithmetic is exact.
+    points are lattice points (int, int), so all arithmetic is exact.
     """
-    columns: dict = {}
+    columns: dict[int, int] = {}
     for a, b in points:
         if a not in columns or b < columns[a]:
             columns[a] = b
     # keep only strict descents: later columns at the same height are
     # dominated and can never be hull vertices
-    pareto: list[tuple] = []
+    pareto: list[tuple[int, int]] = []
     for x, y in sorted(columns.items()):
         if not pareto or y < pareto[-1][1]:
             pareto.append((x, y))
 
-    hull: list[tuple] = []
+    hull: list[tuple[int, int]] = []
     for p in pareto:
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
             hull.pop()

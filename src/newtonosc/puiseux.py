@@ -1,9 +1,11 @@
 """Numeric Newton-Puiseux expansion of a polynomial's zero set near 0+.
 
-Exponents stay exact Fractions throughout; coefficients are complex
-doubles.  Each recursion level picks a slope from the (fractional) Newton
-polygon of the transformed polynomial, which newton.lower_hull and
-newton.hull_edges build exactly as for F, solves the edge polynomial for
+Exponents are exact, coefficients complex doubles.  Along a branch every
+exponent is a multiple of 1/D, D the lcm of the slope denominators so far,
+so a polynomial is keyed by (E, k) for x^(E/D) y^k with E an int.  Each
+level picks a slope from the Newton polygon of that lattice, which
+newton.lower_hull and newton.hull_edges build exactly as for F, rescales
+the keys if the slope needs a larger D, solves the edge polynomial for
 leading coefficients, substitutes, and recurses.  Ramification is tracked
 per branch; there is never a global x -> x^(1/r) substitution.
 
@@ -94,14 +96,14 @@ def _edge_poly(poly, edge: EdgeData):
     """Coefficients (highest power first) of the edge polynomial psi.
 
     psi(z) collects the support points on the edge; its nonzero roots are
-    the admissible leading coefficients at exponent edge.gamma.  The
+    the admissible leading coefficients at the edge's slope.  The
     constant term sits at the lower vertex, so zero is never a root.
     """
-    e_up, k_up = edge.upper
-    k_lo = edge.lower[1]
-    coeffs = np.zeros(edge.n + 1, dtype=complex)
+    (e_up, k_up), (e_lo, k_lo) = edge.upper, edge.lower
+    run, n = e_lo - e_up, edge.n
+    coeffs = np.zeros(n + 1, dtype=complex)
     for (e, k), c in poly.items():
-        if k_lo <= k <= k_up and e == e_up + edge.gamma * (k_up - k):
+        if k_lo <= k <= k_up and (e - e_up) * n == run * (k_up - k):
             coeffs[k_up - k] = c
     return coeffs
 
@@ -196,19 +198,19 @@ def _snap(z: complex) -> complex:
 # --- substitution -----------------------------------------------------------
 
 
-def _substitute(poly, gamma, c):
-    """Apply y -> c*x^gamma + y, pruning cancellation residue.
+def _substitute(poly, G, c):
+    """Apply y -> c*x^(G/D) + y on keys over D, pruning cancellation residue.
 
     Alongside each value an absolute accumulation is tracked; entries whose
     final value is below PRUNE_REL_TOL of that mass are treated as exact
     cancellations.
     """
-    out: dict[tuple[Fraction, int], complex] = {}
-    acc: dict[tuple[Fraction, int], float] = {}
+    out: dict[tuple[int, int], complex] = {}
+    acc: dict[tuple[int, int], float] = {}
     for (e, k), coeff in poly.items():
         for j in range(k + 1):
             w = math.comb(k, j) * c ** (k - j)
-            key = (e + gamma * (k - j), j)
+            key = (e + G * (k - j), j)
             out[key] = out.get(key, 0j) + coeff * w
             acc[key] = acc.get(key, 0.0) + abs(coeff) * abs(w)
     return {
@@ -221,7 +223,8 @@ def _substitute(poly, gamma, c):
 # --- the expansion ----------------------------------------------------------
 
 
-def _expand(poly, m, prefix, gamma_prev, order, out):
+def _expand(poly, D, m, prefix, gamma_prev, order, out):
+    """Expand the m sheets of poly, whose key (E, k) is x^(E/D) y^k."""
     if len(prefix) > _MAX_DEPTH:
         raise RuntimeError("expansion recursion exceeded the depth cap")
     v = min(k for _, k in poly)
@@ -230,8 +233,9 @@ def _expand(poly, m, prefix, gamma_prev, order, out):
         out.append({"terms": list(prefix), "mult": v, "exact": True, "order": None})
         poly = {(e, k - v): c for (e, k), c in poly.items()}
 
-    target = [e for e in hull_edges(lower_hull(poly.keys())) if e.gamma > gamma_prev]
-    k_top = target[0].upper[1] if target else 0
+    edges = [(e, e.gamma / D) for e in hull_edges(lower_hull(poly.keys()))]
+    target = [(e, gamma) for e, gamma in edges if gamma > gamma_prev]
+    k_top = target[0][0].upper[1] if target else 0
     leftover = m - v - k_top
     if leftover < 0:
         raise RuntimeError("sheet accounting failed during expansion")
@@ -249,22 +253,22 @@ def _expand(poly, m, prefix, gamma_prev, order, out):
         )
 
     horizon = 0
-    for edge in target:
-        if edge.gamma > order:
+    for edge, gamma in target:
+        if gamma > order:
             horizon += edge.n
             continue
         psi = _edge_poly(poly, edge)
         roots = list(np.roots(psi))
+        # put the slope on the lattice: one rescale of the keys, shared by
+        # every root of this edge, when its denominator does not divide D
+        D2 = math.lcm(D, gamma.denominator)
+        s = D2 // D
+        scaled = poly if s == 1 else {(e * s, k): c for (e, k), c in poly.items()}
+        G = gamma.numerator * (D2 // gamma.denominator)
         for mean, size in _cluster_roots(roots):
             c = _snap(_polish_root(psi, mean, size))
-            _expand(
-                _substitute(poly, edge.gamma, c),
-                size,
-                prefix + [(edge.gamma, c)],
-                edge.gamma,
-                order,
-                out,
-            )
+            sub = _substitute(scaled, G, c)
+            _expand(sub, D2, size, prefix + [(gamma, c)], gamma, order, out)
 
     if horizon > 0:
         if prefix:
@@ -282,15 +286,15 @@ def _expand(poly, m, prefix, gamma_prev, order, out):
         else:
             # top level: a branch needs its leading term even when that
             # term already sits beyond the requested order
-            for edge in target:
-                if edge.gamma <= order:
+            for edge, gamma in target:
+                if gamma <= order:
                     continue
                 psi = _edge_poly(poly, edge)
                 for mean, size in _cluster_roots(list(np.roots(psi))):
                     c = _snap(_polish_root(psi, mean, size))
                     out.append(
                         {
-                            "terms": [(edge.gamma, c)],
+                            "terms": [(gamma, c)],
                             "mult": size,
                             "exact": False,
                             "split": size > 1,
@@ -401,15 +405,13 @@ def expand_branches(F: BivarPoly, order=None) -> BranchSet:
 
     A = min(a for a, _ in F.support())
     B = min(b for _, b in F.support())
-    work = {
-        (Fraction(a - A), b - B): complex(c) for (a, b), c in F.terms.items()
-    }
+    work = {(a - A, b - B): complex(c) for (a, b), c in F.terms.items()}
     m = min(k for (e, k) in work if e == 0)
 
     cluster_tol = _cluster_tol(m) if m >= 2 else CLUSTER_REL_TOL
     records: list[dict] = []
     if m > 0:
-        _expand(work, m, [], Fraction(0), order, records)
+        _expand(work, 1, m, [], Fraction(0), order, records)
     records = _merge_records(records)
     branches = sorted(
         (_record_to_branch(rec) for rec in records),

@@ -104,6 +104,8 @@ class SweepConfig:
         object.__setattr__(self, "lambdas", lams)
         if len(lams) < 4:
             raise ValueError("need at least 4 lambda values to fit a slope")
+        if not all(math.isfinite(l) for l in lams):
+            raise ValueError("lambda values must be finite")
         if any(l <= 0 for l in lams):
             raise ValueError("lambda values must be positive")
         if any(b <= a for a, b in zip(lams, lams[1:])):

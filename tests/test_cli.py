@@ -10,6 +10,7 @@ import time
 import pytest
 
 import newtonosc
+from newtonosc import scaling
 from newtonosc.cli import build_parser, main
 
 
@@ -105,6 +106,23 @@ class TestAnalyze:
         assert json.loads(err)["error"]["type"] == "ValueError"
 
 
+class TestDashPhase:
+    """A --phase value may start with '-', as the criterion-3 phase does."""
+
+    @pytest.mark.parametrize("argv", [("norm", "--lambda", "16"), ("analyze",)])
+    def test_spaced_value_matches_equals_spelling(self, capsys, argv):
+        joined = run(capsys, *argv, "--phase=-(y-x)^4/12")
+        spaced = run(capsys, *argv, "--phase", "-(y-x)^4/12")
+        assert joined[0] == 0
+        assert spaced == joined
+
+    def test_missing_value_is_still_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--phase", "--mixed"])
+        assert exc.value.code == 2
+        assert "--phase: expected one argument" in capsys.readouterr().err
+
+
 class TestNorm:
     def test_csv_default(self, capsys):
         code, out, _ = run(capsys, "norm", "--phase", "x*y", "--lambda", "64")
@@ -183,6 +201,18 @@ class TestSweep:
             "--lambdas", "16,32,64,128", "--fit-window", "16,128",
         )
         assert d["report"]["verdict"] == "Pass"
+
+    @pytest.mark.parametrize("lambdas", ["16,32,nan,128", "16,32,64,inf"])
+    def test_nonfinite_lambda_is_1_before_any_solve(self, capsys, monkeypatch, lambdas):
+        def solved(*args, **kwargs):
+            raise AssertionError("norm_at ran")
+
+        monkeypatch.setattr(scaling, "norm_at", solved)
+        code, out, err = run(capsys, "sweep", "--phase", "x*y", "--lambdas", lambdas)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError", "message": "lambda values must be finite"
+        }
 
     def test_nan_tol_slope_is_1(self, capsys):
         code, out, err = run(

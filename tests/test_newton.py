@@ -104,24 +104,23 @@ class TestBuildPolygon:
             assert poly.B == min(b for a, b in support)
 
 
-class TestFractionHull:
-    def test_oracle_agreement_on_fraction_x(self):
-        # the Puiseux recursion passes (Fraction, int) points; scaling x by
-        # the common denominator q gives an integer support for the oracle,
-        # whose vertices map back by x / q and whose gammas by gamma / q
+class TestLatticeHull:
+    def test_rescaled_lattice_matches_oracle(self):
+        # the Puiseux recursion rescales its keys x -> s*x when a slope needs
+        # a finer lattice; the hull must follow vertex for vertex, with every
+        # gamma scaled by s
         rng = random.Random(77)
         for _ in range(100):
-            q = rng.randrange(2, 6)
+            s = rng.randrange(2, 6)
             count = rng.randrange(1, 9)
-            scaled = {(rng.randrange(0, 3 * q + 1), rng.randrange(0, 7)) for _ in range(count)}
-            support = [(F(a, q), b) for a, b in scaled]
-            hull = lower_hull(support)
+            support = {(rng.randrange(0, 13), rng.randrange(0, 7)) for _ in range(count)}
+            hull = lower_hull([(a * s, b) for a, b in support])
             edges = hull_edges(hull)
-            vertices, oracle_edges = oracle_hull(scaled)
-            assert hull == sorted((F(a, q), b) for a, b in vertices)
-            assert all(isinstance(x, Fraction) for x, _ in hull)
+            vertices, oracle_edges = oracle_hull(support)
+            assert hull == sorted((a * s, b) for a, b in vertices)
+            assert all(isinstance(x, int) for x, _ in hull)
             assert {e.gamma: (e.upper, e.lower) for e in edges} == {
-                g / q: ((F(u[0], q), u[1]), (F(w[0], q), w[1]))
+                g * s: ((u[0] * s, u[1]), (w[0] * s, w[1]))
                 for g, (u, w) in oracle_edges.items()
             }
             assert all(e.n == e.upper[1] - e.lower[1] for e in edges)

@@ -5,12 +5,16 @@ y = x*(1+x)^(1/2) = x + x^2/2 - x^3/8 + x^4/16 - ..., and the other corpus
 members terminate, so their series are checked exactly.
 """
 
+import contextlib
+import hashlib
+import io
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from newtonosc.cli import main
 from newtonosc.errors import EmptyPolygonError, NumericalUnderflowError
 from newtonosc.polycore import (
     BivarPoly,
@@ -225,3 +229,61 @@ class TestSerialization:
             assert br["reality"] == "Real"
             assert br["terms"][0]["exp"] == "3/2"
             assert isinstance(br["terms"][0]["re"], float)
+
+
+class TestLattice:
+    """Exponents live on x^(1/D) with D grown to the lcm of the slopes."""
+
+    def test_nested_ramification_rescales_partway(self):
+        # slope 2/3 puts the keys over D = 3; the next slope 3/2 needs D = 6
+        poly = parse_poly("(y^3-x^2)^2 - x^5*y")
+        out = expand_branches(poly)
+        assert out.total_multiplicity == 6 and len(out.branches) == 6
+        for br in out.branches:
+            assert br.ramification == 6
+            assert [t.exponent for t in br.terms[:4]] == [F(2, 3), F(3, 2), F(7, 3), F(19, 6)]
+            assert branch_residual_order(poly, br) == math.inf
+
+    def test_nested_ramification_exact(self):
+        # y = +-x^(3/2) +- x^(7/4): D goes 2 -> 4 on the second slope
+        poly = parse_poly("(y^2-x^3)^2 - 4*x^5*y - x^7")
+        out = expand_branches(poly)
+        assert out.total_multiplicity == 4 and len(out.branches) == 4
+        for br in out.branches:
+            assert br.ramification == 4
+            assert br.exact
+            assert [t.exponent for t in br.terms] == [F(3, 2), F(7, 4)]
+
+    def test_exponents_leave_as_fractions(self):
+        for text in ("(y^3-x^2)^2 - x^5*y", "(y-x)^2 - x^5", "y^2 - x^2 - x^3"):
+            for br in expand_branches(parse_poly(text), order=8).branches:
+                assert all(type(t.exponent) is Fraction for t in br.terms)
+                assert type(br.leading_exponent) is Fraction
+
+
+# captured before the exponents moved onto the integer lattice
+PINNED = "830d2a2221abd99c6ef2baf2231f6529f6aacb776539fe66bc5f1e7e7bc55eb7"
+
+
+def analyze_bytes(texts):
+    """sha256 over exit code, stdout and stderr of analyze --mixed per F."""
+    digest = hashlib.sha256()
+    for text in texts:
+        for extra in ([], ["--order", "50"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["analyze", "--phase", text, "--mixed", *extra])
+            digest.update(f"{code}\n{out.getvalue()}\0{err.getvalue()}\0".encode())
+    return digest.hexdigest()
+
+
+class TestPinnedBytes:
+    def test_analyze_corpus_bytes(self):
+        # F with 1-5 terms, exponents in [0, 3]^2, coefficients 1-4; the
+        # digest pins every coefficient bit the expansion prints
+        rng = random.Random(1997)
+        texts = []
+        for _ in range(40):
+            pts = sorted({(rng.randrange(4), rng.randrange(4)) for _ in range(rng.randrange(1, 6))})
+            texts.append(" + ".join(f"{rng.randrange(1, 5)}*x^{a}*y^{b}" for a, b in pts))
+        assert analyze_bytes(texts) == PINNED

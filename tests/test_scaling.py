@@ -81,6 +81,11 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(lambdas=(-1.0, 2.0, 4.0, 8.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_lambda(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SweepConfig(lambdas=(16.0, 32.0, 64.0, bad))
+
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             SweepConfig(tol_slope=0.0)
