@@ -12,6 +12,14 @@ grid, centred at the origin, a phase whose support has a parity
 (parity_sectors) splits T into sectors of side n/2 that discretize
 builds one at a time.
 
+discretize evaluates each independent kernel entry once, as a real
+amplitude times cos and sin of a real phase, with no complex
+exponential.  A sector whose even-in-y part of S is empty (both sectors
+of x*y and of every odd-odd phase) is real and takes no cos or sin of
+it.  A swap-symmetric phase, S(x, y) = S(y, x), gives a complex
+symmetric kernel on the square grid: only its upper triangle is
+evaluated, then mirrored, so M == M.T exactly.
+
 The spectral norm comes from Golub-Kahan-Lanczos bidiagonalization.
 Alongside it live the two bounds the block decomposition compares
 against: the support size bound and the operator oscillation bound
@@ -34,7 +42,11 @@ GRID_CAP = 4096
 GRID_MIN = 16
 SAFETY = 2.0
 COMPLEX64_ABOVE = 2048
-_CHUNK_ROWS = 512
+_CHUNK_ROWS = 256
+# a swap-symmetric N x N kernel is built in row tiles of this height from
+# the diagonal rightwards, which evaluates 1/2 + _TILE_ROWS / (2N) of it;
+# shorter tiles cost more in per-tile overhead than they save
+_TILE_ROWS = 64
 # the resolution guard: at most pi/2 of phase across one grid cell
 _MAX_CELL_PHASE = math.pi / 2 + 1e-12
 _PROBE = 64
@@ -215,6 +227,11 @@ def parity_sectors(S: BivarPoly) -> tuple:
     return (1, -1)
 
 
+def _swap_symmetric(S: BivarPoly) -> bool:
+    """True when S(x, y) = S(y, x) term by term, exactly."""
+    return all(S.terms.get((b, a)) == c for (a, b), c in S.terms.items())
+
+
 def discretize(
     p: PhaseSpec,
     lam: float,
@@ -237,6 +254,14 @@ def discretize(
     factor i, with the mirrored halves folded in.  Its spectral norm is
     the norm of T on the even or odd inputs.  The resolution guard
     still reads the full grid.
+
+    Rows are built in tiles as amp * cos(lam E) + i amp * sin(lam E),
+    amp the weight product times the sector's fold of lam O; with E
+    empty the imaginary part is zero and no cos or sin of E is taken.
+    A swap-symmetric phase (S(x, y) = S(y, x) as exact coefficients) on
+    a grid with the same nodes in x and y and no windows builds each
+    tile only from the diagonal rightwards and mirrors it, so the result
+    is exactly symmetric and about half of its entries are evaluated.
     """
     step = _cell_phase(p, lam, g)
     if not step <= _MAX_CELL_PHASE:
@@ -271,15 +296,36 @@ def discretize(
         odd = BivarPoly({k: c for k, c in p.S.terms.items() if k[1] % 2})
         fold = np.cos if sector == 1 else np.sin
 
+    symmetric = (
+        (x0, x1) == (y0, y1)
+        and x_window is None
+        and y_window is None
+        and _swap_symmetric(p.S)
+    )
+    rows = _TILE_ROWS if symmetric else _CHUNK_ROWS
     M = np.empty((xs.size, ys.size), dtype=kernel_dtype(xs.size))
-    for r0 in range(0, xs.size, _CHUNK_ROWS):
-        r1 = min(r0 + _CHUNK_ROWS, xs.size)
-        block = np.exp(1j * lam * eval_grid(even, xs[r0:r1], ys))
+    for r0 in range(0, xs.size, rows):
+        r1 = min(r0 + rows, xs.size)
+        c0 = r0 if symmetric else 0
+        amp = np.multiply.outer(wx[r0:r1], wy[c0:])
         if odd:
-            block *= fold(lam * eval_grid(odd, xs[r0:r1], ys))
-        block *= wx[r0:r1, None]
-        block *= wy[None, :]
-        M[r0:r1] = block
+            folded = eval_grid(odd, xs[r0:r1], ys[c0:])
+            folded *= lam
+            amp *= fold(folded, out=folded)
+        block = M[r0:r1, c0:]
+        if even:
+            theta = eval_grid(even, xs[r0:r1], ys[c0:])
+            theta *= lam
+            np.multiply(amp, np.cos(theta), out=block.real)
+            np.multiply(amp, np.sin(theta, out=theta), out=block.imag)
+        else:
+            block.real = amp
+            block.imag = 0.0
+        if symmetric:
+            tile = M[r0:r1, r0:r1]
+            below = np.tril_indices(r1 - r0, -1)
+            tile[below] = tile.T[below]
+            M[r1:, r0:r1] = M[r0:r1, r1:].T
     return DiscreteOperator(matrix=M, xs=xs, ys=ys)
 
 

@@ -207,12 +207,17 @@ def _substitute(poly, G, c):
     """
     out: dict[tuple[int, int], complex] = {}
     acc: dict[tuple[int, int], float] = {}
+    # y^k -> sum_j comb(k, j) c^(k-j) x^(G(k-j)/D) y^j: one row per degree k
+    rows: dict[int, list[tuple[int, int, complex, float]]] = {}
     for (e, k), coeff in poly.items():
-        for j in range(k + 1):
-            w = math.comb(k, j) * c ** (k - j)
-            key = (e + G * (k - j), j)
+        if k not in rows:
+            weights = [math.comb(k, j) * c ** (k - j) for j in range(k + 1)]
+            rows[k] = [(j, G * (k - j), w, abs(w)) for j, w in enumerate(weights)]
+        mass = abs(coeff)
+        for j, shift, w, w_abs in rows[k]:
+            key = (e + shift, j)
             out[key] = out.get(key, 0j) + coeff * w
-            acc[key] = acc.get(key, 0.0) + abs(coeff) * abs(w)
+            acc[key] = acc.get(key, 0.0) + mass * w_abs
     return {
         key: val
         for key, val in out.items()

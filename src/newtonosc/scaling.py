@@ -148,6 +148,12 @@ def _solve(p: PhaseSpec, lam: float, n: int, seed: int, start=None):
         value, steps = max(value, s), steps + k
         starts[sector] = (op.ys, vec)
         del op
+    if not value > 0:
+        # the kernel is unimodular times a cutoff that is 1 at the origin
+        raise DomainError(
+            f"grid n={n} gives norm {value} at lambda={lam}, rho={p.rho}: "
+            "the kernel is too small for double precision (underflow)"
+        )
     return value, steps, starts
 
 
@@ -166,7 +172,9 @@ def norm_at(p: PhaseSpec, lam: float, seed: int = 0) -> NormSample:
     after the first is warm-started from the singular vector of the
     same sector of the other grid of the pair.  auto_grid returns a
     power of two >= GRID_MIN, so n, its check grid and every doubling
-    are even and share the phase's sector list.
+    are even and share the phase's sector list.  A grid whose value is
+    not positive raises DomainError: T is never zero, so such a value
+    means the kernel underflowed in double precision.
     """
     n = auto_grid(p, lam).n
     runs = {n: _solve(p, lam, n, seed)}
@@ -177,7 +185,7 @@ def norm_at(p: PhaseSpec, lam: float, seed: int = 0) -> NormSample:
             if k not in runs:
                 runs[k] = _solve(p, lam, k, seed, start=runs[other][2])
         value, value_m = runs[n][0], runs[m][0]
-        conv = abs(value - value_m) / value if value > 0 else 0.0
+        conv = abs(value - value_m) / value
         if conv < CONV_TOL or 2 * n > GRID_CAP:
             steps = sum(r[1] for r in runs.values())
             return NormSample(lam=lam, n=n, value=value, conv_err=conv, iterations=steps)

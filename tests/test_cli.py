@@ -48,6 +48,14 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "ResolutionError"
 
+    def test_underflowed_norm_is_1(self, capsys):
+        code, out, err = run(
+            capsys, "norm", "--phase", "x*y", "--lambda", "64", "--rho", "1e-200"
+        )
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "DomainError"
+
     def test_bad_fit_window_is_2(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--phase", "x*y", "--fit-window", "16"

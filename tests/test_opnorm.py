@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from newtonosc import opnorm
 from newtonosc.errors import NoConvergenceError, ResolutionError
 from newtonosc.opnorm import (
     DiscreteOperator,
@@ -287,6 +288,147 @@ class TestParitySectors:
         x_window = (lambda x: np.ones_like(x)) if window else None
         with pytest.raises(ValueError, match="sector"):
             discretize(p, 8.0, grid, x_window=x_window, sector=sector)
+
+
+def direct_kernel(p: PhaseSpec, lam: float, g: GridSpec, sector=None, x_window=None, y_window=None):
+    """The kernel entry by entry, from the formulas in discretize's docstring.
+
+    Full kernel: w_i w_j e^{i lam S(x_i, y_j)}.  Sector k: 2 w_i w_j
+    e^{i lam E} cos(lam O) for k = 1 and sin for k = -1 on the nodes
+    x, y > 0, with E and O the even-in-y and odd-in-y terms of S.
+    """
+    x0, x1, y0, y1 = g.domain
+    xs, hx = _midpoints(x0, x1, g.n)
+    ys, hy = _midpoints(y0, y1, g.n)
+    wx = bump(xs / p.rho) * math.sqrt(hx)
+    wy = bump(ys / p.rho) * math.sqrt(hy)
+    if x_window is not None:
+        wx = wx * x_window(xs)
+    if y_window is not None:
+        wy = wy * y_window(ys)
+    if sector is not None:
+        half = g.n // 2
+        xs, ys, wx, wy = xs[half:], ys[half:], 2.0 * wx[half:], wy[half:]
+    X, Y = xs[:, None], ys[None, :]
+
+    def value(parity):
+        terms = (float(c) * X**a * Y**b for (a, b), c in p.S.terms.items() if b % 2 in parity)
+        return sum(terms, np.zeros((xs.size, ys.size)))
+
+    amp = wx[:, None] * wy[None, :]
+    if sector is None:
+        return amp * np.exp(1j * lam * value((0, 1)))
+    fold = np.cos if sector == 1 else np.sin
+    return amp * np.exp(1j * lam * value((0,))) * fold(lam * value((1,)))
+
+
+# lam * |S| stays below about 30 on the grid, so the phase itself is exact
+# to a few 1e-15 however its terms are summed
+BUILD_CASES = [
+    ("x*y", 0.5, 64.0, 128),
+    ("x^2*y^2/4", 0.9, 128.0, 256),
+    ("-(y-x)^4/12", 0.5, 256.0, 128),
+    ("x^3*y/3 + x*y^2", 0.5, 64.0, 128),
+    ("x^2*y + x*y^2", 0.5, 64.0, 100),
+]
+SYMMETRIC = ["x*y", "x^2*y^2/4", "-(y-x)^4/12", "x^2*y + x*y^2", "x^3*y + x*y^3"]
+
+
+def kernel_evaluations(monkeypatch, p: PhaseSpec) -> dict:
+    """Count the entries discretize evaluates of E and of O (see direct_kernel).
+
+    Calls on other polynomials, such as gradient_bound's derivatives, are
+    not counted.  The full kernel evaluates S as its E.
+    """
+    counts = {"E": 0, "O": 0, "S": 0}
+    parts = {
+        "E": BivarPoly({k: c for k, c in p.S.terms.items() if k[1] % 2 == 0}),
+        "O": BivarPoly({k: c for k, c in p.S.terms.items() if k[1] % 2}),
+        "S": p.S,
+    }
+    real = opnorm.eval_grid
+
+    def counting(poly, xs, ys):
+        out = real(poly, xs, ys)
+        for name, part in parts.items():
+            if poly == part:
+                counts[name] += out.size
+        return out
+
+    monkeypatch.setattr(opnorm, "eval_grid", counting)
+    return counts
+
+
+class TestFusedBuild:
+    @pytest.mark.parametrize("text, rho, lam, n", BUILD_CASES)
+    def test_entrywise_agreement(self, text, rho, lam, n):
+        p = PhaseSpec(S=parse_poly(text), rho=rho)
+        g = GridSpec.square(n, rho)
+        for k in parity_sectors(p.S):
+            M = discretize(p, lam, g, sector=k).matrix
+            ref = direct_kernel(p, lam, g, sector=k)
+            assert M.dtype == np.complex128
+            assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(M))
+
+    def test_windowed_block_agreement(self):
+        p = PhaseSpec(S=parse_poly("x^2*y^2/4"), rho=0.5)
+        g = GridSpec(n=128, domain=(0.125, 0.5, 0.0625, 0.25))
+        xw = lambda x: bump((x - 0.3) / 0.2)
+        yw = lambda y: (y > 0.1).astype(float)
+        M = discretize(p, 512.0, g, x_window=xw, y_window=yw).matrix
+        ref = direct_kernel(p, 512.0, g, x_window=xw, y_window=yw)
+        assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(M))
+
+    def test_complex64_full_kernel_agreement(self):
+        p = PhaseSpec(S=XY, rho=0.5)
+        g = GridSpec.square(2304, 0.5)
+        M = discretize(p, 256.0, g).matrix
+        assert M.dtype == np.complex64
+        ref = direct_kernel(p, 256.0, g)
+        # each stored entry is the complex64 rounding of the exact value
+        tol = (1e-14 + np.finfo(np.float32).eps) * np.max(np.abs(M))
+        assert np.max(np.abs(M - ref)) <= tol
+
+    @pytest.mark.parametrize("n", [32, 100, 2048])
+    @pytest.mark.parametrize("text", SYMMETRIC)
+    def test_swap_symmetric_kernels_are_exactly_symmetric(self, text, n):
+        p = PhaseSpec(S=parse_poly(text), rho=0.5)
+        g = GridSpec.square(n, 0.5)
+        lam = 16.0
+        for k in parity_sectors(p.S):
+            M = discretize(p, lam, g, sector=k).matrix
+            assert np.array_equal(M, M.T), (text, n, k)
+
+    @pytest.mark.parametrize("text", ["x^2*y^2/4", "-(y-x)^4/12"])
+    def test_symmetric_sector_evaluates_under_two_thirds(self, monkeypatch, text):
+        p = PhaseSpec(S=parse_poly(text), rho=0.5)
+        counts = kernel_evaluations(monkeypatch, p)
+        M = discretize(p, 64.0, GridSpec.square(2048, 0.5), sector=1).matrix
+        for part in ("E", "O"):
+            if counts[part]:
+                assert counts[part] < 2 / 3 * M.size, (part, counts[part], M.size)
+        assert counts["E"] > 0
+
+    def test_asymmetric_and_windowed_kernels_evaluate_every_entry(self, monkeypatch):
+        p = PhaseSpec(S=parse_poly("x^3*y/3 + x*y^2"), rho=0.5)
+        counts = kernel_evaluations(monkeypatch, p)
+        M = discretize(p, 16.0, GridSpec.square(256, 0.5)).matrix
+        assert counts["S"] == M.size
+        p = PhaseSpec(S=XY, rho=0.5)
+        counts = kernel_evaluations(monkeypatch, p)
+        ones = lambda t: np.ones_like(t)
+        M = discretize(p, 16.0, GridSpec.square(256, 0.5), x_window=ones, y_window=ones).matrix
+        assert counts["S"] == M.size
+
+    @pytest.mark.parametrize("text", ["x*y", "x^3*y + x*y^3"])
+    def test_empty_even_part_is_never_evaluated(self, monkeypatch, text):
+        p = PhaseSpec(S=parse_poly(text), rho=0.5)
+        counts = kernel_evaluations(monkeypatch, p)
+        for k in parity_sectors(p.S):
+            M = discretize(p, 16.0, GridSpec.square(128, 0.5), sector=k).matrix
+            assert not M.imag.any()
+        assert counts["E"] == 0
+        assert counts["O"] > 0
 
 
 class TestOperatorNorm:

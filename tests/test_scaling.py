@@ -141,6 +141,13 @@ class TestNormAt:
         with pytest.raises(ResolutionError):
             norm_at(p, math.nan)
 
+    def test_underflowed_norm_is_refused(self):
+        # T is never zero: the dense SVD of the n = 16 sector is 9.8e-201,
+        # but the squared Lanczos vector norms underflow to 0
+        p = PhaseSpec(S=parse_poly("x*y"), rho=1e-200)
+        with pytest.raises(DomainError, match="underflow"):
+            norm_at(p, 64.0)
+
     def test_validity_reads_conv_tol(self, monkeypatch):
         s = NormSample(lam=16.0, n=64, value=0.3, conv_err=1e-10, iterations=20)
         assert s.valid
