@@ -112,74 +112,55 @@ _SAMPLE = {
     "required": ["lambda", "n", "norm", "conv_err", "iterations", "valid"],
 }
 
-ANALYZE_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "provenance", "phase", "mixed_derivative", "polygon", "decay", "branches"],
-    "properties": {
-        "schema": {"const": SCHEMA_ID},
-        "provenance": _PROV,
-        "polygon": {
-            "type": "object",
-            "required": ["vertices", "A", "B"],
-        },
-        "decay": {
-            "type": "object",
-            "required": ["t0", "delta", "boundary_crossing", "A", "B", "edges", "degeneracy"],
-        },
-        "branches": {"type": "object", "required": ["branches", "total_multiplicity"]},
-    },
-}
 
-NORM_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "provenance", "samples"],
-    "properties": {
-        "schema": {"const": SCHEMA_ID},
-        "provenance": _PROV,
-        "samples": {"type": "array", "items": _SAMPLE, "minItems": 1},
-    },
-}
+def _payload_schema(required, **properties):
+    """Schema of a CLI payload: schema id and provenance, then the command's keys."""
+    return {
+        "type": "object",
+        "required": ["schema", "provenance", *required],
+        "properties": {"schema": {"const": SCHEMA_ID}, "provenance": _PROV, **properties},
+    }
 
-SWEEP_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "provenance", "report"],
-    "properties": {
-        "schema": {"const": SCHEMA_ID},
-        "provenance": _PROV,
-        "report": {
-            "type": "object",
-            "required": ["samples", "slope", "stderr", "predicted", "tol_slope", "verdict"],
-            "properties": {
-                "verdict": {"enum": ["Pass", "Fail", "Inconclusive"]},
-                "samples": {"type": "array", "items": _SAMPLE},
-            },
+
+ANALYZE_SCHEMA = _payload_schema(
+    ["phase", "mixed_derivative", "polygon", "decay", "branches"],
+    polygon={"type": "object", "required": ["vertices", "A", "B"]},
+    decay={
+        "type": "object",
+        "required": ["t0", "delta", "boundary_crossing", "A", "B", "edges", "degeneracy"],
+    },
+    branches={"type": "object", "required": ["branches", "total_multiplicity"]},
+)
+
+NORM_SCHEMA = _payload_schema(
+    ["samples"], samples={"type": "array", "items": _SAMPLE, "minItems": 1}
+)
+
+SWEEP_SCHEMA = _payload_schema(
+    ["report"],
+    report={
+        "type": "object",
+        "required": ["samples", "slope", "stderr", "predicted", "tol_slope", "verdict"],
+        "properties": {
+            "verdict": {"enum": ["Pass", "Fail", "Inconclusive"]},
+            "samples": {"type": "array", "items": _SAMPLE},
         },
     },
-}
+)
 
-BLOCKS_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "provenance", "estimates", "summary"],
-    "properties": {
-        "schema": {"const": SCHEMA_ID},
-        "provenance": _PROV,
-        "estimates": {"type": "array"},
-        "summary": {
-            "type": "object",
-            "required": ["lambda", "D", "j_range", "worst_ratio", "violations", "resolution_failures"],
-        },
+BLOCKS_SCHEMA = _payload_schema(
+    ["estimates", "summary"],
+    estimates={"type": "array"},
+    summary={
+        "type": "object",
+        "required": ["lambda", "D", "j_range", "worst_ratio", "violations", "resolution_failures"],
     },
-}
+)
 
-DYADPOL_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "provenance", "profile", "corners", "set", "verification"],
-    "properties": {
-        "schema": {"const": SCHEMA_ID},
-        "provenance": _PROV,
-        "verification": {"type": "object", "required": ["pass", "min_observed", "bound"]},
-    },
-}
+DYADPOL_SCHEMA = _payload_schema(
+    ["profile", "corners", "set", "verification"],
+    verification={"type": "object", "required": ["pass", "min_observed", "bound"]},
+)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ against: the support size bound and the operator oscillation bound
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,6 +91,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n < GRID_MIN:
             raise ValueError(f"grid needs at least {GRID_MIN} points per side")
+        # a tuple, so that gradient_bound can memoize on it
+        object.__setattr__(self, "domain", tuple(self.domain))
         x0, x1, y0, y1 = self.domain
         if not (x0 < x1 and y0 < y1):
             raise ValueError("domain must be a nondegenerate rectangle")
@@ -104,8 +107,13 @@ def _midpoints(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
     return lo + h * (np.arange(n) + 0.5), h
 
 
+@functools.lru_cache(maxsize=None)
 def gradient_bound(S: BivarPoly, domain) -> float:
-    """Sampled max of |dS/dx| + |dS/dy| over the rectangle."""
+    """Sampled max of |dS/dx| + |dS/dy| over the rectangle.
+
+    Memoized on (S, domain), both hashable: within a norm_at, auto_grid,
+    resolves and every sector build probe the same square.
+    """
     x0, x1, y0, y1 = domain
     xs, _ = _midpoints(x0, x1, _PROBE)
     ys, _ = _midpoints(y0, y1, _PROBE)

@@ -9,6 +9,10 @@ the keys if the slope needs a larger D, solves the edge polynomial for
 leading coefficients, substitutes, and recurses.  Ramification is tracked
 per branch; there is never a global x -> x^(1/r) substitution.
 
+Every place the recursion stops (an exact root, sheets stuck at the
+cluster scale, continuations beyond the order, a merge) yields the same
+record: terms, multiplicity, exactness and the order resolved.
+
 Truncation is reported in band: a cluster of sheets that agree to the
 computed order comes back as one branch with the combined multiplicity
 and split_undetermined set, never as an exception and never silently
@@ -20,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -228,6 +231,16 @@ def _substitute(poly, G, c):
 # --- the expansion ----------------------------------------------------------
 
 
+def _record(terms, mult, order, exact=False):
+    """One sheet record: terms as (gamma, c) pairs, resolved up to order.
+
+    order is None only for exact records and for merges of exact ones.
+    A non-exact record of several sheets is a cluster whose split lies
+    beyond what was computed.
+    """
+    return {"terms": list(terms), "mult": mult, "exact": exact, "order": order}
+
+
 def _expand(poly, D, m, prefix, gamma_prev, order, out):
     """Expand the m sheets of poly, whose key (E, k) is x^(E/D) y^k."""
     if len(prefix) > _MAX_DEPTH:
@@ -235,7 +248,7 @@ def _expand(poly, D, m, prefix, gamma_prev, order, out):
     v = min(k for _, k in poly)
     if v > 0:
         # y^v divides exactly: the prefix is a terminating solution
-        out.append({"terms": list(prefix), "mult": v, "exact": True, "order": None})
+        out.append(_record(prefix, v, None, exact=True))
         poly = {(e, k - v): c for (e, k), c in poly.items()}
 
     edges = [(e, e.gamma / D) for e in hull_edges(lower_hull(poly.keys()))]
@@ -247,19 +260,13 @@ def _expand(poly, D, m, prefix, gamma_prev, order, out):
     if leftover > 0:
         # sheets stuck at the cluster scale: conflated roots that did not
         # separate; report them on the prefix, never drop them
-        out.append(
-            {
-                "terms": list(prefix),
-                "mult": leftover,
-                "exact": False,
-                "split": leftover > 1,
-                "order": gamma_prev,
-            }
-        )
+        out.append(_record(prefix, leftover, gamma_prev))
 
     horizon = 0
     for edge, gamma in target:
-        if gamma > order:
+        if gamma > order and prefix:
+            # continuations live entirely beyond the horizon: merged onto
+            # the prefix below with the combined multiplicity
             horizon += edge.n
             continue
         psi = _edge_poly(poly, edge)
@@ -272,59 +279,23 @@ def _expand(poly, D, m, prefix, gamma_prev, order, out):
         G = gamma.numerator * (D2 // gamma.denominator)
         for mean, size in _cluster_roots(roots):
             c = _snap(_polish_root(psi, mean, size))
+            terms = prefix + [(gamma, c)]
+            if gamma > order:
+                # top level: a branch needs its leading term even when that
+                # term already sits beyond the requested order
+                out.append(_record(terms, size, order))
+                continue
             sub = _substitute(scaled, G, c)
-            _expand(sub, D2, size, prefix + [(gamma, c)], gamma, order, out)
-
+            _expand(sub, D2, size, terms, gamma, order, out)
     if horizon > 0:
-        if prefix:
-            # continuations live entirely beyond the horizon: merge them
-            # onto the prefix with the combined multiplicity
-            out.append(
-                {
-                    "terms": list(prefix),
-                    "mult": horizon,
-                    "exact": False,
-                    "split": horizon > 1,
-                    "order": order,
-                }
-            )
-        else:
-            # top level: a branch needs its leading term even when that
-            # term already sits beyond the requested order
-            for edge, gamma in target:
-                if gamma <= order:
-                    continue
-                psi = _edge_poly(poly, edge)
-                for mean, size in _cluster_roots(list(np.roots(psi))):
-                    c = _snap(_polish_root(psi, mean, size))
-                    out.append(
-                        {
-                            "terms": [(gamma, c)],
-                            "mult": size,
-                            "exact": False,
-                            "split": size > 1,
-                            "order": order,
-                        }
-                    )
-
-
-def _record_order(rec) -> Optional[Fraction]:
-    if rec["exact"]:
-        return None
-    return rec["order"]
+        out.append(_record(prefix, horizon, order))
 
 
 def _records_equal(a, b) -> bool:
     """Same expansion as far as both records are resolved."""
-    ra, rb = _record_order(a), _record_order(b)
-    if ra is None and rb is None:
-        cutoff = None
-    elif ra is None:
-        cutoff = rb
-    elif rb is None:
-        cutoff = ra
-    else:
-        cutoff = min(ra, rb)
+    cutoff = min(
+        (r["order"] for r in (a, b) if r["order"] is not None), default=None
+    )
 
     def upto(rec):
         return {
@@ -357,16 +328,10 @@ def _merge_records(records):
             continue
         # indistinguishable at this order; combine and flag rather than
         # keep duplicates or claim they are provably equal
-        orders = [_record_order(g) for g in group if _record_order(g) is not None]
+        orders = [g["order"] for g in group if g["order"] is not None]
         longest = max(group, key=lambda g: len(g["terms"]))
         merged.append(
-            {
-                "terms": longest["terms"],
-                "mult": sum(g["mult"] for g in group),
-                "exact": False,
-                "split": True,
-                "order": min(orders) if orders else None,
-            }
+            _record(longest["terms"], sum(g["mult"] for g in group), min(orders, default=None))
         )
     return merged
 
@@ -377,17 +342,14 @@ def _record_to_branch(rec) -> PuiseuxBranch:
     kept = [
         (e, c) for e, c in terms if abs(c) > TERM_DROP_TOL * lead
     ]
-    ram = 1
-    for e, _ in kept:
-        ram = ram * e.denominator // math.gcd(ram, e.denominator)
     real = all(c.imag == 0 for _, c in kept)
     return PuiseuxBranch(
-        ramification=ram,
+        ramification=math.lcm(*(e.denominator for e, _ in kept)),
         terms=tuple(PuiseuxTerm(e, c) for e, c in kept),
         multiplicity=rec["mult"],
         reality=Reality.REAL if real else Reality.COMPLEX_PAIR,
         exact=rec["exact"],
-        split_undetermined=rec.get("split", False),
+        split_undetermined=not rec["exact"] and rec["mult"] > 1,
         order=rec["order"],
     )
 

@@ -5,6 +5,7 @@ anyway for any failing criterion.  Budgets are wall-clock seconds on a
 single core.
 """
 
+import math
 import time
 from fractions import Fraction
 
@@ -26,6 +27,13 @@ def report(num: int, label: str, ok: bool, detail: str) -> None:
 
 
 class TestCriterion1:
+    # f -> int e^(i lam x y) f(y) dy is sqrt(2 pi / lam) times a unitary
+    # (Plancherel), and the cutoff multiplies on both sides by functions
+    # between 0 and 1, so lam^(1/2) * ||T_lam|| <= L = sqrt(2 pi) at every
+    # lam, with equality approached as lam * rho^2 -> infinity.  Across
+    # this window the deficit halves every octave.
+    LIMIT = math.sqrt(2 * math.pi)
+
     def test_hyperbolic_reference(self):
         start = time.monotonic()
         p = PhaseSpec(S=parse_poly("x*y"), rho=0.85)
@@ -33,18 +41,28 @@ class TestCriterion1:
         rep = verify_theorem(p, cfg)
         comp = [s.value * s.lam**0.5 for s in rep.samples if s.valid]
         band = max(comp) / min(comp)
+        ratios = [s.value * s.lam**0.5 / self.LIMIT for s in rep.samples]
         elapsed = time.monotonic() - start
         slope_ok = abs(rep.slope - (-0.5)) <= 0.05
         band_ok = band <= 3.0
-        ok = slope_ok and band_ok and elapsed < 120.0
+        bound_ok = max(ratios) <= 1.0 + CONV_TOL
+        limit_ok = abs(ratios[-1] - 1.0) <= 0.01
+        ok = slope_ok and band_ok and bound_ok and limit_ok and elapsed < 120.0
         report(
             1,
             "hyperbolic reference x*y",
             ok,
-            f"slope={rep.slope:.4f} vs -0.5+-0.05, band={band:.3f} vs 3, {elapsed:.1f}s",
+            f"slope={rep.slope:.4f} vs -0.5+-0.05, band={band:.3f} vs 3, "
+            f"lam^(1/2)*norm/L={min(ratios):.4f}..{max(ratios):.4f} "
+            f"vs {1.0 + CONV_TOL:g}, top={ratios[-1]:.4f} vs 1+-0.01, {elapsed:.1f}s",
         )
         assert slope_ok, f"slope {rep.slope:.4f} outside -0.5 +- 0.05"
         assert band_ok, f"compensated band {band:.3f} exceeds 3"
+        assert bound_ok, (
+            f"lam^(1/2)*norm reaches {max(ratios):.4f} L, above the sharp "
+            f"bound L = sqrt(2 pi)"
+        )
+        assert limit_ok, f"top sample at {ratios[-1]:.4f} L, not within 1% of L"
         assert elapsed < 120.0
 
 
@@ -158,6 +176,14 @@ class TestCriterion2:
 
 
 class TestCriterion3:
+    # T_lam is a convolution cut off on both sides.  Its multiplier is
+    # int e^(-i lam t^4/12 - i xi t) dt = lam^(-1/4) * m(xi * lam^(-1/4)),
+    # and sup |m| = |m(0)| = 2 Gamma(5/4) 12^(1/4) (test_limit_constant),
+    # so lam^(1/4) * ||T_lam|| <= L at every lam.  The phase is homogeneous
+    # of degree 4, so as in criterion 2 the norm at (rho/2, 16 lam) is half
+    # the norm at (rho, lam).
+    LIMIT = 2 * math.gamma(1.25) * 12**0.25
+
     def test_completely_degenerate_log_band(self):
         start = time.monotonic()
         p = PhaseSpec(S=parse_poly("-(y-x)^4/12"), rho=0.5)
@@ -167,20 +193,55 @@ class TestCriterion3:
             s.value * s.lam**0.25 / np.log2(s.lam) for s in valid if s.lam > 2
         ]
         band = max(ratios) / min(ratios)
+        limit_ratios = [s.value * s.lam**0.25 / self.LIMIT for s in rep.samples]
+        bound_ok = max(limit_ratios) <= 1.0 + CONV_TOL
+        half = PhaseSpec(S=p.S, rho=p.rho / 2)
+        dilation_err = max(
+            abs(norm_at(half, 16 * s.lam).value - s.value / 2) / (s.value / 2)
+            for s in rep.samples[:4]
+        )
+        dilation_ok = dilation_err <= 1e-9
         elapsed = time.monotonic() - start
         band_ok = band < 10.0
         pred_ok = rep.predicted == Fraction(-1, 4)
-        ok = band_ok and pred_ok and elapsed < 300.0
+        ok = band_ok and pred_ok and bound_ok and dilation_ok and elapsed < 300.0
         report(
             3,
             "completely degenerate -(y-x)^4/12",
             ok,
             f"log-compensated band={band:.3f} vs 10, "
+            f"lam^(1/4)*norm/L={min(limit_ratios):.3f}..{max(limit_ratios):.3f} "
+            f"vs {1.0 + CONV_TOL:g}, dilation err={dilation_err:.1e} vs 1e-9, "
             f"informational slope={rep.slope:.4f} (target -0.25), {elapsed:.1f}s",
         )
         assert pred_ok
         assert band_ok, f"norm*lam^(1/4)/log(lam) spread {band:.3f} not bounded"
+        assert bound_ok, (
+            f"lam^(1/4)*norm reaches {max(limit_ratios):.3f} L, above the sharp "
+            f"bound L = {self.LIMIT:.4f}"
+        )
+        assert dilation_ok, f"dilation identity off by {dilation_err:.1e}"
         assert elapsed < 300.0
+
+    def test_limit_constant(self):
+        mpmath = pytest.importorskip("mpmath")
+        # on t = e^(-i pi/8) s the factor e^(-i t^4/12) is e^(-s^4/12), and
+        # the two half-lines pair up into a cosine: m is even in xi
+        rot = mpmath.exp(-1j * mpmath.pi / 8)
+
+        def multiplier(xi):
+            def f(s):
+                return mpmath.exp(-s**4 / 12) * mpmath.cos(xi * rot * s)
+
+            return float(abs(2 * rot * mpmath.quad(f, [0, 3, 6, 9])))
+
+        peak = multiplier(0)
+        # by stationary phase |m| falls off like sqrt(2 pi) (3 xi)^(-1/3),
+        # already 0.23 L at xi = 12
+        xis = [k / 20 for k in range(1, 5)] + [k / 2 for k in range(1, 25)]
+        scan = max(multiplier(xi) for xi in xis)
+        assert abs(peak - self.LIMIT) <= 1e-12 * self.LIMIT
+        assert scan < peak
 
 
 class TestCriterion4:

@@ -7,10 +7,11 @@ import subprocess
 import sys
 import time
 
+import jsonschema
 import pytest
 
 import newtonosc
-from newtonosc import scaling
+from newtonosc import cli, scaling
 from newtonosc.cli import build_parser, main
 
 
@@ -344,6 +345,39 @@ class TestProvenance:
         )
         assert code == 0
         assert out.startswith("# newton-osc/2 seed=5\n")
+
+
+class TestSchemas:
+    # one real payload per schema, default format json where none is given
+    CASES = {
+        "analyze": (cli.ANALYZE_SCHEMA, ["analyze", "--phase", "x^2*y^2/4"]),
+        "norm": (cli.NORM_SCHEMA, ["norm", "--phase", "x*y", "--lambda", "16", "--format", "json"]),
+        "sweep": (cli.SWEEP_SCHEMA, ["sweep", "--phase", "x*y", "--rho", "0.85", "--lambdas", "16,32,64,128"]),
+        "blocks": (
+            cli.BLOCKS_SCHEMA,
+            ["blocks", "--phase", "x^2*y^2/4", "--lambda", "64", "--j-max", "2", "--format", "json"],
+        ),
+        "dyadpol": (cli.DYADPOL_SCHEMA, ["dyadpol", "--r", "0,6", "--C", "1", "--trials", "10"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_broken_payloads_are_refused(self, capsys, name):
+        schema, argv = self.CASES[name]
+        payload = run_json(capsys, *argv)
+        jsonschema.validate(payload, schema)
+        assert schema["required"][:2] == ["schema", "provenance"]
+        for key in schema["required"]:
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({k: v for k, v in payload.items() if k != key}, schema)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**payload, "schema": "newton-osc/1"}, schema)
+
+    def test_sweep_verdict_outside_enum_is_refused(self, capsys):
+        schema, argv = self.CASES["sweep"]
+        payload = run_json(capsys, *argv)
+        report = {**payload["report"], "verdict": "Maybe"}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**payload, "report": report}, schema)
 
 
 class TestSurface:

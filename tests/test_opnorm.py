@@ -25,7 +25,7 @@ from newtonosc.opnorm import (
     size_bound,
 )
 from newtonosc.polycore import BivarPoly, parse_poly
-from newtonosc.scaling import NormSample
+from newtonosc.scaling import NormSample, SweepConfig, sweep
 
 XY = parse_poly("x*y")
 
@@ -176,6 +176,21 @@ class TestGridSpec:
         # |y| + |x| peaks at the outer midpoints of the square
         g = gradient_bound(XY, (-0.5, 0.5, -0.5, 0.5))
         assert 0.9 < g <= 1.0
+
+    def test_gradient_bound_probes_once_per_sweep(self):
+        # auto_grid, resolves and every sector build of each lambda probe
+        # the same (S, square)
+        gradient_bound.cache_clear()
+        sweep(PhaseSpec(S=XY, rho=0.5), SweepConfig(lambdas=(8.0, 16.0, 32.0, 64.0)))
+        assert gradient_bound.cache_info().misses == 1
+
+    def test_list_domain_discretizes(self):
+        p = PhaseSpec(S=XY, rho=0.5)
+        g = GridSpec(n=16, domain=[-0.5, 0.5, -0.5, 0.5])
+        assert g.domain == (-0.5, 0.5, -0.5, 0.5)
+        np.testing.assert_array_equal(
+            discretize(p, 4.0, g).matrix, discretize(p, 4.0, GridSpec.square(16, 0.5)).matrix
+        )
 
     def test_dtype_crossover(self):
         assert kernel_dtype(2048) is np.complex128

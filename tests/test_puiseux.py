@@ -263,13 +263,16 @@ class TestLattice:
 
 # captured before the exponents moved onto the integer lattice
 PINNED = "830d2a2221abd99c6ef2baf2231f6529f6aacb776539fe66bc5f1e7e7bc55eb7"
+# captured before the sheet records took one shape
+PINNED_TRUNCATED = "50da9e619b07981e87095947c440294e428558961aa35779f4118a1fd8333b4b"
 
 
-def analyze_bytes(texts):
-    """sha256 over exit code, stdout and stderr of analyze --mixed per F."""
+def analyze_bytes(texts, orders=(None, 50)):
+    """sha256 over exit code, stdout and stderr of analyze --mixed per F and order."""
     digest = hashlib.sha256()
     for text in texts:
-        for extra in ([], ["--order", "50"]):
+        for order in orders:
+            extra = [] if order is None else ["--order", str(order)]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(["analyze", "--phase", text, "--mixed", *extra])
@@ -277,13 +280,35 @@ def analyze_bytes(texts):
     return digest.hexdigest()
 
 
+def pinned_corpus():
+    # F with 1-5 terms, exponents in [0, 3]^2, coefficients 1-4
+    rng = random.Random(1997)
+    texts = []
+    for _ in range(40):
+        pts = sorted({(rng.randrange(4), rng.randrange(4)) for _ in range(rng.randrange(1, 6))})
+        texts.append(" + ".join(f"{rng.randrange(1, 5)}*x^{a}*y^{b}" for a, b in pts))
+    return texts
+
+
+# Cluster phases whose sheets separate late, at or past a low order.
+LATE_SPLITS = [
+    "(y-x)^2 - x^7",
+    "(y^3-x^2)^2 - x^5*y",
+    "(y^2-x^3)^2 - 4*x^5*y - x^7",
+    "(y-x)^4",
+    "(y-x)^2*(y+x)^3 - x^9",
+    "(y - x - x^2)^3 + x^11",
+]
+
+
 class TestPinnedBytes:
     def test_analyze_corpus_bytes(self):
-        # F with 1-5 terms, exponents in [0, 3]^2, coefficients 1-4; the
-        # digest pins every coefficient bit the expansion prints
-        rng = random.Random(1997)
-        texts = []
-        for _ in range(40):
-            pts = sorted({(rng.randrange(4), rng.randrange(4)) for _ in range(rng.randrange(1, 6))})
-            texts.append(" + ".join(f"{rng.randrange(1, 5)}*x^{a}*y^{b}" for a, b in pts))
-        assert analyze_bytes(texts) == PINNED
+        # the digest pins every coefficient bit the expansion prints
+        assert analyze_bytes(pinned_corpus()) == PINNED
+
+    def test_truncated_record_bytes(self):
+        # At order 1 this set yields 2 merged records, 7 top-level leading
+        # terms beyond the order and 9 unresolved multi-sheet branches,
+        # record kinds the default and order-50 runs never reach.
+        texts = pinned_corpus() + LATE_SPLITS
+        assert analyze_bytes(texts, orders=(1, 2)) == PINNED_TRUNCATED
