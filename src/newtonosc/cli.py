@@ -98,6 +98,13 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise ParseError(f"bad numeric list {text!r}", 0) from exc
 
 
+def _parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad fraction {text!r}", 0) from exc
+
+
 # ---------------------------------------------------------------------------
 # schemas
 
@@ -170,7 +177,7 @@ DYADPOL_SCHEMA = _payload_schema(
 def cmd_analyze(args) -> int:
     _, F = _load_phase(args.phase, args.mixed)
     polygon = build_polygon(F)  # EmptyPolygonError -> exit 3
-    order = Fraction(args.order) if args.order is not None else None
+    order = _parse_fraction(args.order) if args.order is not None else None
     deg_y = max((b for _, b in F.support()), default=0)
     branches = expand_branches(F, order=order) if deg_y > 0 else None
     decay = analyze_decay(F, branches=branches)
@@ -476,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="polygon, decay rate, branches, degeneracy")
     _add_common(sp, fmt_default=None)
-    sp.add_argument("--order", type=int, default=None, help="branch truncation order")
+    sp.add_argument("--order", default=None, help="branch truncation order, e.g. 8 or 1/2")
     sp.set_defaults(fn=cmd_analyze)
 
     sp = sub.add_parser("norm", help="operator norm at one lambda")

@@ -43,10 +43,10 @@ GRID_CAP = 4096
 GRID_MIN = 16
 SAFETY = 2.0
 COMPLEX64_ABOVE = 2048
-_CHUNK_ROWS = 256
-# a swap-symmetric N x N kernel is built in row tiles of this height from
-# the diagonal rightwards, which evaluates 1/2 + _TILE_ROWS / (2N) of it;
-# shorter tiles cost more in per-tile overhead than they save
+# every kernel is built in row tiles of this height; a swap-symmetric
+# N x N kernel builds each tile from the diagonal rightwards, which
+# evaluates 1/2 + _TILE_ROWS / (2N) of it; shorter tiles cost more in
+# per-tile overhead than they save
 _TILE_ROWS = 64
 # the resolution guard: at most pi/2 of phase across one grid cell
 _MAX_CELL_PHASE = math.pi / 2 + 1e-12
@@ -310,10 +310,9 @@ def discretize(
         and y_window is None
         and _swap_symmetric(p.S)
     )
-    rows = _TILE_ROWS if symmetric else _CHUNK_ROWS
     M = np.empty((xs.size, ys.size), dtype=kernel_dtype(xs.size))
-    for r0 in range(0, xs.size, rows):
-        r1 = min(r0 + rows, xs.size)
+    for r0 in range(0, xs.size, _TILE_ROWS):
+        r1 = min(r0 + _TILE_ROWS, xs.size)
         c0 = r0 if symmetric else 0
         amp = np.multiply.outer(wx[r0:r1], wy[c0:])
         if odd:

@@ -9,9 +9,10 @@ the keys if the slope needs a larger D, solves the edge polynomial for
 leading coefficients, substitutes, and recurses.  Ramification is tracked
 per branch; there is never a global x -> x^(1/r) substitution.
 
-Every place the recursion stops (an exact root, sheets stuck at the
-cluster scale, continuations beyond the order, a merge) yields the same
-record: terms, multiplicity, exactness and the order resolved.
+The sheets that stop at one prefix (an exact root, sheets stuck at the
+cluster scale, continuations beyond the order) share one record: terms,
+multiplicity, exactness and the order resolved.  Sheets with different
+prefixes are never merged.
 
 Truncation is reported in band: a cluster of sheets that agree to the
 computed order comes back as one branch with the combined multiplicity
@@ -234,9 +235,8 @@ def _substitute(poly, G, c):
 def _record(terms, mult, order, exact=False):
     """One sheet record: terms as (gamma, c) pairs, resolved up to order.
 
-    order is None only for exact records and for merges of exact ones.
-    A non-exact record of several sheets is a cluster whose split lies
-    beyond what was computed.
+    order is None only for exact records.  A non-exact record of several
+    sheets is a cluster whose split lies beyond what was computed.
     """
     return {"terms": list(terms), "mult": mult, "exact": exact, "order": order}
 
@@ -245,29 +245,27 @@ def _expand(poly, D, m, prefix, gamma_prev, order, out):
     """Expand the m sheets of poly, whose key (E, k) is x^(E/D) y^k."""
     if len(prefix) > _MAX_DEPTH:
         raise RuntimeError("expansion recursion exceeded the depth cap")
+    # y^v divides exactly: the prefix is a terminating solution of v sheets
     v = min(k for _, k in poly)
     if v > 0:
-        # y^v divides exactly: the prefix is a terminating solution
-        out.append(_record(prefix, v, None, exact=True))
         poly = {(e, k - v): c for (e, k), c in poly.items()}
 
     edges = [(e, e.gamma / D) for e in hull_edges(lower_hull(poly.keys()))]
     target = [(e, gamma) for e, gamma in edges if gamma > gamma_prev]
     k_top = target[0][0].upper[1] if target else 0
-    leftover = m - v - k_top
-    if leftover < 0:
+    # sheets stuck at the cluster scale: conflated roots that did not
+    # separate; report them on the prefix, never drop them
+    stuck = m - v - k_top
+    if stuck < 0:
         raise RuntimeError("sheet accounting failed during expansion")
-    if leftover > 0:
-        # sheets stuck at the cluster scale: conflated roots that did not
-        # separate; report them on the prefix, never drop them
-        out.append(_record(prefix, leftover, gamma_prev))
 
-    horizon = 0
+    slot = len(out)
+    beyond = 0
     for edge, gamma in target:
         if gamma > order and prefix:
-            # continuations live entirely beyond the horizon: merged onto
-            # the prefix below with the combined multiplicity
-            horizon += edge.n
+            # continuations live entirely beyond the horizon: they stop
+            # on the prefix with its exact and stuck sheets
+            beyond += edge.n
             continue
         psi = _edge_poly(poly, edge)
         roots = list(np.roots(psi))
@@ -287,53 +285,15 @@ def _expand(poly, D, m, prefix, gamma_prev, order, out):
                 continue
             sub = _substitute(scaled, G, c)
             _expand(sub, D2, size, terms, gamma, order, out)
-    if horizon > 0:
-        out.append(_record(prefix, horizon, order))
 
-
-def _records_equal(a, b) -> bool:
-    """Same expansion as far as both records are resolved."""
-    cutoff = min(
-        (r["order"] for r in (a, b) if r["order"] is not None), default=None
-    )
-
-    def upto(rec):
-        return {
-            e: c for e, c in rec["terms"] if cutoff is None or e <= cutoff
-        }
-
-    ta, tb = upto(a), upto(b)
-    if set(ta) != set(tb):
-        return False
-    for e, ca in ta.items():
-        cb = tb[e]
-        if abs(ca - cb) > CLUSTER_REL_TOL * max(1.0, abs(ca), abs(cb)):
-            return False
-    return True
-
-
-def _merge_records(records):
-    merged = []
-    used = [False] * len(records)
-    for i, rec in enumerate(records):
-        if used[i]:
-            continue
-        group = [rec]
-        for j in range(i + 1, len(records)):
-            if not used[j] and _records_equal(rec, records[j]):
-                used[j] = True
-                group.append(records[j])
-        if len(group) == 1:
-            merged.append(rec)
-            continue
-        # indistinguishable at this order; combine and flag rather than
-        # keep duplicates or claim they are provably equal
-        orders = [g["order"] for g in group if g["order"] is not None]
-        longest = max(group, key=lambda g: len(g["terms"]))
-        merged.append(
-            _record(longest["terms"], sum(g["mult"] for g in group), min(orders, default=None))
-        )
-    return merged
+    # the sheets that stop at this prefix share one record, exact only
+    # when all of them are; it precedes the continuations unless it holds
+    # nothing but sheets beyond the order
+    mult = v + stuck + beyond
+    if mult:
+        exact = mult == v
+        resolved = None if exact else gamma_prev if stuck else order
+        out.insert(slot if v or stuck else len(out), _record(prefix, mult, resolved, exact))
 
 
 def _record_to_branch(rec) -> PuiseuxBranch:
@@ -379,7 +339,6 @@ def expand_branches(F: BivarPoly, order=None) -> BranchSet:
     records: list[dict] = []
     if m > 0:
         _expand(work, 1, m, [], Fraction(0), order, records)
-    records = _merge_records(records)
     branches = sorted(
         (_record_to_branch(rec) for rec in records),
         key=lambda b: (

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -13,6 +14,8 @@ import pytest
 import newtonosc
 from newtonosc import cli, scaling
 from newtonosc.cli import build_parser, main
+from newtonosc.polycore import parse_poly
+from newtonosc.puiseux import expand_branches
 
 
 def run(capsys, *argv):
@@ -113,6 +116,21 @@ class TestAnalyze:
         )
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "ValueError"
+
+    def test_fractional_order(self, capsys):
+        text = "(y^2-x^3)^2 - 4*x^5*y - x^7"
+        d = run_json(capsys, "analyze", "--mixed", "--phase", text, "--order", "1/2")
+        expected = expand_branches(parse_poly(text), Fraction(1, 2)).to_dict()
+        assert d["branches"]["order"] == "1/2"
+        assert d["branches"] == json.loads(json.dumps(expected))
+
+    @pytest.mark.parametrize("order", ["abc", "1/0", ""])
+    def test_malformed_order_is_2(self, capsys, order):
+        code, out, err = run(
+            capsys, "analyze", "--mixed", "--phase", "y^2-x^3", "--order", order
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ParseError"
 
 
 class TestDashPhase:

@@ -261,10 +261,43 @@ class TestLattice:
                 assert type(br.leading_exponent) is Fraction
 
 
+class TestSheetsStopOnePrefix:
+    """Sheets share a record only when they stop at the same prefix."""
+
+    @pytest.mark.parametrize("text, n", [("y^2-x^3", 2), ("y^3-x^4", 3)])
+    def test_leading_terms_beyond_the_order_stay_apart(self, text, n):
+        out = expand_branches(parse_poly(text), order=1)
+        assert out.total_multiplicity == n and len(out.branches) == n
+        for br in out.branches:
+            assert br.multiplicity == 1 and not br.split_undetermined
+            assert br.leading_exponent == F(n + 1, n)
+            assert abs(abs(br.leading_coefficient) - 1.0) < 1e-12
+        if n == 2:
+            lead = [br.leading_coefficient for br in out.branches]
+            assert [c.real for c in lead] == pytest.approx([-1.0, 1.0], abs=1e-12)
+
+    def test_stuck_sheets_keep_their_own_record(self):
+        # the roots 1 and 1.001 share one cluster at x^1: two sheets stay
+        # stuck there, two resolve below it.  The true sheets are x +- x^2;
+        # the cluster mean skews the printed x^2 coefficients to +-0.7071.
+        text = "(y-x)*(1000*y-1001*x)*(y-x-x^2)*(y-x+x^2)"
+        out = expand_branches(parse_poly(text), order=3)
+        assert out.total_multiplicity == 4
+        stuck = [br for br in out.branches if br.split_undetermined]
+        assert len(stuck) == 1
+        assert stuck[0].multiplicity == 2 and len(stuck[0].terms) == 1
+        rest = [br for br in out.branches if not br.split_undetermined]
+        assert [br.multiplicity for br in rest] == [1, 1]
+        x2 = sorted(coeffs(br)[F(2)].real for br in rest)
+        assert x2 == pytest.approx([-0.7071, 0.7071], abs=1e-4)
+
+
 # captured before the exponents moved onto the integer lattice
 PINNED = "830d2a2221abd99c6ef2baf2231f6529f6aacb776539fe66bc5f1e7e7bc55eb7"
-# captured before the sheet records took one shape
-PINNED_TRUNCATED = "50da9e619b07981e87095947c440294e428558961aa35779f4118a1fd8333b4b"
+# captured once the sheets that stop at one prefix shared one record and
+# no other records were merged; the earlier merge pass fused sheets whose
+# leading terms lay beyond the order, such as +-x^(3/2) at order 1
+PINNED_TRUNCATED = "925b5da10504cfa0c76086968f35772d84fdf9915511f1404f4136ab8bd1c646"
 
 
 def analyze_bytes(texts, orders=(None, 50)):
@@ -307,8 +340,8 @@ class TestPinnedBytes:
         assert analyze_bytes(pinned_corpus()) == PINNED
 
     def test_truncated_record_bytes(self):
-        # At order 1 this set yields 2 merged records, 7 top-level leading
-        # terms beyond the order and 9 unresolved multi-sheet branches,
-        # record kinds the default and order-50 runs never reach.
+        # At order 1 this set yields 7 top-level leading terms beyond the
+        # order and 9 unresolved multi-sheet branches, record kinds the
+        # default and order-50 runs never reach.
         texts = pinned_corpus() + LATE_SPLITS
         assert analyze_bytes(texts, orders=(1, 2)) == PINNED_TRUNCATED
