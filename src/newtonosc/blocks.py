@@ -133,9 +133,13 @@ class BlockEstimate:
     k: int
     mu: float
     measured: float
-    size: float
     osc: float
     region: Region
+
+    @property
+    def size(self) -> float:
+        """Support-size bound of the block: the ring [2^(-j-1), 2^(-j+1)] is 3 * 2^(-j-1) long."""
+        return size_bound(3.0 * 2.0 ** (-self.j - 1), 3.0 * 2.0 ** (-self.k - 1))
 
     @property
     def bound(self) -> float:
@@ -227,16 +231,12 @@ def verify_blocks(
             except ResolutionError as exc:
                 failures.append((j, k, str(exc)))
                 continue
-            size = size_bound(3.0 * 2.0 ** (-j - 1), 3.0 * 2.0 ** (-k - 1))
             if region.kind == "Gap" and lam != 0:
                 osc = op_vdc_bound(abs(lam), mu)
             else:
                 osc = math.inf
             estimates.append(
-                BlockEstimate(
-                    j=j, k=k, mu=mu, measured=measured,
-                    size=size, osc=osc, region=region,
-                )
+                BlockEstimate(j=j, k=k, mu=mu, measured=measured, osc=osc, region=region)
             )
     worst: dict[str, float] = {}
     for e in estimates:

@@ -91,9 +91,9 @@ def _load_phase(expr: str, mixed: bool):
     return poly, mixed_derivative(poly)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _parse_numbers(text: str, kind=float) -> tuple:
     try:
-        return tuple(float(t) for t in text.split(",") if t.strip())
+        return tuple(kind(t) for t in text.split(",") if t.strip())
     except ValueError as exc:
         raise ParseError(f"bad numeric list {text!r}", 0) from exc
 
@@ -227,9 +227,9 @@ def cmd_sweep(args) -> int:
     p = PhaseSpec(S=S, rho=args.rho)
     kwargs = {"tol_slope": args.tol_slope, "seed": args.seed}
     if args.lambdas is not None:
-        kwargs["lambdas"] = _parse_floats(args.lambdas)
+        kwargs["lambdas"] = _parse_numbers(args.lambdas)
     if args.fit_window is not None:
-        window = _parse_floats(args.fit_window)
+        window = _parse_numbers(args.fit_window)
         if len(window) != 2:
             raise ParseError("fit window must be two numbers lo,hi", 0)
         kwargs["fit_window"] = window
@@ -268,8 +268,7 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_dyadpol(args) -> int:
-    r = tuple(int(t) for t in args.r.split(","))
-    profile = ExponentProfile(r=r, C=args.C)
+    profile = ExponentProfile(r=_parse_numbers(args.r, int), C=args.C)
     corners = envelope_corners(profile)
     lbset = lower_bound_set(profile)
     report = verify_lower_bound(

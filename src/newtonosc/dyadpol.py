@@ -105,10 +105,19 @@ class LowerBoundSet:
 
 
 def lower_bound_set(profile: ExponentProfile) -> LowerBoundSet:
-    """Excise rounded B'-neighborhoods of every envelope corner from [0, 1]."""
+    """Excise rounded B'-neighborhoods of every envelope corner from [0, 1].
+
+    ValueError when B = 2^(N B') reaches 2^1024, where 1/B is no double.
+    """
     N = profile.N
     C = profile.C
-    B_prime = math.ceil(math.log2(4 * C * C * (N + 1)))
+    log2_slack = math.log2(4 * C * C * (N + 1))  # inf once C * C overflows
+    B_prime = math.ceil(log2_slack) if math.isfinite(log2_slack) else math.inf
+    if N * B_prime >= 1024:
+        raise ValueError(
+            f"profile constants overflow a double: C={C}, N={N}, "
+            f"log2 B={N * B_prime} (needs < 1024)"
+        )
     B = max(2 ** (N * B_prime), math.ceil(2 * C * C * (N + 1)))
 
     corners = envelope_corners(profile)
@@ -149,11 +158,14 @@ def lower_bound_set(profile: ExponentProfile) -> LowerBoundSet:
 class LowerBoundReport:
     min_observed: float
     bound: float
-    passed: bool
     trials: int
     h_density: int
     worst_trial: int
     worst_h: float
+
+    @property
+    def passed(self) -> bool:
+        return self.min_observed >= self.bound
 
     def to_dict(self) -> dict:
         return {
@@ -235,7 +247,6 @@ def verify_lower_bound(
     return LowerBoundReport(
         min_observed=min_observed,
         bound=lbset.bound,
-        passed=min_observed >= lbset.bound,
         trials=trials,
         h_density=h_density,
         worst_trial=worst_trial,

@@ -30,6 +30,12 @@ class EdgeData:
     upper: tuple[int, int]
     lower: tuple[int, int]
 
+    @property
+    def delta(self) -> Fraction:
+        """delta_nu = 1/(1 + t_nu), t_nu where the diagonal meets this edge's line."""
+        a_nu, b_nu = self.lower
+        return (1 + self.gamma) / (1 + a_nu + (1 + b_nu) * self.gamma)
+
 
 @dataclass(frozen=True)
 class NewtonPolygon:
@@ -133,39 +139,6 @@ def decay_rate(polygon: NewtonPolygon) -> tuple[Fraction, Fraction, str]:
     return t0, 1 / (1 + t0), "infinite_edge"
 
 
-@dataclass(frozen=True)
-class EdgeRate:
-    """Decay exponent carried by a single edge.
-
-    (A_nu, B_nu) is the lower endpoint; delta_nu is the exponent the edge
-    would give if the diagonal crossed its supporting line, and satisfies
-    1/delta_nu = 1 + t_nu with t_nu that line's diagonal crossing.
-    """
-
-    nu: int
-    gamma: Fraction
-    n: int
-    A_nu: int
-    B_nu: int
-    delta_nu: Fraction
-
-
-def edge_rates(polygon: NewtonPolygon) -> tuple[EdgeRate, ...]:
-    """Per-edge exponents, edges numbered 1..m in increasing gamma.
-
-    A single-vertex polygon has no compact edges and gives ().
-    """
-    rates = []
-    for nu, edge in enumerate(polygon.edges, start=1):
-        a_nu, b_nu = edge.lower
-        gamma = edge.gamma
-        delta_nu = (1 + gamma) / (1 + a_nu + (1 + b_nu) * gamma)
-        rates.append(
-            EdgeRate(nu=nu, gamma=gamma, n=edge.n, A_nu=a_nu, B_nu=b_nu, delta_nu=delta_nu)
-        )
-    return tuple(rates)
-
-
 class DegeneracyKind(str, Enum):
     NON_DEGENERATE = "NonDegenerate"
     COMPLETELY_DEGENERATE = "CompletelyDegenerate"
@@ -238,15 +211,33 @@ def detect_degeneracy(F: BivarPoly, branches=None) -> Degeneracy:
 
 @dataclass(frozen=True)
 class DecayReport:
-    """Everything the polygon says about the decay of the operator norm."""
+    """Everything the polygon says about the decay of the operator norm.
+
+    Stores the diagonal crossing t0 and its kind, the degeneracy, and the
+    polygon; delta = 1/(1 + t0), and the offsets A, B and the edges, each
+    with its own exponent delta_nu, are the polygon's.
+    """
 
     t0: Fraction
-    delta: Fraction
     boundary_crossing: str
-    A: int
-    B: int
-    edges: tuple[EdgeRate, ...]
     degeneracy: Degeneracy
+    polygon: NewtonPolygon
+
+    @property
+    def delta(self) -> Fraction:
+        return 1 / (1 + self.t0)
+
+    @property
+    def A(self) -> int:
+        return self.polygon.A
+
+    @property
+    def B(self) -> int:
+        return self.polygon.B
+
+    @property
+    def edges(self) -> tuple[EdgeData, ...]:
+        return self.polygon.edges
 
     def to_dict(self) -> dict:
         deg: dict = {"kind": self.degeneracy.kind.value}
@@ -266,9 +257,9 @@ class DecayReport:
                 {
                     "gamma": str(e.gamma),
                     "n": e.n,
-                    "A_nu": e.A_nu,
-                    "B_nu": e.B_nu,
-                    "delta_nu": str(e.delta_nu),
+                    "A_nu": e.lower[0],
+                    "B_nu": e.lower[1],
+                    "delta_nu": str(e.delta),
                 }
                 for e in self.edges
             ],
@@ -279,14 +270,10 @@ class DecayReport:
 def analyze_decay(F: BivarPoly, branches=None) -> DecayReport:
     """Polygon, crossing, per-edge rates, and degeneracy in one report."""
     polygon = build_polygon(F)
-    t0, delta, crossing = decay_rate(polygon)
-    degeneracy = detect_degeneracy(F, branches=branches)
+    t0, _, crossing = decay_rate(polygon)
     return DecayReport(
         t0=t0,
-        delta=delta,
         boundary_crossing=crossing,
-        A=polygon.A,
-        B=polygon.B,
-        edges=edge_rates(polygon),
-        degeneracy=degeneracy,
+        degeneracy=detect_degeneracy(F, branches=branches),
+        polygon=polygon,
     )

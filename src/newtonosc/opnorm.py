@@ -3,8 +3,8 @@
 The operator acts by integrating e^{i lam S(x,y)} against a fixed smooth
 tensor-product cutoff.  Midpoint sampling with symmetric sqrt(h) weights
 turns it into a matrix whose spectral norm tracks the L2 operator norm
-once the grid resolves the oscillation; the sizing rule keeps
-lam * |grad S| * h below pi/2 with a safety factor, where S is the
+once the grid samples the oscillation finely; the sizing rule keeps
+lam * |grad S| * h at most pi/4, half the guard's pi/2, where S is the
 canonical phase integrate_xy(S''_xy) that PhaseSpec stores.  grid_points
 is that rule's one home: the square grids of auto_grid and the block
 grids of the dyadic decomposition are both sized by it.  On the square
@@ -111,8 +111,8 @@ def _midpoints(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
 def gradient_bound(S: BivarPoly, domain) -> float:
     """Sampled max of |dS/dx| + |dS/dy| over the rectangle.
 
-    Memoized on (S, domain), both hashable: within a norm_at, auto_grid,
-    resolves and every sector build probe the same square.
+    Memoized on (S, domain), both hashable: within a norm_at, auto_grid
+    and every sector build probe the same square.
     """
     x0, x1, y0, y1 = domain
     xs, _ = _midpoints(x0, x1, _PROBE)
@@ -188,24 +188,6 @@ class DiscreteOperator:
         return np.conj(np.conj(self._cast(v)) @ self.matrix)
 
 
-def _cell_phase(p: PhaseSpec, lam: float, g: GridSpec) -> float:
-    """|lam| * |grad S| * h: the largest phase step across one cell of g."""
-    x0, x1, y0, y1 = g.domain
-    h = max((x1 - x0) / g.n, (y1 - y0) / g.n)
-    return abs(lam) * gradient_bound(p.S, g.domain) * h
-
-
-def resolves(p: PhaseSpec, lam: float, n: int) -> bool:
-    """True when the n-point square grid is legal and discretize accepts it.
-
-    Legal means n >= GRID_MIN; discretize accepts at most pi/2 of phase
-    per cell.
-    """
-    if n < GRID_MIN:
-        return False
-    return _cell_phase(p, lam, GridSpec.square(n, p.rho)) <= _MAX_CELL_PHASE
-
-
 def kernel_dtype(n: int):
     """complex128 up to the crossover size, complex64 above it.
 
@@ -271,12 +253,14 @@ def discretize(
     tile only from the diagonal rightwards and mirrors it, so the result
     is exactly symmetric and about half of its entries are evaluated.
     """
-    step = _cell_phase(p, lam, g)
+    x0, x1, y0, y1 = g.domain
+    # |lam| * |grad S| * h: the largest phase step across one cell
+    h = max((x1 - x0) / g.n, (y1 - y0) / g.n)
+    step = abs(lam) * gradient_bound(p.S, g.domain) * h
     if not step <= _MAX_CELL_PHASE:
         raise ResolutionError(
             f"grid n={g.n} does not resolve lambda={lam} (lam*G*h={step:.3f})"
         )
-    x0, x1, y0, y1 = g.domain
     xs, hx = _midpoints(x0, x1, g.n)
     ys, hy = _midpoints(y0, y1, g.n)
     wx = bump(xs / p.rho) * math.sqrt(hx)

@@ -7,6 +7,7 @@ through rational arithmetic with a single rounding at the end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -388,37 +389,43 @@ class PuiseuxTerm:
 class PuiseuxBranch:
     """A solution sheet y = sum c_k x^(e_k) of F(x, y(x)) = 0 near x = 0+.
 
-    ramification is the common exponent denominator for this sheet alone;
-    no substitution x -> x^(1/r) is ever shared across branches.  exact
-    marks sheets whose series terminates (the sum is the whole solution);
-    order is the truncation exponent otherwise.  split_undetermined marks a
-    cluster whose members could not be told apart at this order, with the
-    combined multiplicity.
+    exact marks sheets whose series terminates (the sum is the whole
+    solution); order is the truncation exponent otherwise.  ramification,
+    the lcm of the exponent denominators, is this sheet's alone: no
+    substitution x -> x^(1/r) is ever shared across branches.
+    split_undetermined marks a non-exact cluster of several sheets that
+    could not be told apart at this order.
     """
 
-    ramification: int
     terms: tuple[PuiseuxTerm, ...]
     multiplicity: int = 1
-    reality: Reality = Reality.REAL
     exact: bool = False
-    split_undetermined: bool = False
     order: Fraction | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        if self.ramification < 1:
-            raise ValueError("ramification index must be a positive integer")
         if not self.terms:
             raise ValueError("a branch needs at least one term")
         exponents = [t.exponent for t in self.terms]
         for e0, e1 in zip(exponents, exponents[1:]):
             if not e0 < e1:
                 raise ValueError("series exponents must increase strictly")
-        for e in exponents:
-            if (e * self.ramification).denominator != 1:
-                raise ValueError("exponent denominator must divide the ramification index")
         if self.multiplicity < 1:
             raise ValueError("multiplicity must be a positive integer")
+
+    @property
+    def ramification(self) -> int:
+        return math.lcm(*(t.exponent.denominator for t in self.terms))
+
+    @property
+    def reality(self) -> Reality:
+        if all(t.coefficient.imag == 0 for t in self.terms):
+            return Reality.REAL
+        return Reality.COMPLEX_PAIR
+
+    @property
+    def split_undetermined(self) -> bool:
+        return not self.exact and self.multiplicity > 1
 
     @property
     def leading_exponent(self) -> Fraction:

@@ -10,7 +10,7 @@ leading coefficients, substitutes, and recurses.  Ramification is tracked
 per branch; there is never a global x -> x^(1/r) substitution.
 
 The sheets that stop at one prefix (an exact root, sheets stuck at the
-cluster scale, continuations beyond the order) share one record: terms,
+cluster scale, continuations beyond the order) form one branch: terms,
 multiplicity, exactness and the order resolved.  Sheets with different
 prefixes are never merged.
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import EmptyPolygonError, NumericalUnderflowError
 from .newton import EdgeData, hull_edges, lower_hull
-from .polycore import BivarPoly, PuiseuxBranch, PuiseuxTerm, Reality, eval_branch
+from .polycore import BivarPoly, PuiseuxBranch, PuiseuxTerm, eval_branch
 
 # Floor for the relative clustering tolerance.  An exact m-fold root of an
 # edge polynomial scatters by about eps^(1/m) relative in double precision
@@ -54,16 +54,23 @@ class BranchSet:
 
     axis_roots counts the plain x and y powers dividing F; they are kept
     as counts, not branches.  total_multiplicity is the number of sheets
-    (with multiplicity) tending to 0 along x -> 0+, and always equals the
-    sum of branch multiplicities.  cluster_tolerance is the relative
-    tolerance that was used to merge root clusters.
+    (with multiplicity) tending to 0 along x -> 0+, the sum of branch
+    multiplicities.  cluster_tolerance is the relative tolerance that
+    merges root clusters of that many sheets at the top level.
     """
 
     branches: tuple[PuiseuxBranch, ...]
-    total_multiplicity: int
     axis_roots: tuple[int, int]
-    cluster_tolerance: float
     order: Fraction
+
+    @property
+    def total_multiplicity(self) -> int:
+        return sum(b.multiplicity for b in self.branches)
+
+    @property
+    def cluster_tolerance(self) -> float:
+        m = self.total_multiplicity
+        return _cluster_tol(m) if m >= 2 else CLUSTER_REL_TOL
 
     def to_dict(self) -> dict:
         return {
@@ -232,13 +239,19 @@ def _substitute(poly, G, c):
 # --- the expansion ----------------------------------------------------------
 
 
-def _record(terms, mult, order, exact=False):
-    """One sheet record: terms as (gamma, c) pairs, resolved up to order.
+def _branch(terms, mult, order, exact=False) -> PuiseuxBranch:
+    """One branch of mult sheets from (gamma, c) pairs, resolved up to order.
 
-    order is None only for exact records.  A non-exact record of several
-    sheets is a cluster whose split lies beyond what was computed.
+    order is None only for exact branches.  Terms below TERM_DROP_TOL of
+    the leading coefficient are dropped.
     """
-    return {"terms": list(terms), "mult": mult, "exact": exact, "order": order}
+    lead = abs(terms[0][1])
+    return PuiseuxBranch(
+        terms=tuple(PuiseuxTerm(e, c) for e, c in terms if abs(c) > TERM_DROP_TOL * lead),
+        multiplicity=mult,
+        exact=exact,
+        order=order,
+    )
 
 
 def _expand(poly, D, m, prefix, gamma_prev, order, out):
@@ -281,37 +294,19 @@ def _expand(poly, D, m, prefix, gamma_prev, order, out):
             if gamma > order:
                 # top level: a branch needs its leading term even when that
                 # term already sits beyond the requested order
-                out.append(_record(terms, size, order))
+                out.append(_branch(terms, size, order))
                 continue
             sub = _substitute(scaled, G, c)
             _expand(sub, D2, size, terms, gamma, order, out)
 
-    # the sheets that stop at this prefix share one record, exact only
+    # the sheets that stop at this prefix form one branch, exact only
     # when all of them are; it precedes the continuations unless it holds
     # nothing but sheets beyond the order
     mult = v + stuck + beyond
     if mult:
         exact = mult == v
         resolved = None if exact else gamma_prev if stuck else order
-        out.insert(slot if v or stuck else len(out), _record(prefix, mult, resolved, exact))
-
-
-def _record_to_branch(rec) -> PuiseuxBranch:
-    terms = rec["terms"]
-    lead = abs(terms[0][1])
-    kept = [
-        (e, c) for e, c in terms if abs(c) > TERM_DROP_TOL * lead
-    ]
-    real = all(c.imag == 0 for _, c in kept)
-    return PuiseuxBranch(
-        ramification=math.lcm(*(e.denominator for e, _ in kept)),
-        terms=tuple(PuiseuxTerm(e, c) for e, c in kept),
-        multiplicity=rec["mult"],
-        reality=Reality.REAL if real else Reality.COMPLEX_PAIR,
-        exact=rec["exact"],
-        split_undetermined=not rec["exact"] and rec["mult"] > 1,
-        order=rec["order"],
-    )
+        out.insert(slot if v or stuck else len(out), _branch(prefix, mult, resolved, exact))
 
 
 def expand_branches(F: BivarPoly, order=None) -> BranchSet:
@@ -335,30 +330,22 @@ def expand_branches(F: BivarPoly, order=None) -> BranchSet:
     work = {(a - A, b - B): complex(c) for (a, b), c in F.terms.items()}
     m = min(k for (e, k) in work if e == 0)
 
-    cluster_tol = _cluster_tol(m) if m >= 2 else CLUSTER_REL_TOL
-    records: list[dict] = []
+    branches: list[PuiseuxBranch] = []
     if m > 0:
-        _expand(work, 1, m, [], Fraction(0), order, records)
-    branches = sorted(
-        (_record_to_branch(rec) for rec in records),
+        _expand(work, 1, m, [], Fraction(0), order, branches)
+    branches.sort(
         key=lambda b: (
             b.leading_exponent,
             b.leading_coefficient.real,
             b.leading_coefficient.imag,
         ),
     )
-    total = sum(b.multiplicity for b in branches)
-    if total != m:
+    out = BranchSet(branches=tuple(branches), axis_roots=(A, B), order=order)
+    if out.total_multiplicity != m:
         raise RuntimeError(
-            f"expansion lost sheets: expected {m}, accounted {total}"
+            f"expansion lost sheets: expected {m}, accounted {out.total_multiplicity}"
         )
-    return BranchSet(
-        branches=tuple(branches),
-        total_multiplicity=total,
-        axis_roots=(A, B),
-        cluster_tolerance=cluster_tol,
-        order=order,
-    )
+    return out
 
 
 # --- residual check ---------------------------------------------------------

@@ -20,13 +20,13 @@ from .errors import DomainError, InsufficientSamplesError
 from .newton import DecayReport, DegeneracyKind, analyze_decay
 from .opnorm import (
     GRID_CAP,
+    GRID_MIN,
     GridSpec,
     PhaseSpec,
     auto_grid,
     discretize,
     operator_norm,
     parity_sectors,
-    resolves,
 )
 from .polycore import mixed_derivative
 
@@ -56,7 +56,7 @@ class NormSample:
     """One norm estimate with its quadrature-error estimate.
 
     conv_err is the relative gap to the check grid (n/2, or 2n where
-    n/2 is not a legal grid).  iterations counts Lanczos steps summed
+    n/2 is below GRID_MIN).  iterations counts Lanczos steps summed
     over every parity sector of every grid solved for the sample, base
     and check grids alike; each step is one product with a sector
     matrix (the full kernel when the phase has no parity) and one with
@@ -161,14 +161,16 @@ def norm_at(p: PhaseSpec, lam: float, seed: int = 0) -> NormSample:
     """Norm estimate at one lambda with grid-check error control.
 
     The base grid n is solved first, from the caller's seed.  Its
-    estimate is checked against the grid n/2, or against 2n where n/2
-    is below GRID_MIN or does not resolve lambda; conv_err is the
-    relative gap |v(n) - v(check)| / v(n).  The midpoint rule on the
-    bump-windowed kernel converges spectrally, so the gap to n/2 is a
-    conservative estimate of the error at n.  If the gap reaches 2 percent the base doubles and
-    is compared with the grid already solved, while 2n fits under
-    GRID_CAP.  Each grid is solved one parity sector at a time
-    (_solve), and its value is the largest sector norm.  Each solve
+    estimate is checked against the grid n/2 when n > GRID_MIN, and
+    against 2n otherwise; conv_err is the relative gap
+    |v(n) - v(check)| / v(n).  auto_grid keeps |lam| * G * h <= pi/4
+    at n, so n/2 always passes discretize's pi/2 resolution guard.  The
+    midpoint rule on the bump-windowed kernel converges spectrally, so
+    the gap to n/2 is a conservative estimate of the error at n.  If the
+    gap reaches 2 percent the base doubles and is compared with the grid
+    already solved, while 2n fits under GRID_CAP.  Each grid is solved
+    one parity sector at a time (_solve), and its value is the largest
+    sector norm.  Each solve
     after the first is warm-started from the singular vector of the
     same sector of the other grid of the pair.  auto_grid returns a
     power of two >= GRID_MIN, so n, its check grid and every doubling
@@ -178,7 +180,7 @@ def norm_at(p: PhaseSpec, lam: float, seed: int = 0) -> NormSample:
     """
     n = auto_grid(p, lam).n
     runs = {n: _solve(p, lam, n, seed)}
-    m = n // 2 if resolves(p, lam, n // 2) else 2 * n
+    m = n // 2 if n > GRID_MIN else 2 * n
     while True:
         # one grid of the pair is solved; the other warm-starts from it
         for k, other in ((m, n), (n, m)):
@@ -273,10 +275,11 @@ def log_exponent_fit(samples: Sequence[NormSample], N: int) -> float:
 class ScalingReport:
     """Sweep, fit, prediction, and verdict in one record.
 
-    predicted is -delta/2 from the polygon, or -1/(N+2) when the mixed
-    derivative is an exact N-th power of a curve; log_exponent is the
-    measured exponent of the log correction in that degenerate case
-    (informational: for N = 2 the correction is known to be removable).
+    predicted, read from decay, is -delta/2 from the polygon, or
+    -1/(N+2) when the mixed derivative is an exact N-th power of a
+    curve; log_exponent is the measured exponent of the log correction
+    in that degenerate case (informational: for N = 2 the correction is
+    known to be removable).
     retry holds a second report at half the cutoff radius, attached
     when the first verdict is Fail so a too-large neighborhood can be
     told apart from a genuine failure.
@@ -285,12 +288,15 @@ class ScalingReport:
     samples: tuple[NormSample, ...]
     slope: float
     stderr: float
-    predicted: Fraction
     tol_slope: float
     verdict: str
-    decay: Optional[DecayReport] = None
+    decay: DecayReport
     log_exponent: Optional[float] = None
     retry: Optional["ScalingReport"] = None
+
+    @property
+    def predicted(self) -> Fraction:
+        return predicted_exponent(self.decay)
 
     def to_dict(self) -> dict:
         out = {
@@ -300,9 +306,8 @@ class ScalingReport:
             "predicted": str(self.predicted),
             "tol_slope": self.tol_slope,
             "verdict": self.verdict,
+            "decay": self.decay.to_dict(),
         }
-        if self.decay is not None:
-            out["decay"] = self.decay.to_dict()
         if self.log_exponent is not None:
             out["log_exponent"] = self.log_exponent
         if self.retry is not None:
@@ -342,7 +347,6 @@ def verify_theorem(
             samples=samples,
             slope=math.nan,
             stderr=math.nan,
-            predicted=predicted,
             tol_slope=cfg.tol_slope,
             verdict=VERDICT_INCONCLUSIVE,
             decay=decay,
@@ -365,7 +369,6 @@ def verify_theorem(
         samples=samples,
         slope=slope,
         stderr=stderr,
-        predicted=predicted,
         tol_slope=cfg.tol_slope,
         verdict=verdict,
         decay=decay,

@@ -1,5 +1,7 @@
 """Dyadic partition, block classification, and block-level bound checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -323,15 +325,13 @@ class TestVerifyBlocks:
         assert len(failures) == 1 and failures[0][:2] == (1, 1)
 
     def test_estimate_row(self):
-        e = BlockEstimate(
-            j=2, k=3, mu=0.5, measured=0.125,
-            size=0.3, osc=np.inf, region=Region("Gap", 1),
-        )
+        e = BlockEstimate(j=2, k=3, mu=0.5, measured=0.125, osc=np.inf, region=Region("Gap", 1))
         row = e.to_row()
         assert row["region"] == "Gap(1)"
         assert row["osc_bound"] == ""
-        assert e.bound == 0.3
-        assert e.ratio == pytest.approx(0.125 / 0.3)
+        # rings [1/8, 1/2] and [1/16, 1/4]: sqrt(3/8 * 3/16)
+        assert e.bound == row["size_bound"] == pytest.approx(math.sqrt(9 / 128))
+        assert e.ratio == pytest.approx(0.125 / math.sqrt(9 / 128))
 
     def test_measured_below_size_bound(self):
         # size bound is oscillation-blind, so it must hold at any lambda

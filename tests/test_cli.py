@@ -327,6 +327,13 @@ class TestDyadpol:
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize("r", ["0,a", "1.5"])
+    def test_malformed_r_is_a_parse_error(self, capsys, r):
+        # like a malformed --lambdas: exit 2, one line of error JSON
+        code, out, err = run(capsys, "dyadpol", "--r", r)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"]["type"] == "ParseError"
+
     def test_negative_h_density_is_1(self, capsys):
         argv = ("dyadpol", "--r", "0,6", "--trials", "5", "--h-density")
         code, out, err = run(capsys, *argv, "-2")
@@ -396,6 +403,112 @@ class TestSchemas:
         report = {**payload["report"], "verdict": "Maybe"}
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate({**payload, "report": report}, schema)
+
+
+def _edge(gamma, n, a_nu, b_nu, delta_nu):
+    return {"gamma": gamma, "n": n, "A_nu": a_nu, "B_nu": b_nu, "delta_nu": delta_nu}
+
+
+def _decay(t0, delta, crossing, A, B, edges, **degeneracy):
+    return {"t0": t0, "delta": delta, "boundary_crossing": crossing, "A": A, "B": B,
+            "edges": edges, "degeneracy": degeneracy}
+
+
+class TestPinnedPayloads:
+    # Fields of the sweep, blocks and dyadpol payloads that are read off
+    # the polygon, the sheets and the profile, pinned as the CLI printed
+    # them before those records derived them; solver floats, which move
+    # with the BLAS kernel, are left out.
+
+    @pytest.mark.parametrize(
+        "phase, rho, pinned",
+        [
+            ("x*y", "0.85", ("-1/2", "Pass", False, False, _decay(
+                "0", "1", "vertex", 0, 0, [], kind="NonDegenerate"))),
+            ("x^2*y^2/4", "0.9", ("-1/4", "Fail", True, False, _decay(
+                "1", "1/2", "vertex", 1, 1, [], kind="NonDegenerate"))),
+            ("-(y-x)^4/12", "0.5", ("-1/4", "Fail", True, True, _decay(
+                "1", "1/2", "edge", 0, 0, [_edge("1", 2, 2, 0, "1/2")],
+                kind="CompletelyDegenerate", N=2, c=1.0))),
+        ],
+    )
+    def test_sweep(self, capsys, phase, rho, pinned):
+        r = run_json(capsys, "sweep", "--phase", phase, "--rho", rho,
+                     "--lambdas", "16,32,64,128")["report"]
+        got = (r["predicted"], r["verdict"], "retry" in r, "log_exponent" in r, r["decay"])
+        assert got == pinned
+
+    # (j, k, region, mu, size_bound) for j, k = 1..5 in row order
+    BLOCKS = {
+        ("--phase", "x^3*y/3 + x*y^2"): (
+            "1 1 NearEdge(1) 0.5625 0.75|1 2 NearEdge(1) 0.3125 0.5303300858899106|"
+            "1 3 NearEdge(1) 0.1875 0.375|1 4 NearEdge(1) 0.125 0.2651650429449553|"
+            "1 5 Gap(1) 0.25 0.1875|2 1 Gap(0) 0.5 0.5303300858899106|"
+            "2 2 NearEdge(1) 0.265625 0.375|2 3 NearEdge(1) 0.140625 0.2651650429449553|"
+            "2 4 NearEdge(1) 0.078125 0.1875|2 5 NearEdge(1) 0.046875 0.13258252147247765|"
+            "3 1 Gap(0) 0.5 0.375|3 2 Gap(0) 0.25 0.2651650429449553|3 3 Gap(0) 0.125 0.1875|"
+            "3 4 NearEdge(1) 0.06640625 0.13258252147247765|3 5 NearEdge(1) 0.03515625 0.09375|"
+            "4 1 Gap(0) 0.5 0.2651650429449553|4 2 Gap(0) 0.25 0.1875|"
+            "4 3 Gap(0) 0.125 0.13258252147247765|4 4 Gap(0) 0.0625 0.09375|"
+            "4 5 Gap(0) 0.03125 0.06629126073623882|5 1 Gap(0) 0.5 0.1875|"
+            "5 2 Gap(0) 0.25 0.13258252147247765|5 3 Gap(0) 0.125 0.09375|"
+            "5 4 Gap(0) 0.0625 0.06629126073623882|5 5 Gap(0) 0.03125 0.046875"
+        ),
+        ("--mixed", "--phase", "y^3 + x^2*y + x^5"): (
+            "1 1 NearEdge(1) 0.0322265625 0.75|1 2 NearEdge(1) 0.0107421875 0.5303300858899106|"
+            "1 3 NearEdge(1) 0.005126953125 0.375|"
+            "1 4 NearEdge(2) 0.002960205078125 0.2651650429449553|"
+            "1 5 NearEdge(2) 0.001956939697265625 0.1875|"
+            "2 1 NearEdge(1) 0.019561767578125 0.5303300858899106|"
+            "2 2 NearEdge(1) 0.003936767578125 0.375|"
+            "2 3 NearEdge(1) 0.001251220703125 0.2651650429449553|"
+            "2 4 NearEdge(1) 0.00054931640625 0.1875|"
+            "2 5 NearEdge(2) 0.000278472900390625 0.13258252147247765|"
+            "3 1 NearEdge(1) 0.016602516174316406 0.375|"
+            "3 2 NearEdge(1) 0.0024423599243164062 0.2651650429449553|"
+            "3 3 NearEdge(1) 0.0004892349243164062 0.1875|"
+            "3 4 NearEdge(1) 0.00015354156494140625 0.13258252147247765|"
+            "3 5 NearEdge(1) 6.580352783203125e-05 0.09375|"
+            "4 1 Gap(0) 0.125 0.2651650429449553|"
+            "4 2 NearEdge(1) 0.0020752251148223877 0.1875|"
+            "4 3 NearEdge(1) 0.0003052055835723877 0.13258252147247765|"
+            "4 4 NearEdge(1) 6.10649585723877e-05 0.09375|"
+            "4 5 NearEdge(1) 1.9103288650512695e-05 0.06629126073623882|"
+            "5 1 Gap(0) 0.125 0.1875|5 2 Gap(0) 0.015625 0.13258252147247765|"
+            "5 3 NearEdge(1) 0.0002594003453850746 0.09375|"
+            "5 4 NearEdge(1) 3.8147903978824615e-05 0.06629126073623882|"
+            "5 5 NearEdge(1) 7.630325853824615e-06 0.046875"
+        ),
+    }
+
+    @pytest.mark.parametrize("phase", list(BLOCKS))
+    def test_blocks(self, capsys, phase):
+        d = run_json(capsys, "blocks", *phase, "--lambda", "256", "--j-max", "5",
+                     "--format", "json")
+        rows = "|".join(
+            " ".join(str(e[key]) for key in ("j", "k", "region", "mu", "size_bound"))
+            for e in d["estimates"]
+        )
+        assert rows == self.BLOCKS[phase]
+
+    @pytest.mark.parametrize(
+        "argv, pinned",
+        [
+            (("--r", "0,6", "--C", "1", "--trials", "50"),
+             (-7, [], ["-3"], 4, 256, 0.00390625)),
+            (("--r", "0,30", "--trials", "20"),
+             (-21, [{"alpha": -9, "beta": 0}], ["-15"], 6, 4096, 0.000244140625)),
+            (("--r", "12,0,7", "--C", "3", "--trials", "20"),
+             (-20, [], ["-12", "5/2"], 8, 16777216, 5.960464477539063e-08)),
+        ],
+    )
+    def test_dyadpol(self, capsys, argv, pinned):
+        d = run_json(capsys, "dyadpol", *argv)
+        s, v = d["set"], d["verification"]
+        assert s["corners"] == d["corners"]
+        assert (s["leading_beta"], s["intervals"], s["corners"], s["B_prime"], s["B"],
+                v["bound"]) == pinned
+        assert v["pass"] is True
 
 
 class TestSurface:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +105,27 @@ class TestLowerBoundSet:
         for r, c, bp, b in table:
             e = lower_bound_set(ExponentProfile(r=r, C=c))
             assert (e.B_prime, e.B) == (bp, b)
+
+    @pytest.mark.parametrize(
+        "r, C, log2_B",
+        [
+            ((0, 6), math.inf, "inf"),
+            ((0, 6), 1e154, "inf"),  # 4 C^2 overflows
+            ((0,) * 200, 2.0, "2400"),
+            ((0, 6, 3, 2), 1e40, "1084"),
+        ],
+    )
+    def test_bound_below_the_double_range_is_refused(self, r, C, log2_B):
+        with pytest.raises(ValueError, match=re.escape(f"C={C}, N={len(r)}, log2 B={log2_B} ")):
+            lower_bound_set(ExponentProfile(r=r, C=C))
+
+    def test_smallest_double_bound_is_accepted(self):
+        # 4 C^2 (N + 1) = 2^1023 gives B' = 1023 and B = 2^1023; 1% more
+        # C needs B = 2^1024, whose 1/B is no double
+        e = lower_bound_set(ExponentProfile(r=(0,), C=2.0**510))
+        assert (e.B_prime, e.B, e.bound) == (1023, 2**1023, 2.0**-1023)
+        with pytest.raises(ValueError, match="log2 B=1024 "):
+            lower_bound_set(ExponentProfile(r=(0,), C=1.01 * 2.0**510))
 
     def test_single_corner_excision(self):
         e = lower_bound_set(ExponentProfile(r=(0, 6), C=1))

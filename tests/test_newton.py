@@ -12,7 +12,6 @@ from newtonosc.newton import (
     build_polygon,
     decay_rate,
     detect_degeneracy,
-    edge_rates,
     hull_edges,
     lower_hull,
 )
@@ -184,17 +183,17 @@ class TestDecayRate:
 
 class TestEdgeRates:
     def test_no_edges(self):
-        assert edge_rates(build_polygon(parse_poly("x*y"))) == ()
+        assert build_polygon(parse_poly("x*y")).edges == ()
 
     def test_circle_term(self):
-        (rate,) = edge_rates(build_polygon(parse_poly("x^2 + y^2")))
-        assert (rate.nu, rate.A_nu, rate.B_nu, rate.delta_nu) == (1, 2, 0, F(1, 2))
+        (edge,) = build_polygon(parse_poly("x^2 + y^2")).edges
+        assert (edge.lower, edge.delta) == ((2, 0), F(1, 2))
 
     def test_two_edges(self):
         poly = build_polygon(BivarPoly({(0, 3): 1, (2, 1): 1, (5, 0): 1}))
-        r1, r2 = edge_rates(poly)
-        assert (r1.A_nu, r1.B_nu, r1.delta_nu) == (2, 1, F(2, 5))
-        assert (r2.A_nu, r2.B_nu, r2.delta_nu) == (5, 0, F(4, 9))
+        e1, e2 = poly.edges
+        assert (e1.lower, e1.delta) == ((2, 1), F(2, 5))
+        assert (e2.lower, e2.delta) == ((5, 0), F(4, 9))
 
     def test_line_crossing_identity(self):
         # 1/delta_nu = 1 + t_nu where t_nu solves t = B_nu - (t - A_nu)/gamma
@@ -206,9 +205,10 @@ class TestEdgeRates:
             if not poly.edges:
                 continue
             checked += 1
-            for rate in edge_rates(poly):
-                t_nu = F(rate.A_nu + rate.B_nu * rate.gamma, 1 + rate.gamma)
-                assert 1 / rate.delta_nu == 1 + t_nu
+            for edge in poly.edges:
+                a_nu, b_nu = edge.lower
+                t_nu = F(a_nu + b_nu * edge.gamma, 1 + edge.gamma)
+                assert 1 / edge.delta == 1 + t_nu
 
     def test_edge_rates_dominate_delta(self):
         rng = random.Random(13)
@@ -220,8 +220,8 @@ class TestEdgeRates:
                 continue
             checked += 1
             _, delta, _ = decay_rate(poly)
-            for rate in edge_rates(poly):
-                assert rate.delta_nu >= delta
+            for edge in poly.edges:
+                assert edge.delta >= delta
 
 
 class TestDegeneracy:

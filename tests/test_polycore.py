@@ -182,41 +182,28 @@ class TestEval:
 
 class TestBranchTypes:
     def test_eval_power(self):
-        br = PuiseuxBranch(ramification=2, terms=(PuiseuxTerm(F(3, 2), 1.0),))
+        br = PuiseuxBranch(terms=(PuiseuxTerm(F(3, 2), 1.0),))
         assert eval_branch(br, 4.0) == 8.0
 
     def test_eval_sum(self):
-        br = PuiseuxBranch(
-            ramification=2,
-            terms=(PuiseuxTerm(F(1), 1.0), PuiseuxTerm(F(5, 2), 1.0)),
-        )
+        br = PuiseuxBranch(terms=(PuiseuxTerm(F(1), 1.0), PuiseuxTerm(F(5, 2), 1.0)))
         assert eval_branch(br, 1.0) == 2.0
 
     def test_eval_domain(self):
-        br = PuiseuxBranch(ramification=1, terms=(PuiseuxTerm(F(1), 1.0),))
+        br = PuiseuxBranch(terms=(PuiseuxTerm(F(1), 1.0),))
         with pytest.raises(DomainError):
             eval_branch(br, 0.0)
         with pytest.raises(DomainError):
             eval_branch(br, -1.0)
 
     def test_complex_value(self):
-        br = PuiseuxBranch(
-            ramification=2,
-            terms=(PuiseuxTerm(F(3, 2), 1j),),
-            reality=Reality.COMPLEX_PAIR,
-        )
+        br = PuiseuxBranch(terms=(PuiseuxTerm(F(3, 2), 1j),))
+        assert br.reality is Reality.COMPLEX_PAIR
         assert eval_branch(br, 4.0) == 8j
 
     def test_exponents_strictly_increase(self):
         with pytest.raises(ValueError):
-            PuiseuxBranch(
-                ramification=2,
-                terms=(PuiseuxTerm(F(3, 2), 1.0), PuiseuxTerm(F(3, 2), 2.0)),
-            )
-
-    def test_ramification_divides_denominators(self):
-        with pytest.raises(ValueError):
-            PuiseuxBranch(ramification=2, terms=(PuiseuxTerm(F(1, 3), 1.0),))
+            PuiseuxBranch(terms=(PuiseuxTerm(F(3, 2), 1.0), PuiseuxTerm(F(3, 2), 2.0)))
 
     def test_term_validation(self):
         with pytest.raises(ValueError):
@@ -226,4 +213,4 @@ class TestBranchTypes:
 
     def test_branch_needs_terms(self):
         with pytest.raises(ValueError):
-            PuiseuxBranch(ramification=1, terms=())
+            PuiseuxBranch(terms=())

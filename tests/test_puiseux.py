@@ -144,16 +144,14 @@ class TestResiduals:
         # claiming y = x solves (y-x)^2 - x^5 to order 5 must fail the
         # contract: the residual is exactly -x^5, slope 5 < 5 + 1
         poly = parse_poly("(y-x)^2 - x^5")
-        imposter = PuiseuxBranch(ramification=1, terms=(PuiseuxTerm(F(1), 1.0),))
+        imposter = PuiseuxBranch(terms=(PuiseuxTerm(F(1), 1.0),))
         slope = branch_residual_order(poly, imposter)
         assert abs(slope - 5.0) < 1e-6
         assert slope < 5 + 1 - 0.25
 
     def test_underflow_detected(self):
         poly = BivarPoly({(0, 2): F(1, 10**290), (3, 0): F(-1, 10**290)})
-        off = PuiseuxBranch(
-            ramification=2, terms=(PuiseuxTerm(F(3, 2), 1.0 + 1e-12),)
-        )
+        off = PuiseuxBranch(terms=(PuiseuxTerm(F(3, 2), 1.0 + 1e-12),))
         with pytest.raises(NumericalUnderflowError):
             branch_residual_order(poly, off)
 

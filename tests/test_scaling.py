@@ -18,11 +18,13 @@ from newtonosc.newton import analyze_decay
 from newtonosc import scaling
 from newtonosc.opnorm import (
     GRID_MIN,
+    SAFETY,
     GridSpec,
     PhaseSpec,
     auto_grid,
     bump,
     discretize,
+    gradient_bound,
     operator_norm,
     parity_sectors,
 )
@@ -110,9 +112,10 @@ class TestNormAt:
     def test_grid_override_agrees(self, monkeypatch):
         p = PhaseSpec(S=parse_poly("x*y"), rho=0.5)
         a = norm_at(p, 64.0, seed=0)
-        force_grid(monkeypatch, 64)
+        # auto_grid picks 128; a forced grid must keep n/2 resolved
+        force_grid(monkeypatch, 256)
         b = norm_at(p, 64.0, seed=0)
-        assert b.n == 64
+        assert (a.n, b.n) == (128, 256)
         assert b.value == pytest.approx(a.value, rel=1e-5)
 
     def test_deterministic(self):
@@ -179,7 +182,7 @@ def built_grids(monkeypatch) -> list[tuple]:
 
 class TestGridCheck:
     # conv_err compares the base grid n with the check grid n/2, or
-    # with 2n where n/2 is below GRID_MIN or does not resolve lambda
+    # with 2n where n/2 is below GRID_MIN
 
     @pytest.mark.parametrize(
         "text, rho, lam, seed", [("x*y", 0.5, 64.0, 0), ("x^2*y^2/4", 0.9, 32.0, 3)]
@@ -211,16 +214,27 @@ class TestGridCheck:
         v, v_double = dense_norm(p, 8.0, GRID_MIN), dense_norm(p, 8.0, 2 * GRID_MIN)
         assert s.conv_err == pytest.approx(abs(v - v_double) / v, abs=1e-9)
 
-    def test_fallback_to_double_when_half_does_not_resolve(self, monkeypatch):
-        # n = 64 resolves lambda 64 (lam*G*h ~ 0.98), n = 32 does not
-        p = PhaseSpec(S=parse_poly("x*y"), rho=0.5)
-        with pytest.raises(ResolutionError):
-            discretize(p, 64.0, GridSpec.square(32, 0.5))
-        grids = built_grids(monkeypatch)
-        force_grid(monkeypatch, 64)
-        s = norm_at(p, 64.0)
-        assert grids == [(64, 1), (64, -1), (128, 1), (128, -1)] and s.n == 64
-        assert s.valid
+    def test_half_grid_always_resolves(self):
+        # auto_grid keeps |lam| G h <= pi/4 at n, so the check grid n/2
+        # passes the pi/2 guard; the lambdas that size n exactly to a
+        # power of two are the tightest case
+        rng = np.random.default_rng(7)
+        checked = set()
+        for _ in range(40):
+            pts = {(int(a), int(b)) for a, b in rng.integers(0, 4, size=(rng.integers(1, 5), 2))}
+            F = BivarPoly({pt: int(c) for pt, c in zip(sorted(pts), rng.integers(-4, 5, size=len(pts))) if c})
+            if not F:
+                continue
+            p = PhaseSpec(S=integrate_xy(F), rho=float(rng.uniform(0.1, 1.0)))
+            G = gradient_bound(p.S, (-p.rho, p.rho, -p.rho, p.rho))
+            unit = 2 * p.rho * G * (2.0 / math.pi) * SAFETY
+            for n in (32, 64, 128, 256):
+                for lam in (n / unit, -n / unit, n * rng.uniform(0.5, 1.0) / unit):
+                    g = auto_grid(p, lam)
+                    if GRID_MIN < g.n <= 256:
+                        discretize(p, lam, GridSpec.square(g.n // 2, p.rho))
+                        checked.add(g.n)
+        assert checked == {32, 64, 128, 256}
 
     def test_failed_check_doubles_the_base(self, monkeypatch):
         # n = 16 checks against 32 and fails; 32 is compared with the
