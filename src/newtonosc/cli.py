@@ -93,7 +93,7 @@ def _load_phase(expr: str, mixed: bool):
 
 def _parse_numbers(text: str, kind=float) -> tuple:
     try:
-        return tuple(kind(t) for t in text.split(",") if t.strip())
+        return tuple(kind(t) for t in text.split(","))
     except ValueError as exc:
         raise ParseError(f"bad numeric list {text!r}", 0) from exc
 

@@ -15,10 +15,11 @@ builds one at a time.
 discretize evaluates each independent kernel entry once, as a real
 amplitude times cos and sin of a real phase, with no complex
 exponential.  A sector whose even-in-y part of S is empty (both sectors
-of x*y and of every odd-odd phase) is real and takes no cos or sin of
-it.  A swap-symmetric phase, S(x, y) = S(y, x), gives a complex
-symmetric kernel on the square grid: only its upper triangle is
-evaluated, then mirrored, so M == M.T exactly.
+of x*y and of every odd-odd phase) is real and is stored real, so its
+norm is solved in real arithmetic.  A swap-symmetric phase,
+S(x, y) = S(y, x), gives a complex symmetric kernel on the square
+grid: only its upper triangle is evaluated, then mirrored, so
+M == M.T exactly.
 
 The spectral norm comes from Golub-Kahan-Lanczos bidiagonalization.
 Alongside it live the two bounds the block decomposition compares
@@ -51,6 +52,8 @@ _TILE_ROWS = 64
 # the resolution guard: at most pi/2 of phase across one grid cell
 _MAX_CELL_PHASE = math.pi / 2 + 1e-12
 _PROBE = 64
+# rows a Lanczos basis holds before it first doubles
+_BASIS_ROWS = 32
 
 
 def bump(t):
@@ -165,7 +168,8 @@ class DiscreteOperator:
     """Kernel matrix with symmetric sqrt(h) weights; spectral norm ~ L2 norm.
 
     apply/apply_adjoint work on coefficient vectors v_b ~ f(y_b)*sqrt(h_y),
-    so <Tf, g> is the plain inner product of the mapped vectors.
+    so <Tf, g> is the plain inner product of the mapped vectors.  A real
+    matrix maps a complex vector to its exact complex image.
     """
 
     matrix: np.ndarray
@@ -176,25 +180,34 @@ class DiscreteOperator:
     def shape(self):
         return self.matrix.shape
 
-    def _cast(self, v: np.ndarray) -> np.ndarray:
+    def _product(self, v: np.ndarray, adjoint: bool) -> np.ndarray:
+        M, v = self.matrix, np.asarray(v)
+        if np.iscomplexobj(v) and not np.iscomplexobj(M):
+            # a real kernel takes the two parts apart, never a complex copy
+            return self._product(v.real, adjoint) + 1j * self._product(v.imag, adjoint)
         # match the kernel dtype, else matmul upcast-copies the whole matrix
-        return np.asarray(v, dtype=self.matrix.dtype)
+        v = v.astype(M.dtype, copy=False)
+        # conj(M^T) @ v without materializing the conjugate matrix
+        return np.conj(np.conj(v) @ M) if adjoint else M @ v
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ self._cast(v)
+        return self._product(v, adjoint=False)
 
     def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
-        # conj(M^T) @ v without materializing the conjugate matrix
-        return np.conj(np.conj(self._cast(v)) @ self.matrix)
+        return self._product(v, adjoint=True)
 
 
-def kernel_dtype(n: int):
+def kernel_dtype(n: int, real: bool = False):
     """complex128 up to the crossover size, complex64 above it.
 
-    n is the side of the stored matrix, not of the grid: a parity sector
-    of the n-point grid stores n/2 per side, so n = 4096 sectors are
-    complex128.
+    A real kernel (one whose even-in-y part E is empty) is stored as
+    float64 up to the crossover and float32 above it.  n is the side of
+    the stored matrix, not of the grid: a parity sector of the n-point
+    grid stores n/2 per side, so n = 4096 sectors are complex128, or
+    float64 when real.
     """
+    if real:
+        return np.float64 if n <= COMPLEX64_ABOVE else np.float32
     return np.complex128 if n <= COMPLEX64_ABOVE else np.complex64
 
 
@@ -247,7 +260,8 @@ def discretize(
 
     Rows are built in tiles as amp * cos(lam E) + i amp * sin(lam E),
     amp the weight product times the sector's fold of lam O; with E
-    empty the imaginary part is zero and no cos or sin of E is taken.
+    empty the kernel is amp itself, stored as a real matrix
+    (kernel_dtype), and no cos or sin of E is taken.
     A swap-symmetric phase (S(x, y) = S(y, x) as exact coefficients) on
     a grid with the same nodes in x and y and no windows builds each
     tile only from the diagonal rightwards and mirrors it, so the result
@@ -294,7 +308,7 @@ def discretize(
         and y_window is None
         and _swap_symmetric(p.S)
     )
-    M = np.empty((xs.size, ys.size), dtype=kernel_dtype(xs.size))
+    M = np.empty((xs.size, ys.size), dtype=kernel_dtype(xs.size, real=not even))
     for r0 in range(0, xs.size, _TILE_ROWS):
         r1 = min(r0 + _TILE_ROWS, xs.size)
         c0 = r0 if symmetric else 0
@@ -310,8 +324,7 @@ def discretize(
             np.multiply(amp, np.cos(theta), out=block.real)
             np.multiply(amp, np.sin(theta, out=theta), out=block.imag)
         else:
-            block.real = amp
-            block.imag = 0.0
+            block[...] = amp
         if symmetric:
             tile = M[r0:r1, r0:r1]
             below = np.tril_indices(r1 - r0, -1)
@@ -331,8 +344,11 @@ def operator_norm(
     """Golub-Kahan-Lanczos bidiagonalization; returns (norm estimate, steps).
 
     Step k costs one T and one T* product and extends T V_k = U_k B_k
-    with B_k upper bidiagonal; both bases are fully reorthogonalized in
-    complex128.  The estimate is the top singular value s of B_k with
+    with B_k upper bidiagonal; both bases are fully reorthogonalized
+    (_Basis).  The iteration runs in float64 when the matrix and the
+    start are real and in complex128 otherwise; a real matrix starts
+    from a real Gaussian vector, so the iteration and its Ritz vector
+    stay real.  The estimate is the top singular value s of B_k with
     left and right singular vectors x and y.  Its Ritz vector V_k y has
     relative residual |T*T v - s^2 v| / s^2 = beta_k |x_k| / s, and the
     iteration stops once that is at most tol.  It also stops when the
@@ -351,26 +367,30 @@ def operator_norm(
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     n = op.shape[1]
+    dtype = np.result_type(op.matrix.dtype, np.float64)
     if v0 is not None:
-        v = np.asarray(v0, dtype=np.complex128)
+        v = np.asarray(v0)
+        dtype = np.result_type(dtype, v)
     else:
         rng = np.random.default_rng(seed)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    V = [v / np.linalg.norm(v)]
-    U: list[np.ndarray] = []
+        v = rng.standard_normal(n)
+        if dtype.kind == "c":
+            v = v + 1j * rng.standard_normal(n)
+    V, U = _Basis(n, dtype), _Basis(op.shape[0], dtype)
+    V.append(v / np.linalg.norm(v))
     alphas: list[float] = []
     betas: list[float] = []
     s_prev = s = 0.0
     for k in range(1, max_iter + 1):
-        p = np.asarray(op.apply(V[-1]), dtype=np.complex128)
-        if U:
-            p -= betas[-1] * U[-1]
-        _reorthogonalize(p, U)
+        p = np.asarray(op.apply(V.last), dtype=dtype)
+        if U.size:
+            p -= betas[-1] * U.last
+        U.orthogonalize(p)
         alphas.append(float(np.linalg.norm(p)))
         if alphas[-1] > 0.0:
             U.append(p / alphas[-1])
-            r = op.apply_adjoint(U[-1]) - alphas[-1] * V[-1]
-            _reorthogonalize(r, V)
+            r = op.apply_adjoint(U.last) - alphas[-1] * V.last
+            V.orthogonalize(r)
             betas.append(float(np.linalg.norm(r)))
         else:
             # T maps span(V_k) into span(U_{k-1}): an invariant pair
@@ -390,18 +410,49 @@ def operator_norm(
         )
     if not return_vector:
         return s, k
-    return s, k, sum(y * v for y, v in zip(Yt[0], V))
+    return s, k, Yt[0] @ V.vectors
 
 
-def _reorthogonalize(w: np.ndarray, basis: list[np.ndarray]) -> None:
-    """Remove, in place, w's components along an orthonormal basis.
+class _Basis:
+    """Orthonormal vectors, the rows of one array that is filled in place.
 
-    Two passes of modified Gram-Schmidt keep w orthogonal to working
-    precision even when most of it lay in the basis.
+    The array doubles when it is full, so an append copies one vector
+    (amortized) and orthogonalize works on one contiguous block.
     """
-    for _ in range(2):
-        for q in basis:
-            w -= np.vdot(q, w) * q
+
+    def __init__(self, n: int, dtype):
+        self._rows = np.empty((_BASIS_ROWS, n), dtype=dtype)
+        self.size = 0
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self._rows[: self.size]
+
+    @property
+    def last(self) -> np.ndarray:
+        return self._rows[self.size - 1]
+
+    def append(self, q: np.ndarray) -> None:
+        if self.size == len(self._rows):
+            grown = np.empty((2 * self.size, self._rows.shape[1]), dtype=self._rows.dtype)
+            grown[: self.size] = self._rows
+            self._rows = grown
+        self._rows[self.size] = q
+        self.size += 1
+
+    def orthogonalize(self, w: np.ndarray) -> None:
+        """Remove, in place, w's components along the basis.
+
+        Two passes of classical Gram-Schmidt, each two matrix-vector
+        products, keep w orthogonal to working precision even when most
+        of it lay in the basis ("twice is enough": Giraud, Langou &
+        Rozloznik 2005).
+        """
+        if self.size:
+            Q = self.vectors
+            for _ in range(2):
+                # conj(Q conj(w)) holds the coefficients <q_j, w>
+                w -= np.conj(Q @ np.conj(w)) @ Q
 
 
 def size_bound(delta_x: float, delta_y: float) -> float:

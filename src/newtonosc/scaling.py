@@ -119,10 +119,13 @@ class SweepConfig:
 
 
 def _interp_start(vec: np.ndarray, ys_source, ys_target) -> Optional[np.ndarray]:
-    """vec on the nodes ys_source, interpolated onto ys_target, unit norm."""
-    re = np.interp(ys_target, ys_source, vec.real)
-    im = np.interp(ys_target, ys_source, vec.imag)
-    v = re + 1j * im
+    """vec on the nodes ys_source, interpolated onto ys_target, unit norm.
+
+    A real vec gives a real start, so a real sector stays real.
+    """
+    v = np.interp(ys_target, ys_source, vec.real)
+    if np.iscomplexobj(vec):
+        v = v + 1j * np.interp(ys_target, ys_source, vec.imag)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         return None  # degenerate; let the caller's seed take over

@@ -241,6 +241,20 @@ class TestSweep:
             "type": "ValueError", "message": "lambda values must be finite"
         }
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--lambdas", "16,,32,64,128"), ("--fit-window", "16,,128")]
+    )
+    def test_empty_list_entry_is_a_parse_error(self, capsys, monkeypatch, flag, value):
+        def solved(*args, **kwargs):
+            raise AssertionError("norm_at ran")
+
+        monkeypatch.setattr(scaling, "norm_at", solved)
+        code, out, err = run(capsys, "sweep", "--phase", "x*y", flag, value)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"] == {
+            "type": "ParseError", "message": f"bad numeric list {value!r} (at position 0)"
+        }
+
     def test_nan_tol_slope_is_1(self, capsys):
         code, out, err = run(
             capsys,
@@ -327,7 +341,7 @@ class TestDyadpol:
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "ValueError"
 
-    @pytest.mark.parametrize("r", ["0,a", "1.5"])
+    @pytest.mark.parametrize("r", ["0,a", "1.5", "0,,6", "0,6,"])
     def test_malformed_r_is_a_parse_error(self, capsys, r):
         # like a malformed --lambdas: exit 2, one line of error JSON
         code, out, err = run(capsys, "dyadpol", "--r", r)

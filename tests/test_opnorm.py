@@ -109,6 +109,16 @@ def sublevel_check(
     return measure, A_k * (gamma / mu) ** (1.0 / k)
 
 
+def stored_dtype(p: PhaseSpec, sector):
+    """float64 when the even-in-y part E of S is empty, else complex128.
+
+    Holds up to the crossover.  The full kernel (sector None) takes all
+    of S as its E.
+    """
+    even = [b for _, b in p.S.terms if sector is None or b % 2 == 0]
+    return np.complex128 if even else np.float64
+
+
 def random_op(rng, n, scale=1.0):
     M = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return DiscreteOperator(
@@ -196,6 +206,10 @@ class TestGridSpec:
         assert kernel_dtype(2048) is np.complex128
         assert kernel_dtype(2049) is np.complex64
 
+    def test_real_dtype_crossover(self):
+        assert kernel_dtype(2048, real=True) is np.float64
+        assert kernel_dtype(2049, real=True) is np.float32
+
 
 class TestDiscretize:
     def test_rank_one_at_lambda_zero(self):
@@ -271,11 +285,11 @@ class TestParitySectors:
         g = auto_grid(p, lam)
         full = float(np.linalg.norm(discretize(p, lam, g).matrix, 2))
         ops = [discretize(p, lam, g, sector=k) for k in sectors]
-        assert all(op.matrix.dtype == np.complex128 for op in ops)
+        assert all(op.matrix.dtype == stored_dtype(p, k) for op, k in zip(ops, sectors))
         largest = max(float(np.linalg.norm(op.matrix, 2)) for op in ops)
         assert largest == pytest.approx(full, rel=1e-12)
 
-    def test_n4096_sectors_are_complex128_and_match_the_full_kernel(self):
+    def test_n4096_sectors_are_float64_and_match_the_full_kernel(self):
         # x*y, rho 0.85, lambda 1024: the top sample of criterion 1
         p = PhaseSpec(S=XY, rho=0.85)
         g = GridSpec.square(4096, 0.85)
@@ -285,7 +299,7 @@ class TestParitySectors:
         del K
         for k, folded in ((1, plus + minus), (-1, (plus - minus) / 1j)):
             M = discretize(p, 1024.0, g, sector=k).matrix
-            assert M.shape == (2048, 2048) and M.dtype == np.complex128
+            assert M.shape == (2048, 2048) and M.dtype == np.float64
             assert np.max(np.abs(M - folded)) <= 1e-6 * np.max(np.abs(M))
 
     @pytest.mark.parametrize(
@@ -382,7 +396,7 @@ class TestFusedBuild:
         for k in parity_sectors(p.S):
             M = discretize(p, lam, g, sector=k).matrix
             ref = direct_kernel(p, lam, g, sector=k)
-            assert M.dtype == np.complex128
+            assert M.dtype == stored_dtype(p, k)
             assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(M))
 
     def test_windowed_block_agreement(self):
@@ -554,6 +568,82 @@ class TestLanczosMechanism:
         assert op.matrix.dtype == np.complex64
         val, _, vec = operator_norm(op, seed=0, return_vector=True)
         assert relative_residual(op.matrix, val, vec) <= 10 * 1e-6
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_bases_stay_orthonormal_over_many_steps(self, monkeypatch, real):
+        # 20 singular values within 1e-3 of the top one: about 200 steps
+        # to a 1e-12 residual, so both bases outgrow their first array
+        bases = []
+
+        class Recorded(opnorm._Basis):
+            def __init__(self, *args):
+                super().__init__(*args)
+                bases.append(self)
+
+        monkeypatch.setattr(opnorm, "_Basis", Recorded)
+        rng = np.random.default_rng(17)
+        n = 300
+        s = np.concatenate([1 - 1e-3 * np.arange(20) / 20, np.linspace(0.97, 0.0, n - 20)])
+        if real:
+            Q1, Q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        else:
+            Q1, Q2 = unitary(rng, n), unitary(rng, n)
+        M = Q1 @ (s[:, None] * Q2.conj().T)
+        grid = np.arange(n, dtype=float)
+        val, steps = operator_norm(DiscreteOperator(matrix=M, xs=grid, ys=grid), tol=1e-12)
+        assert steps >= 100
+        assert abs(val - 1.0) <= 1e-8
+        for basis in bases:
+            Q = basis.vectors
+            assert Q.dtype == (np.float64 if real else np.complex128)
+            assert len(Q) == steps
+            assert np.linalg.norm(Q.conj() @ Q.T - np.eye(steps), 2) <= 1e-12
+
+
+class TestRealSectors:
+    # sectors whose even-in-y part is empty are stored, and solved, real
+    @pytest.mark.parametrize("lam", [16.0, 256.0, 1024.0])
+    @pytest.mark.parametrize("text", ["x*y", "x*y^3 + x^3*y"])
+    def test_matches_dense_svd(self, text, lam):
+        p = PhaseSpec(S=parse_poly(text), rho=0.5)
+        g = auto_grid(p, lam)
+        for k in parity_sectors(p.S):
+            op = discretize(p, lam, g, sector=k)
+            assert op.matrix.dtype == np.float64
+            dense = np.linalg.norm(op.matrix, 2)
+            val, _ = operator_norm(op, seed=0)
+            assert abs(val - dense) <= 1e-8 * dense
+
+    def test_ritz_vector_is_real_and_unit(self):
+        p = PhaseSpec(S=XY, rho=0.85)
+        op = discretize(p, 256.0, auto_grid(p, 256.0), sector=-1)
+        val, _, vec = operator_norm(op, seed=0, return_vector=True)
+        assert vec.dtype == np.float64
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        assert relative_residual(op.matrix, val, vec) <= 10 * 1e-6
+
+    def test_residual_float32_sector(self):
+        # a 4608-point grid stores 2304-point sectors, above the crossover
+        op = discretize(PhaseSpec(S=XY, rho=0.5), 256.0, GridSpec.square(4608, 0.5), sector=1)
+        assert op.matrix.dtype == np.float32
+        val, _, vec = operator_norm(op, seed=0, return_vector=True)
+        assert vec.dtype == np.float64
+        assert relative_residual(op.matrix, val, vec) <= 10 * 1e-6
+
+    @pytest.mark.parametrize("sector", [1, -1])
+    def test_adjoint_identity_with_complex_vectors(self, sector):
+        op = discretize(PhaseSpec(S=XY, rho=0.5), 64.0, GridSpec.square(128, 0.5), sector=sector)
+        assert op.matrix.dtype == np.float64
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            f = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+            g = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+            Tf = op.apply(f)
+            assert np.iscomplexobj(Tf)
+            assert np.max(np.abs(Tf - op.matrix.astype(complex) @ f)) <= 1e-14
+            lhs = np.vdot(g, Tf)
+            rhs = np.vdot(op.apply_adjoint(g), f)
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 class TestBounds:
