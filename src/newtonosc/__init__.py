@@ -40,7 +40,6 @@ from .newton import (
     analyze_decay,
     build_polygon,
     decay_rate,
-    detect_degeneracy,
 )
 from .opnorm import (
     DiscreteOperator,
@@ -106,7 +105,6 @@ __all__ = [
     "chi",
     "classify_block",
     "decay_rate",
-    "detect_degeneracy",
     "discretize",
     "envelope_corners",
     "eval_branch",

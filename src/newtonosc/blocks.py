@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ResolutionError, WrongRegionError
-from .newton import NewtonPolygon
+from .newton import NewtonPolygon, build_polygon
 from .opnorm import (
     GRID_CAP,
     GridSpec,
@@ -31,7 +31,6 @@ from .opnorm import (
 )
 from .polycore import BivarPoly, eval_grid, mixed_derivative
 
-_DENSE_BELOW = 256
 _SAMPLE = 16
 # a block counts as a violation when it measures above this many times its bound
 _RATIO_CAP = 10.0
@@ -186,34 +185,26 @@ def _block_operator(p: PhaseSpec, lam: float, j: int, k: int):
 
 
 def measure_block(p: PhaseSpec, lam: float, j: int, k: int, seed: int = 0) -> float:
-    """Spectral norm of one block: dense SVD when small, Lanczos above."""
-    op = _block_operator(p, lam, j, k)
-    if op.shape[0] < _DENSE_BELOW:
-        return float(np.linalg.norm(op.matrix, 2))
-    value, _ = operator_norm(op, seed=seed)
-    return value
+    """Spectral norm of one block, by the Lanczos solver at every size."""
+    return operator_norm(_block_operator(p, lam, j, k), seed=seed)[0]
 
 
-def verify_blocks(
-    p: PhaseSpec,
-    lam: float,
-    polygon: NewtonPolygon,
-    D: float = 3.0,
-    j_max: int = 6,
-    seed: int = 0,
-):
+def verify_blocks(p: PhaseSpec, lam: float, D: float = 3.0, j_max: int = 6, seed: int = 0):
     """Measure every block with j, k <= j_max against its claimed bounds.
 
+    Regions and gap sizes mu are read off the Newton polygon of
+    F = S''_xy, both derived from p (EmptyPolygonError when F = 0).
     Returns (estimates, summary); summary carries the worst measured/bound
     ratio per region kind, the blocks exceeding _RATIO_CAP * bound, and any
     per-block resolution failures.  T at -lam is the conjugate kernel,
     so a gap block at any lam != 0 is bounded by op_vdc_bound(|lam|, mu).
     """
+    F = mixed_derivative(p.S)
+    polygon = build_polygon(F)
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
     if not D > 0:  # refuses NaN too
         raise ValueError(f"band width D must be positive, got {D}")
-    F = mixed_derivative(p.S)
     j_min = first_block_scale(p.rho)
     if j_max < j_min:
         raise ValueError(f"j_max={j_max} is below the first block scale {j_min}")

@@ -160,8 +160,8 @@ class Degeneracy:
     checked_order: Optional[Fraction] = None
 
 
-def detect_degeneracy(F: BivarPoly, branches=None) -> Degeneracy:
-    """Classify F as completely degenerate, not, or undetermined.
+def _degeneracy(F: BivarPoly, polygon: NewtonPolygon, branches) -> Degeneracy:
+    """Classify F, given its polygon, as completely degenerate, not, or undetermined.
 
     Complete degeneracy requires the exact shape U * (y - f(x))^N with U a
     unit, f(0) = 0, f'(0) = c != 0 and N >= 2; on the polygon side that
@@ -170,12 +170,7 @@ def detect_degeneracy(F: BivarPoly, branches=None) -> Degeneracy:
     with leading term c*x.  When the sheet's series terminates the
     factorization is exact and the verdict is definite; otherwise the
     cluster is reported Undetermined at the order it was checked.
-
-    branches may be passed in to reuse an existing expansion; otherwise
-    one is computed at the default order (4 * total_degree + 8).
-    checked_order is the order of the expansion actually used.
     """
-    polygon = build_polygon(F)
     if polygon.A != 0 or polygon.B != 0:
         return Degeneracy(DegeneracyKind.NON_DEGENERATE)
     if len(polygon.edges) != 1:
@@ -268,12 +263,19 @@ class DecayReport:
 
 
 def analyze_decay(F: BivarPoly, branches=None) -> DecayReport:
-    """Polygon, crossing, per-edge rates, and degeneracy in one report."""
+    """Polygon, crossing, per-edge rates, and degeneracy in one report.
+
+    The polygon is built once; the crossing and the degeneracy test both
+    read it.  branches may be passed in to reuse an existing expansion;
+    otherwise one is computed at the default order (4 * total_degree + 8)
+    when the polygon admits complete degeneracy.  checked_order is the
+    order of the expansion actually used.
+    """
     polygon = build_polygon(F)
     t0, _, crossing = decay_rate(polygon)
     return DecayReport(
         t0=t0,
         boundary_crossing=crossing,
-        degeneracy=detect_degeneracy(F, branches=branches),
+        degeneracy=_degeneracy(F, polygon, branches),
         polygon=polygon,
     )

@@ -339,9 +339,8 @@ def operator_norm(
     max_iter: int = 500,
     seed: int = 0,
     v0: np.ndarray | None = None,
-    return_vector: bool = False,
 ):
-    """Golub-Kahan-Lanczos bidiagonalization; returns (norm estimate, steps).
+    """Golub-Kahan-Lanczos bidiagonalization; returns (norm, steps, vector).
 
     Step k costs one T and one T* product and extends T V_k = U_k B_k
     with B_k upper bidiagonal; both bases are fully reorthogonalized
@@ -358,9 +357,9 @@ def operator_norm(
     (Kuczynski & Wozniakowski 1992).  Reaching max_iter without any of
     these raises NoConvergenceError.
 
-    v0 warm-starts the iteration (the check grid of norm_at passes the
-    base grid's singular vector, interpolated onto its nodes);
-    return_vector appends the Ritz vector for exactly that use.
+    The vector is the unit Ritz vector V_k y, the estimate of the top
+    right singular vector.  v0 warm-starts the iteration: the check grid
+    of norm_at passes the other grid's vector, interpolated onto its nodes.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -408,8 +407,6 @@ def operator_norm(
             f"after {max_iter} steps",
             quotients=(s_prev, s),
         )
-    if not return_vector:
-        return s, k
     return s, k, Yt[0] @ V.vectors
 
 

@@ -1,8 +1,8 @@
 """Exact bivariate polynomials over Q, a small phase parser, and series types.
 
-Everything upstream of the numerics is exact: coefficients are Fractions,
-supports are integer lattice points, and evaluating at float arguments goes
-through rational arithmetic with a single rounding at the end.
+Everything upstream of the numerics is exact: coefficients are Fractions
+and supports are integer lattice points.  Float evaluation (eval_grid,
+eval_branch) rounds each coefficient to a float and computes in floats.
 """
 
 from __future__ import annotations

@@ -147,7 +147,7 @@ def _solve(p: PhaseSpec, lam: float, n: int, seed: int, start=None):
     for sector in parity_sectors(p.S):
         op = discretize(p, lam, g, sector=sector)
         v0 = None if start is None else _interp_start(start[sector][1], start[sector][0], op.ys)
-        s, k, vec = operator_norm(op, seed=seed, v0=v0, return_vector=True)
+        s, k, vec = operator_norm(op, seed=seed, v0=v0)
         value, steps = max(value, s), steps + k
         starts[sector] = (op.ys, vec)
         del op

@@ -341,11 +341,10 @@ class TestCriterion6:
 class TestCriterion7:
     def test_gap_blocks_within_factor_10(self):
         p = PhaseSpec(S=parse_poly("x^2*y^2/4"), rho=0.5)
-        polygon = build_polygon(parse_poly("x*y"))
         worst_by_D = {}
         bad = 0
         for D in (3.0, 4.0, 5.0):
-            ests, summary = verify_blocks(p, 2.0**8, polygon, D=D, j_max=6)
+            ests, summary = verify_blocks(p, 2.0**8, D=D, j_max=6)
             gaps = [e for e in ests if e.region.kind == "Gap"]
             bad += sum(e.measured > 10.0 * e.bound for e in gaps)
             worst_by_D[D] = max(e.ratio for e in gaps)
@@ -373,7 +372,7 @@ class TestCriterion8:
             m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             grid = np.arange(n, dtype=float)
             op = DiscreteOperator(matrix=m, xs=grid, ys=grid)
-            val, _ = operator_norm(op, tol=1e-13, max_iter=5000)
+            val, _, _ = operator_norm(op, tol=1e-13, max_iter=5000)
             ref = float(np.linalg.norm(m, 2))
             worst_rel = max(worst_rel, abs(val - ref) / ref)
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)

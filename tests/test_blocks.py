@@ -22,7 +22,7 @@ from newtonosc.blocks import (
 )
 from newtonosc.errors import ResolutionError, WrongRegionError
 from newtonosc.newton import NewtonPolygon, build_polygon
-from newtonosc.opnorm import PhaseSpec, size_bound
+from newtonosc.opnorm import PhaseSpec, gradient_bound, grid_points, size_bound
 from newtonosc.polycore import BivarPoly, eval_grid, integrate_xy, parse_poly
 
 
@@ -279,8 +279,7 @@ class TestBlockGrid:
 class TestVerifyBlocks:
     def test_monomial_phase_blocks(self):
         p = PhaseSpec(S=parse_poly("x^2*y^2/4"), rho=0.5)
-        g = polygon("x*y")
-        ests, summary = verify_blocks(p, 2.0**8, g, D=3.0, j_max=6)
+        ests, summary = verify_blocks(p, 2.0**8, D=3.0, j_max=6)
         assert len(ests) == 36
         assert all(str(e.region) == "Gap(vertex)" for e in ests)
         assert summary["violations"] == []
@@ -291,17 +290,16 @@ class TestVerifyBlocks:
     def test_band_width_stability(self):
         # no compact edges here, so the band width cannot matter at all
         p = PhaseSpec(S=parse_poly("x^2*y^2/4"), rho=0.5)
-        g = polygon("x*y")
         worst = []
         for d in (3.0, 4.0, 5.0):
-            _, summary = verify_blocks(p, 2.0**8, g, D=d, j_max=5)
+            _, summary = verify_blocks(p, 2.0**8, D=d, j_max=5)
             worst.append(summary["worst_ratio"]["Gap"])
         assert max(worst) == min(worst)
 
     def test_edge_phase_blocks(self):
         f = parse_poly("x^2 + y^2")
         p = PhaseSpec(S=integrate_xy(f), rho=0.5)
-        ests, summary = verify_blocks(p, 2.0**8, build_polygon(f), j_max=5)
+        ests, summary = verify_blocks(p, 2.0**8, j_max=5)
         assert summary["violations"] == []
         kinds = {e.region.kind for e in ests}
         assert kinds == {"Gap", "NearEdge"}
@@ -310,7 +308,7 @@ class TestVerifyBlocks:
 
     def test_static_phase_uses_size_bound(self):
         p = PhaseSpec(S=parse_poly("x^2*y^2/4"), rho=0.5)
-        ests, summary = verify_blocks(p, 0.0, polygon("x*y"), j_max=4)
+        ests, summary = verify_blocks(p, 0.0, j_max=4)
         assert all(np.isinf(e.osc) for e in ests)
         assert summary["violations"] == []
         for e in ests:
@@ -319,7 +317,7 @@ class TestVerifyBlocks:
     def test_unresolvable_block_recorded_not_raised(self):
         f = parse_poly("x^2 + y^2")
         p = PhaseSpec(S=integrate_xy(f), rho=0.5)
-        ests, summary = verify_blocks(p, 2.0**30, build_polygon(f), j_max=1)
+        ests, summary = verify_blocks(p, 2.0**30, j_max=1)
         assert ests == []
         failures = summary["resolution_failures"]
         assert len(failures) == 1 and failures[0][:2] == (1, 1)
@@ -336,11 +334,33 @@ class TestVerifyBlocks:
     def test_measured_below_size_bound(self):
         # size bound is oscillation-blind, so it must hold at any lambda
         p = PhaseSpec(S=parse_poly("x^2*y^2/4"), rho=0.5)
-        g = polygon("x*y")
         for lam in (0.0, 2.0**6, 2.0**9):
-            ests, _ = verify_blocks(p, lam, g, j_max=4)
+            ests, _ = verify_blocks(p, lam, j_max=4)
             for e in ests:
                 assert e.measured <= e.size * 1.01
+
+
+class TestDenseReference:
+    # blocks under 256 points were solved by dense SVD; the Lanczos
+    # solve that replaced it must agree to criterion 8's 1e-8
+    @pytest.mark.parametrize(
+        "text, lam, j_max",
+        [("x^2*y^2/4", 2048.0, 8), ("x^3*y/3 + x*y^2", 256.0, 5)],
+    )
+    def test_small_blocks_match_dense_svd(self, text, lam, j_max):
+        p = PhaseSpec(S=parse_poly(text), rho=0.5)
+        sizes = set()
+        for j in range(first_block_scale(p.rho), j_max + 1):
+            for k in range(first_block_scale(p.rho), j_max + 1):
+                rect = block_rect(j, k)
+                n, _ = grid_points(lam, gradient_bound(p.S, rect), rect)
+                if n >= 256:
+                    continue
+                sizes.add(n)
+                dense = float(np.linalg.norm(_block_operator(p, lam, j, k).matrix, 2))
+                got = measure_block(p, lam, j, k)
+                assert abs(got - dense) <= 1e-8 * dense, (j, k, n)
+        assert min(sizes) == 16 and len(sizes) >= 2
 
 
 class TestBlockInvariance:

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 import newtonosc
-from newtonosc import cli, scaling
+from newtonosc import blocks, cli, newton, scaling
 from newtonosc.cli import build_parser, main
 from newtonosc.polycore import parse_poly
 from newtonosc.puiseux import expand_branches
@@ -385,6 +385,56 @@ class TestProvenance:
         assert code == 0
         assert out.startswith("# newton-osc/2 seed=5\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--phase", "x*y"),
+            ("norm", "--phase", "x*y", "--lambda", "64"),
+            ("sweep", "--phase", "x*y", "--lambdas", "16,32,64,128"),
+            ("blocks", "--phase", "x*y", "--lambda", "64", "--j-max", "3"),
+            ("dyadpol", "--r", "0,6", "--trials", "5"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_is_a_parse_error(self, capsys, argv):
+        # numpy refuses negative seeds; every subcommand refuses them first
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"] == {
+            "type": "ParseError", "message": "seed must be non-negative, got -1 (at position 0)"
+        }
+
+
+class TestFrontEndOnce:
+    # the Newton polygon of F is built once per analysis: cmd_analyze
+    # prints its own, analyze_decay builds one, verify_blocks one
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls, original = [], newton.build_polygon
+
+        def counted(F):
+            calls.append(F)
+            return original(F)
+
+        for module in (cli, newton, blocks):
+            monkeypatch.setattr(module, "build_polygon", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("analyze", "--mixed", "--phase", "(y-x)^2"), 2),
+            (("sweep", "--phase", "x^2*y^2/4", "--rho", "0.9", "--lambdas", "16,32,64,128"), 2),
+            (("sweep", "--phase", "x*y", "--rho", "0.85", "--lambdas", "16,32,64,128"), 1),
+            (("blocks", "--phase", "x^2*y^2/4", "--lambda", "64", "--j-max", "2"), 1),
+        ],
+        ids=["analyze", "sweep-with-retry", "sweep", "blocks"],
+    )
+    def test_polygon_builds_per_call(self, capsys, builds, argv, expected):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert len(builds) == expected
+
 
 class TestSchemas:
     # one real payload per schema, default format json where none is given
@@ -557,7 +607,7 @@ class TestSurface:
         "NumericalUnderflowError", "ParseError", "PhaseSpec", "PuiseuxBranch",
         "PuiseuxTerm", "Reality", "Region", "ResolutionError", "ScalingReport",
         "SweepConfig", "WrongRegionError", "analyze_decay", "branch_residual_order",
-        "build_polygon", "chi", "classify_block", "decay_rate", "detect_degeneracy",
+        "build_polygon", "chi", "classify_block", "decay_rate",
         "discretize", "envelope_corners", "eval_branch", "expand_branches", "fit_decay",
         "integrate_xy", "lower_bound_set", "mixed_derivative", "norm_at",
         "operator_norm", "parse_poly", "predicted_exponent", "sweep", "theta",

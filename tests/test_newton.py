@@ -11,7 +11,6 @@ from newtonosc.newton import (
     analyze_decay,
     build_polygon,
     decay_rate,
-    detect_degeneracy,
     hull_edges,
     lower_hull,
 )
@@ -226,32 +225,32 @@ class TestEdgeRates:
 
 class TestDegeneracy:
     def test_square(self):
-        deg = detect_degeneracy(parse_poly("(y-x)^2"))
+        deg = analyze_decay(parse_poly("(y-x)^2")).degeneracy
         assert deg.kind is DegeneracyKind.COMPLETELY_DEGENERATE
         assert deg.N == 2 and deg.c == 1.0
 
     def test_cube_with_slope(self):
-        deg = detect_degeneracy(parse_poly("(y-2*x)^3"))
+        deg = analyze_decay(parse_poly("(y-2*x)^3")).degeneracy
         assert deg.kind is DegeneracyKind.COMPLETELY_DEGENERATE
         assert deg.N == 3 and deg.c == 2.0
 
     def test_product_not_degenerate(self):
-        assert detect_degeneracy(parse_poly("x*y")).kind is DegeneracyKind.NON_DEGENERATE
+        assert analyze_decay(parse_poly("x*y")).degeneracy.kind is DegeneracyKind.NON_DEGENERATE
 
     def test_split_pair_not_degenerate(self):
-        deg = detect_degeneracy(parse_poly("(y-x)^2 - x^5"))
+        deg = analyze_decay(parse_poly("(y-x)^2 - x^5")).degeneracy
         assert deg.kind is DegeneracyKind.NON_DEGENERATE
 
     def test_rational_curve_undetermined(self):
         # ((1+x)y - x)^2 vanishes on y = x/(1+x), whose series never stops
         Fpoly = parse_poly("((1+x)*y - x)^2")
-        deg = detect_degeneracy(Fpoly, branches=expand_branches(Fpoly, order=12))
+        deg = analyze_decay(Fpoly, branches=expand_branches(Fpoly, order=12)).degeneracy
         assert deg.kind is DegeneracyKind.UNDETERMINED
         assert deg.N == 2
         assert deg.checked_order == 12
 
     def test_axis_offset_not_degenerate(self):
-        assert detect_degeneracy(parse_poly("x*(y-x)^2")).kind is DegeneracyKind.NON_DEGENERATE
+        assert analyze_decay(parse_poly("x*(y-x)^2")).degeneracy.kind is DegeneracyKind.NON_DEGENERATE
 
 
 class TestReport:

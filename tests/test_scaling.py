@@ -339,7 +339,7 @@ class TestInvariance:
         p = PhaseSpec(S=full, rho=rho)
         g = auto_grid(p, lam)
         assert g.n == auto_grid(p0, lam).n
-        value, _ = operator_norm(discretize(p, lam, g))
+        value, _, _ = operator_norm(discretize(p, lam, g))
         # the test's own kernel of the full phase, pure terms included
         h = 2 * rho / g.n
         xs = -rho + h * (np.arange(g.n) + 0.5)
