@@ -10,6 +10,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -64,7 +65,12 @@ def _write(args, text: str) -> None:
 
 def _emit_json(args, schema: dict, payload: dict) -> None:
     payload = {"schema": SCHEMA_ID, "provenance": {"seed": args.seed}, **payload}
-    jsonschema.validate(payload, schema)
+    # jsonschema.validate would also check the schema against the metaschema
+    # on every call; the schemas are constants, and the tests check them once
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(payload))
+    if error is not None:
+        raise error
     _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -456,6 +462,22 @@ def cmd_selftest(args) -> int:
 # argument parsing and dispatch
 
 
+class _BadOptionValue(Exception):
+    """Carries a ParseError past argparse, which turns a ValueError into usage text."""
+
+
+def _typed(kind):
+    """argparse type= for int or float: a bad value fails as ParseError JSON."""
+
+    def convert(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise _BadOptionValue(ParseError(f"bad {kind.__name__} value {text!r}", 0)) from None
+
+    return convert
+
+
 def _add_common(sp, phase=True, fmt_default=None):
     if phase:
         sp.add_argument("--phase", required=True, help="phase expression S(x,y)")
@@ -464,12 +486,13 @@ def _add_common(sp, phase=True, fmt_default=None):
             action="store_true",
             help="treat the expression as F = S''_xy and synthesize S",
         )
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_typed(int), default=0)
     sp.add_argument("--out", default="-", help="output path, - for stdout")
     if fmt_default is not None:
         sp.add_argument("--format", choices=("json", "csv"), default=fmt_default)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="newtonosc",
@@ -484,15 +507,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("norm", help="operator norm at one lambda")
     _add_common(sp, fmt_default="csv")
-    sp.add_argument("--rho", type=float, default=0.5, help="cutoff radius")
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
+    sp.add_argument("--rho", type=_typed(float), default=0.5, help="cutoff radius")
+    sp.add_argument("--lambda", dest="lam", type=_typed(float), required=True)
     sp.set_defaults(fn=cmd_norm)
 
     sp = sub.add_parser("sweep", help="lambda sweep, decay fit, and verdict")
     _add_common(sp, fmt_default="json")
-    sp.add_argument("--rho", type=float, default=0.5, help="cutoff radius")
+    sp.add_argument("--rho", type=_typed(float), default=0.5, help="cutoff radius")
     sp.add_argument("--lambdas", default=None, help="comma-separated lambda grid")
-    sp.add_argument("--tol-slope", type=float, default=0.1)
+    sp.add_argument("--tol-slope", type=_typed(float), default=0.1)
     sp.add_argument("--fit-window", default=None, help="lo,hi lambda sub-range")
     sp.add_argument("--emit-plot-data", default=None, metavar="PATH",
                     help="write log2 sweep triples for external plotting")
@@ -500,18 +523,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("blocks", help="dyadic block estimates at one lambda")
     _add_common(sp, fmt_default="csv")
-    sp.add_argument("--rho", type=float, default=0.5, help="cutoff radius")
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--D", type=float, default=3.0, help="near-edge band width")
-    sp.add_argument("--j-max", type=int, default=6)
+    sp.add_argument("--rho", type=_typed(float), default=0.5, help="cutoff radius")
+    sp.add_argument("--lambda", dest="lam", type=_typed(float), required=True)
+    sp.add_argument("--D", type=_typed(float), default=3.0, help="near-edge band width")
+    sp.add_argument("--j-max", type=_typed(int), default=6)
     sp.set_defaults(fn=cmd_blocks)
 
     sp = sub.add_parser("dyadpol", help="dyadic-coefficient lower-bound check")
     _add_common(sp, phase=False, fmt_default=None)
     sp.add_argument("--r", required=True, help="comma-separated exponents r_1..r_N")
-    sp.add_argument("--C", type=float, default=2.0)
-    sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--h-density", type=int, default=12)
+    sp.add_argument("--C", type=_typed(float), default=2.0)
+    sp.add_argument("--trials", type=_typed(int), default=200)
+    sp.add_argument("--h-density", type=_typed(int), default=12)
     sp.set_defaults(fn=cmd_dyadpol)
 
     sp = sub.add_parser("selftest", help="frozen examples and oracle agreements")
@@ -527,11 +550,14 @@ def main(argv=None) -> int:
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] == "--phase" and argv[i][:1] == "-" and argv[i][:2] != "--":
             argv[i - 1 : i + 1] = ["--phase=" + argv[i]]
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) < 0:  # numpy refuses negative seeds
             raise ParseError(f"seed must be non-negative, got {args.seed}", 0)
         return args.fn(args)
+    except _BadOptionValue as exc:
+        _error(exc.args[0])
+        return 2
     except ParseError as exc:
         _error(exc)
         return 2

@@ -67,6 +67,29 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "ParseError"
 
+    # one subcommand per type= option, and the type its value must have
+    TYPED = {
+        "--seed": (("norm", "--phase", "x*y", "--lambda", "16"), "int"),
+        "--rho": (("norm", "--phase", "x*y", "--lambda", "16"), "float"),
+        "--lambda": (("norm", "--phase", "x*y"), "float"),
+        "--tol-slope": (("sweep", "--phase", "x*y"), "float"),
+        "--D": (("blocks", "--phase", "x*y", "--lambda", "64"), "float"),
+        "--j-max": (("blocks", "--phase", "x*y", "--lambda", "64"), "int"),
+        "--C": (("dyadpol", "--r", "0,6"), "float"),
+        "--trials": (("dyadpol", "--r", "0,6"), "int"),
+        "--h-density": (("dyadpol", "--r", "0,6"), "int"),
+    }
+
+    @pytest.mark.parametrize("flag", sorted(TYPED))
+    def test_bad_option_value_is_a_parse_error(self, capsys, flag):
+        # a value that fails its type= conversion is bad input, not bad usage
+        argv, kind = self.TYPED[flag]
+        code, out, err = run(capsys, *argv, flag, "abc")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"] == {
+            "type": "ParseError", "message": f"bad {kind} value 'abc' (at position 0)"
+        }
+
 
 class TestAnalyze:
     def test_plain_hyperbolic_phase(self, capsys):
@@ -467,6 +490,30 @@ class TestSchemas:
         report = {**payload["report"], "verdict": "Maybe"}
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate({**payload, "report": report}, schema)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_schema_passes_the_metaschema(self, name):
+        # the CLI validates payloads without checking the schema itself
+        schema = self.CASES[name][0]
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    def test_every_call_validates(self, capsys, monkeypatch):
+        strict = {**cli.ANALYZE_SCHEMA, "required": [*cli.ANALYZE_SCHEMA["required"], "extra"]}
+        monkeypatch.setattr(cli, "ANALYZE_SCHEMA", strict)
+        for _ in range(2):
+            code, out, err = run(capsys, "analyze", "--phase", "x*y")
+            assert code == 1 and out == ""
+            assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    def test_shared_parser_keeps_no_state(self, capsys):
+        argvs = [argv for _, argv in self.CASES.values()]
+        first = [run(capsys, *argv) for argv in argvs]
+        with pytest.raises(SystemExit):
+            main(["analyze", "--phase", "--mixed"])
+        capsys.readouterr()
+        again = [run(capsys, *argv) for argv in reversed(argvs)]
+        assert again[::-1] == first
+        assert build_parser() is build_parser()
 
 
 def _edge(gamma, n, a_nu, b_nu, delta_nu):
