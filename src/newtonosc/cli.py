@@ -39,6 +39,7 @@ from .opnorm import (
 from .polycore import integrate_xy, mixed_derivative, parse_poly
 from .puiseux import branch_residual_order, expand_branches
 from .scaling import SweepConfig, norm_at, verify_theorem
+from .scaling import VERDICT_FAIL, VERDICT_INCONCLUSIVE, VERDICT_PASS
 
 SCHEMA_ID = "newton-osc/2"
 
@@ -155,7 +156,7 @@ SWEEP_SCHEMA = _payload_schema(
         "type": "object",
         "required": ["samples", "slope", "stderr", "predicted", "tol_slope", "verdict"],
         "properties": {
-            "verdict": {"enum": ["Pass", "Fail", "Inconclusive"]},
+            "verdict": {"enum": [VERDICT_PASS, VERDICT_FAIL, VERDICT_INCONCLUSIVE]},
             "samples": {"type": "array", "items": _SAMPLE},
         },
     },
@@ -184,6 +185,8 @@ def cmd_analyze(args) -> int:
     _, F = _load_phase(args.phase, args.mixed)
     polygon = build_polygon(F)  # EmptyPolygonError -> exit 3
     order = _parse_fraction(args.order) if args.order is not None else None
+    if order is not None and order <= 0:  # expand_branches' check, for a y-free F too
+        raise ValueError(f"branch order must be positive, got {order}")
     deg_y = max((b for _, b in F.support()), default=0)
     branches = expand_branches(F, order=order) if deg_y > 0 else None
     decay = analyze_decay(F, branches=branches)

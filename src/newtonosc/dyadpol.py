@@ -222,12 +222,24 @@ def verify_lower_bound(
     Each trial draws its own generator from (master_seed, trial index), so
     any single trial can be replayed in isolation.  h_density draws per
     interval come on top of the interval endpoints; 0 samples the
-    endpoints alone.
+    endpoints alone.  ValueError, before any sampling, when a coefficient
+    or 1 + sum |a_i| can overflow a double.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if h_density < 0:
         raise ValueError(f"h_density must be at least 0, got {h_density}")
+    # |P| <= 1 + sum C 2^r_i on [0, 1]; past the double range the samples
+    # are inf or NaN, and a NaN sample checks nothing
+    try:
+        top = math.fsum([1.0, *(math.ldexp(profile.C, r) for r in profile.r)])
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):
+        raise ValueError(
+            f"profile coefficients overflow a double: C={profile.C}, max r={max(profile.r)} "
+            "(1 + C * sum 2^r_i needs < 2^1024)"
+        )
     powers = np.arange(1, profile.N + 1)
     min_observed = math.inf
     worst_trial = -1

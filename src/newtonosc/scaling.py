@@ -10,7 +10,7 @@ degenerate, -1/(N+2) with a logarithmic correction when it is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -282,7 +282,10 @@ class ScalingReport:
     -1/(N+2) when the mixed derivative is an exact N-th power of a
     curve; log_exponent is the measured exponent of the log correction
     in that degenerate case (informational: for N = 2 the correction is
-    known to be removable).
+    known to be removable; None below 4 valid samples above lambda 2).
+    Flat norms give a NaN slope and stderr.  verdict is derived, not
+    stored: Inconclusive on a NaN slope, Pass when every sample is valid
+    and the slope is within tol_slope of predicted, Fail otherwise.
     retry holds a second report at half the cutoff radius, attached
     when the first verdict is Fail so a too-large neighborhood can be
     told apart from a genuine failure.
@@ -292,10 +295,17 @@ class ScalingReport:
     slope: float
     stderr: float
     tol_slope: float
-    verdict: str
     decay: DecayReport
     log_exponent: Optional[float] = None
     retry: Optional["ScalingReport"] = None
+
+    @property
+    def verdict(self) -> str:
+        if math.isnan(self.slope):
+            return VERDICT_INCONCLUSIVE
+        close = abs(self.slope - float(self.predicted)) <= self.tol_slope
+        passed = close and all(s.valid for s in self.samples)
+        return VERDICT_PASS if passed else VERDICT_FAIL
 
     @property
     def predicted(self) -> Fraction:
@@ -327,18 +337,19 @@ def predicted_exponent(decay: DecayReport) -> Fraction:
 
 
 def verify_theorem(
-    p: PhaseSpec, cfg: SweepConfig | None = None, _allow_retry: bool = True
+    p: PhaseSpec, cfg: SweepConfig | None = None, _decay: DecayReport | None = None
 ) -> ScalingReport:
     """Measure the norm decay of the phase and judge it against the prediction.
 
     Pipeline: mixed derivative, polygon, decay rate, branch expansion,
     degeneracy test, sweep, fit.  Pass means every sample converged and
-    the fitted slope sits within tol_slope of the predicted exponent.
+    the fitted slope sits within tol_slope of the predicted exponent;
+    flat norms are Inconclusive.  A Fail reruns the sweep at half the
+    radius and hands it this DecayReport as _decay, since F is the same;
+    a call given _decay is that retry and does not retry again.
     """
     cfg = cfg if cfg is not None else SweepConfig()
-    F = mixed_derivative(p.S)
-    decay = analyze_decay(F)
-    predicted = predicted_exponent(decay)
+    decay = _decay if _decay is not None else analyze_decay(mixed_derivative(p.S))
     deg = decay.degeneracy
 
     samples = tuple(sweep(p, cfg))
@@ -346,35 +357,24 @@ def verify_theorem(
         slope, stderr = fit_decay(samples, cfg.fit_window)
     except DomainError:
         # flat norms: no oscillatory decay to measure
-        return ScalingReport(
-            samples=samples,
-            slope=math.nan,
-            stderr=math.nan,
-            tol_slope=cfg.tol_slope,
-            verdict=VERDICT_INCONCLUSIVE,
-            decay=decay,
-        )
+        slope = stderr = math.nan
 
     log_exp = None
-    if deg.kind is DegeneracyKind.COMPLETELY_DEGENERATE:
-        log_exp = log_exponent_fit(samples, deg.N)
+    if deg.kind is DegeneracyKind.COMPLETELY_DEGENERATE and not math.isnan(slope):
+        try:
+            log_exp = log_exponent_fit(samples, deg.N)
+        except InsufficientSamplesError:
+            pass  # informational: omitted, not fatal
 
-    all_valid = all(s.valid for s in samples)
-    passed = all_valid and abs(slope - float(predicted)) <= cfg.tol_slope
-    verdict = VERDICT_PASS if passed else VERDICT_FAIL
-
-    retry = None
-    if verdict == VERDICT_FAIL and _allow_retry:
-        half = PhaseSpec(S=p.S, rho=p.rho / 2)
-        retry = verify_theorem(half, cfg, _allow_retry=False)
-
-    return ScalingReport(
+    report = ScalingReport(
         samples=samples,
         slope=slope,
         stderr=stderr,
         tol_slope=cfg.tol_slope,
-        verdict=verdict,
         decay=decay,
         log_exponent=log_exp,
-        retry=retry,
     )
+    if report.verdict == VERDICT_FAIL and _decay is None:
+        half = PhaseSpec(S=p.S, rho=p.rho / 2)
+        report = replace(report, retry=verify_theorem(half, cfg, _decay=decay))
+    return report

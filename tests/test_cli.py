@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 import newtonosc
-from newtonosc import blocks, cli, newton, scaling
+from newtonosc import blocks, cli, newton, puiseux, scaling
 from newtonosc.cli import build_parser, main
 from newtonosc.polycore import parse_poly
 from newtonosc.puiseux import expand_branches
@@ -132,13 +132,26 @@ class TestAnalyze:
         assert deg["kind"] == "Undetermined"
         assert deg["checked_order"] == d["branches"]["order"] == "3"
 
-    @pytest.mark.parametrize("order", ["0", "-2"])
-    def test_nonpositive_order_is_1(self, capsys, order):
-        code, out, err = run(
-            capsys, "analyze", "--mixed", "--phase", "(y-x)^2 - x^7", "--order", order
-        )
+    @pytest.mark.parametrize(
+        "phase, order",
+        [
+            pytest.param("(y-x)^2 - x^7", "0", id="0"),
+            pytest.param("(y-x)^2 - x^7", "-2", id="-2"),
+            # no y in F, so no branch expansion would check the order
+            pytest.param("x^3", "0", id="y-free-0"),
+            pytest.param("x^3", "-3", id="y-free--3"),
+        ],
+    )
+    def test_nonpositive_order_is_1(self, capsys, monkeypatch, phase, order):
+        def analyzed(*args, **kwargs):
+            raise AssertionError("analyze_decay ran")
+
+        monkeypatch.setattr(cli, "analyze_decay", analyzed)
+        code, out, err = run(capsys, "analyze", "--mixed", "--phase", phase, "--order", order)
         assert code == 1 and out == ""
-        assert json.loads(err)["error"]["type"] == "ValueError"
+        assert json.loads(err)["error"] == {
+            "type": "ValueError", "message": f"branch order must be positive, got {order}"
+        }
 
     def test_fractional_order(self, capsys):
         text = "(y^2-x^3)^2 - 4*x^5*y - x^7"
@@ -278,6 +291,15 @@ class TestSweep:
             "type": "ParseError", "message": f"bad numeric list {value!r} (at position 0)"
         }
 
+    def test_log_exponent_omitted_below_four_samples_above_lambda_2(self, capsys):
+        # the informational log fit of a degenerate F needs 4 valid samples
+        # above lambda 2; with 3 the sweep reports its verdict without it,
+        # and so does the retry
+        d = run_json(capsys, "sweep", "--phase", "-(y-x)^4/12", "--lambdas", "1,1.5,2,4,8,16")
+        r = d["report"]
+        assert r["verdict"] == r["retry"]["verdict"] == "Fail"
+        assert "log_exponent" not in r and "log_exponent" not in r["retry"]
+
     def test_nan_tol_slope_is_1(self, capsys):
         code, out, err = run(
             capsys,
@@ -371,6 +393,23 @@ class TestDyadpol:
         assert code == 2 and out == "" and err.count("\n") == 1
         assert json.loads(err)["error"]["type"] == "ParseError"
 
+    @pytest.mark.parametrize("r", ["1100", "5000"])
+    def test_overflowing_coefficients_are_1(self, capsys, r):
+        # C * 2^r is no double: every |P(h)| would be inf or NaN, which
+        # checks nothing
+        code, out, err = run(capsys, "dyadpol", "--r", r, "--trials", "3")
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        prefix = f"profile coefficients overflow a double: C=2.0, max r={r} "
+        assert error["message"].startswith(prefix)
+
+    def test_largest_double_coefficients_are_checked(self, capsys):
+        # C * 2^1022 = 2^1023 is still a double
+        v = run_json(capsys, "dyadpol", "--r", "1022", "--trials", "3")["verification"]
+        assert v["pass"] is True and v["min_observed"] >= v["bound"]
+        assert v["worst_trial"] >= 0
+
     def test_negative_h_density_is_1(self, capsys):
         argv = ("dyadpol", "--r", "0,6", "--trials", "5", "--h-density")
         code, out, err = run(capsys, *argv, "-2")
@@ -430,7 +469,8 @@ class TestProvenance:
 
 class TestFrontEndOnce:
     # the Newton polygon of F is built once per analysis: cmd_analyze
-    # prints its own, analyze_decay builds one, verify_blocks one
+    # prints its own, analyze_decay builds one, verify_blocks one; a
+    # sweep's Fail retry reuses the DecayReport of its parent
     @pytest.fixture
     def builds(self, monkeypatch):
         calls, original = [], newton.build_polygon
@@ -447,7 +487,7 @@ class TestFrontEndOnce:
         "argv, expected",
         [
             (("analyze", "--mixed", "--phase", "(y-x)^2"), 2),
-            (("sweep", "--phase", "x^2*y^2/4", "--rho", "0.9", "--lambdas", "16,32,64,128"), 2),
+            (("sweep", "--phase", "x^2*y^2/4", "--rho", "0.9", "--lambdas", "16,32,64,128"), 1),
             (("sweep", "--phase", "x*y", "--rho", "0.85", "--lambdas", "16,32,64,128"), 1),
             (("blocks", "--phase", "x^2*y^2/4", "--lambda", "64", "--j-max", "2"), 1),
         ],
@@ -457,6 +497,20 @@ class TestFrontEndOnce:
         code, _, err = run(capsys, *argv)
         assert code == 0, err
         assert len(builds) == expected
+
+    def test_one_expansion_per_sweep_with_retry(self, capsys, monkeypatch):
+        # F = (y-x)^2 is completely degenerate, which the Puiseux expansion
+        # decides; the Fail retry at half the radius does not expand F again
+        calls, original = [], puiseux.expand_branches
+
+        def counted(F, *args, **kwargs):
+            calls.append(F)
+            return original(F, *args, **kwargs)
+
+        monkeypatch.setattr(puiseux, "expand_branches", counted)
+        d = run_json(capsys, "sweep", "--phase", "-(y-x)^4/12", "--lambdas", "16,32,64,128")
+        assert d["report"]["verdict"] == "Fail" and "retry" in d["report"]
+        assert len(calls) == 1
 
 
 class TestSchemas:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from newtonosc import dyadpol
 from newtonosc.dyadpol import (
     ExponentProfile,
     LowerBoundSet,
@@ -259,6 +260,27 @@ class TestVerify:
         a = verify_lower_bound(p, e, trials=20, h_density=6, master_seed=1)
         b = verify_lower_bound(p, e, trials=20, h_density=6, master_seed=2)
         assert a.min_observed != b.min_observed
+
+    @pytest.mark.parametrize(
+        "r, C",
+        [((1100,), 2.0), ((5000,), 2.0), ((1023,), 2.0), ((1022, 1022), 2.0), ((0, 10**9), 1.0)],
+    )
+    def test_overflowing_coefficients_refused_before_sampling(self, monkeypatch, r, C):
+        def sampled(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(dyadpol, "sample_coefficients", sampled)
+        p = ExponentProfile(r=r, C=C)
+        with pytest.raises(ValueError, match=f"overflow a double: C={C}, max r={max(r)} "):
+            verify_lower_bound(p, lower_bound_set(p), trials=3)
+
+    # 1 + C * sum 2^r_i just below 2^1024: 1 + 1.5 * 2^1023, and 1 + 2^1023
+    @pytest.mark.parametrize("r, C", [((1023,), 1.5), ((1021, 1021), 2.0)])
+    def test_largest_double_coefficients_are_checked(self, r, C):
+        p = ExponentProfile(r=r, C=C)
+        rep = verify_lower_bound(p, lower_bound_set(p), trials=3)
+        assert math.isfinite(rep.min_observed) and rep.worst_trial >= 0
+        assert rep.passed
 
     def test_report_dict(self):
         p = ExponentProfile(r=(0,), C=1)

@@ -509,6 +509,30 @@ class TestPredictedExponent:
         ) == Fraction(-1, 5)
 
 
+class TestScalingReportVerdict:
+    # the verdict is derived from the fields, so it cannot contradict them
+    @pytest.mark.parametrize(
+        "slope, conv, verdict",
+        [
+            (math.nan, (0.0, 0.0, 0.0, 0.0), "Inconclusive"),
+            (math.nan, (0.0, 0.5, 0.0, 0.0), "Inconclusive"),
+            (-0.5, (0.0, 0.0, 0.0, 0.0), "Pass"),
+            (-0.45, (0.0, 0.0, 0.01, 0.0), "Pass"),
+            (-0.5, (0.0, 0.0, 0.5, 0.0), "Fail"),
+            (-0.7, (0.0, 0.0, 0.0, 0.0), "Fail"),
+        ],
+    )
+    def test_verdict_reads_slope_and_samples(self, slope, conv, verdict):
+        samples = tuple(
+            NormSample(lam=l, n=256, value=1.0, conv_err=c, iterations=10)
+            for l, c in zip((16.0, 32.0, 64.0, 128.0), conv)
+        )
+        decay = analyze_decay(parse_poly("1"))  # predicts -1/2
+        rep = ScalingReport(samples=samples, slope=slope, stderr=0.0, tol_slope=0.1, decay=decay)
+        assert rep.verdict == verdict
+        assert rep.to_dict()["verdict"] == verdict
+
+
 class TestVerifyTheorem:
     def test_hyperbolic_short_window_passes(self):
         p = PhaseSpec(S=parse_poly("x*y"), rho=0.85)
