@@ -675,6 +675,27 @@ class TestPinnedPayloads:
                 v["bound"]) == pinned
         assert v["pass"] is True
 
+    # (min_observed, worst_trial, worst_h), the floats as float.hex; the
+    # last call has many trials tied at the minimum, and the earliest wins
+    @pytest.mark.parametrize(
+        "argv, worst",
+        [
+            (("--r", "0,6", "--C", "1", "--trials", "50"),
+             ("0x1.fa00000000000p-1", 6, "0x1.0000000000000p-7")),
+            (("--r", "0,30", "--trials", "20"),
+             ("0x1.ffcee7db340acp-1", 17, "0x1.0000000000000p-21")),
+            (("--r", "12,0,7", "--C", "3", "--trials", "20"),
+             ("0x1.fc1271dad0320p-1", 17, "0x1.0000000000000p-20")),
+            (("--r", "3,7,12", "--trials", "1000", "--seed", "5"),
+             ("0x1.f7ea491270fcap-1", 367, "0x1.0000000000000p-10")),
+            (("--r", "0,6", "--C", "1", "--h-density", "0", "--trials", "300"),
+             ("0x1.fa00000000000p-1", 6, "0x1.0000000000000p-7")),
+        ],
+    )
+    def test_dyadpol_worst_trial(self, capsys, argv, worst):
+        v = run_json(capsys, "dyadpol", *argv)["verification"]
+        assert (v["min_observed"].hex(), v["worst_trial"], v["worst_h"].hex()) == worst
+
 
 class TestSurface:
     # every option is read by its subcommand; a new one must be added here

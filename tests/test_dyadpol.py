@@ -14,8 +14,6 @@ from newtonosc.dyadpol import (
     LowerBoundSet,
     envelope_corners,
     lower_bound_set,
-    sample_coefficients,
-    sample_points,
     verify_lower_bound,
 )
 
@@ -45,6 +43,67 @@ def oracle_corners(profile):
         if bi + i * x == top:
             xs.add(x)
     return tuple(sorted(xs))
+
+
+def sample_points(lbset: LowerBoundSet, h_density: int, rng) -> np.ndarray:
+    """Log-uniform draws per interval of E, plus every interval endpoint."""
+    spans = [(lbset.leading_beta - dyadpol._LEADING_OCTAVES, lbset.leading_beta)]
+    spans.extend(lbset.intervals)
+    values = [2.0 ** float(b) for _, b in spans]
+    values.extend(2.0 ** float(a) for a, _ in lbset.intervals)
+    for lo, hi in spans:
+        if h_density > 0 and hi > lo:
+            exps = rng.uniform(float(lo), float(hi), size=h_density)
+            values.extend(2.0**e for e in exps)
+    return np.array(sorted(values))
+
+
+def sample_coefficients(profile: ExponentProfile, rng) -> np.ndarray:
+    """One admissible coefficient vector: random signs, log-uniform sizes."""
+    N = profile.N
+    signs = rng.integers(0, 2, size=N) * 2 - 1
+    if profile.C > 1:
+        mags = 2.0 ** np.array(profile.r, dtype=float) * profile.C ** rng.uniform(
+            -1.0, 1.0, size=N
+        )
+    else:
+        mags = 2.0 ** np.array(profile.r, dtype=float)
+    return signs * mags
+
+
+def replay_trial(profile, lbset, h_density, master_seed, t):
+    """Trial t on its own: (min |P| over its grid, the h attaining it first)."""
+    rng = np.random.default_rng([master_seed, t])
+    coeffs = sample_coefficients(profile, rng)
+    hs = sample_points(lbset, h_density, rng)
+    powers = np.arange(1, profile.N + 1)
+    values = 1.0 + (hs[:, None] ** powers[None, :]) @ coeffs
+    idx = int(np.argmin(np.abs(values)))
+    return float(abs(values[idx])), float(hs[idx])
+
+
+def replay_verify(profile, lbset, trials, h_density, master_seed):
+    """The per-trial loop: (min_observed, worst_trial, worst_h), earliest trial on ties."""
+    min_observed, worst_trial, worst_h = math.inf, -1, math.nan
+    for t in range(trials):
+        trial_min, h = replay_trial(profile, lbset, h_density, master_seed, t)
+        if trial_min < min_observed:
+            min_observed, worst_trial, worst_h = trial_min, t, h
+    return min_observed, worst_trial, worst_h
+
+
+def worst(rep):
+    return rep.min_observed, rep.worst_trial, rep.worst_h
+
+
+def criterion6_profiles(count):
+    """The first profiles of criterion 6's generator."""
+    rng = np.random.default_rng(6)
+    out = []
+    for _ in range(count):
+        N = int(rng.integers(1, 5))
+        out.append(tuple(int(v) for v in rng.integers(0, 13, size=N)))
+    return out
 
 
 def random_profile(rng, max_n=4, max_r=10):
@@ -241,18 +300,68 @@ class TestVerify:
         e = lower_bound_set(p)
         a = verify_lower_bound(p, e, trials=50, h_density=10, master_seed=11)
         b = verify_lower_bound(p, e, trials=50, h_density=10, master_seed=11)
-        assert (a.min_observed, a.worst_trial, a.worst_h) == (
-            b.min_observed,
-            b.worst_trial,
-            b.worst_h,
-        )
+        assert worst(a) == worst(b)
         # a single trial replays in isolation from (seed, index)
-        rng = np.random.default_rng([11, a.worst_trial])
-        coeffs = sample_coefficients(p, rng)
-        hs = sample_points(e, 10, rng)
-        powers = np.arange(1, p.N + 1)
-        vals = 1.0 + (hs[:, None] ** powers[None, :]) @ coeffs
-        assert math.isclose(float(np.min(np.abs(vals))), a.min_observed, rel_tol=1e-12)
+        assert replay_trial(p, e, 10, 11, a.worst_trial) == (a.min_observed, a.worst_h)
+
+    # float == float is bitwise here: no NaN reaches a report
+    @pytest.mark.parametrize("C", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("h_density", [0, 1, 12])
+    def test_matches_per_trial_replay(self, C, h_density):
+        for i, r in enumerate(criterion6_profiles(50)):
+            p = ExponentProfile(r=r, C=C)
+            e = lower_bound_set(p)
+            rep = verify_lower_bound(p, e, trials=50, h_density=h_density, master_seed=i)
+            assert worst(rep) == replay_verify(p, e, 50, h_density, i), r
+
+    def test_sampled_worst_points_match_replay(self):
+        # a lone trial whose P grows from 1 on the leading span has its
+        # minimum at a sampled point, not at a power-of-two endpoint, so
+        # the bits of the drawn points 2^uniform(lo, hi) are compared
+        sampled = 0
+        for i, r in enumerate(criterion6_profiles(200)):
+            p = ExponentProfile(r=r, C=2.0)
+            e = lower_bound_set(p)
+            rep = verify_lower_bound(p, e, trials=1, master_seed=i)
+            assert worst(rep) == replay_verify(p, e, 1, 12, i), r
+            sampled += math.frexp(rep.worst_h)[0] != 0.5
+        assert sampled >= 50
+
+    def test_stacked_power_and_matmul_are_per_trial(self):
+        # the worst points sit where P is near 1 or its terms are exact, so
+        # the reports above barely see the bits of h^i and of the matmul;
+        # the stacked forms must equal each trial's own bit for bit
+        rng = np.random.default_rng(5)
+        for N in range(1, 5):
+            powers = np.arange(1, N + 1)
+            hs = np.sort(rng.random((30, 41)), axis=1)
+            coeffs = rng.choice([-1.0, 1.0], (30, N)) * 2.0 ** rng.uniform(0, 13, (30, N))
+            table = hs[:, :, None] ** powers
+            stacked = (table @ coeffs[:, :, None])[:, :, 0]
+            for t in range(30):
+                own = hs[t][:, None] ** powers[None, :]
+                assert np.array_equal(table[t], own)
+                assert np.array_equal(stacked[t], own @ coeffs[t])
+
+    def test_sum_order_reaches_the_report(self):
+        # a rare call whose min_observed changes when the dot products of
+        # P sum in another order (einsum instead of matmul, say)
+        p = ExponentProfile(r=(4, 0, 10, 1), C=3.0)
+        e = lower_bound_set(p)
+        rep = verify_lower_bound(p, e, trials=3, h_density=0, master_seed=756)
+        assert worst(rep) == replay_verify(p, e, 3, 0, 756)
+
+    def test_earliest_tie_wins_across_blocks(self, monkeypatch):
+        # C = 1 and endpoints only: the trial minimum depends on the signs
+        # alone, so many trials tie; three trials per block
+        p = ExponentProfile(r=(0, 6), C=1)
+        e = lower_bound_set(p)
+        monkeypatch.setattr(dyadpol, "_BLOCK_ELEMENTS", 6)
+        rep = verify_lower_bound(p, e, trials=40, h_density=0, master_seed=3)
+        assert worst(rep) == replay_verify(p, e, 40, 0, 3)
+        tied = [t for t in range(40) if replay_trial(p, e, 0, 3, t)[0] == rep.min_observed]
+        assert len({t // 3 for t in tied}) > 1 and tied[0] >= 3
+        assert rep.worst_trial == tied[0]
 
     def test_seed_changes_samples(self):
         p = ExponentProfile(r=(3, 7), C=2)
@@ -269,7 +378,7 @@ class TestVerify:
         def sampled(*args, **kwargs):
             raise AssertionError("sampled")
 
-        monkeypatch.setattr(dyadpol, "sample_coefficients", sampled)
+        monkeypatch.setattr(dyadpol.np.random, "default_rng", sampled)
         p = ExponentProfile(r=r, C=C)
         with pytest.raises(ValueError, match=f"overflow a double: C={C}, max r={max(r)} "):
             verify_lower_bound(p, lower_bound_set(p), trials=3)
