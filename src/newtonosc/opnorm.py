@@ -4,8 +4,9 @@ The operator acts by integrating e^{i lam S(x,y)} against a fixed smooth
 tensor-product cutoff.  Midpoint sampling with symmetric sqrt(h) weights
 turns it into a matrix whose spectral norm tracks the L2 operator norm
 once the grid samples the oscillation finely; the sizing rule keeps
-lam * |grad S| * h at most pi/4, half the guard's pi/2, where S is the
-canonical phase integrate_xy(S''_xy) that PhaseSpec stores.  grid_points
+lam * G * h at most pi/4, half the guard's pi/2, G = gradient_bound a
+closed-form bound on |grad S| for the canonical phase integrate_xy(S''_xy)
+that PhaseSpec stores.  grid_points
 is that rule's one home: the square grids of auto_grid and the block
 grids of the dyadic decomposition are both sized by it.  On the square
 grid, centred at the origin, a phase whose support has a parity
@@ -29,9 +30,9 @@ against: the support size bound and the operator oscillation bound
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -51,7 +52,6 @@ COMPLEX64_ABOVE = 2048
 _TILE_ROWS = 64
 # the resolution guard: at most pi/2 of phase across one grid cell
 _MAX_CELL_PHASE = math.pi / 2 + 1e-12
-_PROBE = 64
 # rows a Lanczos basis holds before it first doubles
 _BASIS_ROWS = 32
 
@@ -94,11 +94,11 @@ class GridSpec:
     def __post_init__(self):
         if self.n < GRID_MIN:
             raise ValueError(f"grid needs at least {GRID_MIN} points per side")
-        # a tuple, so that gradient_bound can memoize on it
+        # a tuple, so that a list domain and a tuple domain make equal records
         object.__setattr__(self, "domain", tuple(self.domain))
         x0, x1, y0, y1 = self.domain
-        if not (x0 < x1 and y0 < y1):
-            raise ValueError("domain must be a nondegenerate rectangle")
+        if not (x0 < x1 and y0 < y1 and all(map(math.isfinite, self.domain))):
+            raise ValueError("domain must be a finite, nondegenerate rectangle")
 
     @classmethod
     def square(cls, n: int, rho: float) -> "GridSpec":
@@ -110,19 +110,19 @@ def _midpoints(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
     return lo + h * (np.arange(n) + 0.5), h
 
 
-@functools.lru_cache(maxsize=None)
 def gradient_bound(S: BivarPoly, domain) -> float:
-    """Sampled max of |dS/dx| + |dS/dy| over the rectangle.
+    """A bound on |dS/dx| + |dS/dy| over the closed rectangle, never below its max.
 
-    Memoized on (S, domain), both hashable: within a norm_at, auto_grid
-    and every sector build probe the same square.
+    The sum of |c| X^a Y^b over the terms c x^a y^b of S_x and S_y, with X
+    and Y the largest |x| and |y| there: the max when neither derivative's
+    terms cancel at some corner (+-X, +-Y), as on every reference phase.
+    Exact in Fractions of S's coefficients and float ends, rounded up once.
     """
-    x0, x1, y0, y1 = domain
-    xs, _ = _midpoints(x0, x1, _PROBE)
-    ys, _ = _midpoints(y0, y1, _PROBE)
-    sx = eval_grid(S.diff("x"), xs, ys)
-    sy = eval_grid(S.diff("y"), xs, ys)
-    return float(np.max(np.abs(sx) + np.abs(sy)))
+    x0, x1, y0, y1 = (Fraction(float(v)) for v in domain)
+    X, Y = max(abs(x0), abs(x1)), max(abs(y0), abs(y1))
+    total = sum(abs(c) * X**a * Y**b for v in "xy" for (a, b), c in S.diff(v).terms.items())
+    G = float(total)
+    return G if Fraction(G) >= total else math.nextafter(G, math.inf)
 
 
 def _next_pow2(x: float) -> int:
@@ -140,7 +140,7 @@ def _next_pow2(x: float) -> int:
 def grid_points(lam: float, G: float, domain) -> tuple[int, float]:
     """Points per side that give >= 4 samples per oscillation on domain.
 
-    G bounds |dS/dx| + |dS/dy| there (gradient_bound).  Returns (n,
+    G is at least the max of |dS/dx| + |dS/dy| there (gradient_bound).  Returns (n,
     required): required is the raw count side * |lam| * G * (2/pi) * SAFETY
     for the longer side, and n the power of two at or above it, at least
     GRID_MIN.  Callers apply their own cap.  The kernel at -lam is the

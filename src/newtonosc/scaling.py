@@ -166,8 +166,8 @@ def norm_at(p: PhaseSpec, lam: float, seed: int = 0) -> NormSample:
     The base grid n is solved first, from the caller's seed.  Its
     estimate is checked against the grid n/2 when n > GRID_MIN, and
     against 2n otherwise; conv_err is the relative gap
-    |v(n) - v(check)| / v(n).  auto_grid keeps |lam| * G * h <= pi/4
-    at n, so n/2 always passes discretize's pi/2 resolution guard.  The
+    |v(n) - v(check)| / v(n).  auto_grid keeps |lam| * G * h <= pi/4 at n,
+    G a proven bound on |grad S|, so n/2 passes discretize's pi/2 guard.  The
     midpoint rule on the bump-windowed kernel converges spectrally, so
     the gap to n/2 is a conservative estimate of the error at n.  If the
     gap reaches 2 percent the base doubles and is compared with the grid

@@ -25,7 +25,7 @@ from newtonosc.opnorm import (
     size_bound,
 )
 from newtonosc.polycore import BivarPoly, parse_poly
-from newtonosc.scaling import NormSample, SweepConfig, sweep
+from newtonosc.scaling import NormSample
 
 XY = parse_poly("x*y")
 
@@ -177,22 +177,31 @@ class TestGridSpec:
             assert _next_pow2(float(x)) == reference(x), x
         assert _next_pow2(math.inf) == 1
 
+    def test_non_finite_domain_rejected(self):
+        for domain in [(0, math.inf, 0, 1), (-math.inf, 0, 0, 1), (0, 1, 0, math.inf)]:
+            with pytest.raises(ValueError, match="finite"):
+                GridSpec(n=16, domain=domain)
+
     def test_discretize_rejects_coarse_grid(self):
         p = PhaseSpec(S=XY, rho=0.5)
         with pytest.raises(ResolutionError):
             discretize(p, 2.0**8, GridSpec.square(16, 0.5))
 
-    def test_gradient_bound(self):
-        # |y| + |x| peaks at the outer midpoints of the square
-        g = gradient_bound(XY, (-0.5, 0.5, -0.5, 0.5))
-        assert 0.9 < g <= 1.0
+    @pytest.mark.parametrize("lam", [78.145, 79.677])
+    def test_guard_refuses_a_step_just_above_pi_over_2(self, lam):
+        # x^2*y^2/4 on [-0.9, 0.9]^2 peaks at |S_x| + |S_y| = 0.9^3 at
+        # the corners, so at n = 64 the true step is 1.02 and 1.04 times
+        # pi/2, a few percent above the guard
+        p = PhaseSpec(S=parse_poly("x^2*y^2/4"), rho=0.9)
+        g = GridSpec.square(64, 0.9)
+        assert 1.0 < lam * 0.9**3 * (1.8 / 64) / (math.pi / 2) < 1.05
+        with pytest.raises(ResolutionError, match=r"^grid n=64 does not resolve"):
+            discretize(p, lam, g)
 
-    def test_gradient_bound_probes_once_per_sweep(self):
-        # auto_grid, resolves and every sector build of each lambda probe
-        # the same (S, square)
-        gradient_bound.cache_clear()
-        sweep(PhaseSpec(S=XY, rho=0.5), SweepConfig(lambdas=(8.0, 16.0, 32.0, 64.0)))
-        assert gradient_bound.cache_info().misses == 1
+    def test_gradient_bound(self):
+        # |y| + |x| peaks at the corners of the square
+        g = gradient_bound(XY, (-0.5, 0.5, -0.5, 0.5))
+        assert g == 1.0
 
     def test_list_domain_discretizes(self):
         p = PhaseSpec(S=XY, rho=0.5)

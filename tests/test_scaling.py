@@ -16,6 +16,7 @@ from newtonosc.errors import (
 )
 from newtonosc.newton import analyze_decay
 from newtonosc import scaling
+from newtonosc.blocks import block_rect, first_block_scale
 from newtonosc.opnorm import (
     GRID_MIN,
     SAFETY,
@@ -62,6 +63,29 @@ def mk_samples(lams, values, conv=0.0):
         NormSample(lam=l, n=256, value=v, conv_err=conv, iterations=10)
         for l, v in zip(lams, values)
     ]
+
+
+def seeded_phases():
+    """Up to 40 seeded random phases, some with cancelling terms, and 4 uniforms each.
+
+    Yields (p, uniforms); the uniforms in [0.5, 1) are drawn after p, one
+    per grid size of test_half_grid_always_resolves.
+    """
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        pts = {(int(a), int(b)) for a, b in rng.integers(0, 4, size=(rng.integers(1, 5), 2))}
+        F = BivarPoly({pt: int(c) for pt, c in zip(sorted(pts), rng.integers(-4, 5, size=len(pts))) if c})
+        if not F:
+            continue
+        p = PhaseSpec(S=integrate_xy(F), rho=float(rng.uniform(0.1, 1.0)))
+        yield p, [rng.uniform(0.5, 1.0) for _ in range(4)]
+
+
+def gradient_max(S: BivarPoly, domain, points: int = 513) -> float:
+    """max |S_x| + |S_y| over a closed grid that includes the edges and corners."""
+    x0, x1, y0, y1 = domain
+    xs, ys = np.linspace(x0, x1, points), np.linspace(y0, y1, points)
+    return float(np.max(np.abs(eval_grid(S.diff("x"), xs, ys)) + np.abs(eval_grid(S.diff("y"), xs, ys))))
 
 
 class TestSweepConfig:
@@ -218,23 +242,49 @@ class TestGridCheck:
         # auto_grid keeps |lam| G h <= pi/4 at n, so the check grid n/2
         # passes the pi/2 guard; the lambdas that size n exactly to a
         # power of two are the tightest case
-        rng = np.random.default_rng(7)
         checked = set()
-        for _ in range(40):
-            pts = {(int(a), int(b)) for a, b in rng.integers(0, 4, size=(rng.integers(1, 5), 2))}
-            F = BivarPoly({pt: int(c) for pt, c in zip(sorted(pts), rng.integers(-4, 5, size=len(pts))) if c})
-            if not F:
-                continue
-            p = PhaseSpec(S=integrate_xy(F), rho=float(rng.uniform(0.1, 1.0)))
+        for p, uniforms in seeded_phases():
             G = gradient_bound(p.S, (-p.rho, p.rho, -p.rho, p.rho))
             unit = 2 * p.rho * G * (2.0 / math.pi) * SAFETY
-            for n in (32, 64, 128, 256):
-                for lam in (n / unit, -n / unit, n * rng.uniform(0.5, 1.0) / unit):
+            for n, u in zip((32, 64, 128, 256), uniforms):
+                for lam in (n / unit, -n / unit, n * u / unit):
                     g = auto_grid(p, lam)
                     if GRID_MIN < g.n <= 256:
                         discretize(p, lam, GridSpec.square(g.n // 2, p.rho))
                         checked.add(g.n)
         assert checked == {32, 64, 128, 256}
+
+    @pytest.mark.parametrize(
+        "text, rho, exact",
+        [
+            ("x*y", 0.85, lambda r: 2 * r),
+            ("x^2*y^2/4", 0.9, lambda r: r**3),
+            ("-(y-x)^4/12", 0.5, lambda r: Fraction(14, 3) * r**3),
+            ("x^3*y/3 + x*y^2", 0.5, lambda r: 3 * r**2 + Fraction(4, 3) * r**3),
+        ],
+    )
+    def test_gradient_bound_is_the_reference_maximum(self, text, rho, exact):
+        # 1.7, 0.729, 7/12 and 11/12: each reference phase peaks at a
+        # corner, where the bound is exact; G is the float just above it
+        p = PhaseSpec(S=parse_poly(text), rho=rho)
+        square = (-rho, rho, -rho, rho)
+        G, peak = gradient_bound(p.S, square), exact(Fraction(rho))
+        assert Fraction(G) >= peak > Fraction(math.nextafter(G, 0))
+        assert gradient_max(p.S, square) == pytest.approx(G, rel=1e-12)
+
+    def test_gradient_bound_is_a_bound(self):
+        # a closed grid reaches the edges and corners, where these phases
+        # peak; the float evaluation of its max may round a few ulps
+        # above the exact one
+        cases = [(p.S, (-p.rho, p.rho, -p.rho, p.rho)) for p, _ in seeded_phases()]
+        for text, rho in [("x*y", 0.85), ("x^2*y^2/4", 0.9), ("-(y-x)^4/12", 0.5), ("x^3*y/3 + x*y^2", 0.5)]:
+            S = PhaseSpec(S=parse_poly(text), rho=rho).S
+            cases += [(S, (-rho, rho, -rho, rho)), (S, (0.0, 0.5, -0.5, 0.5))]
+        S = PhaseSpec(S=parse_poly("x^2*y^2/4")).S
+        scales = range(first_block_scale(0.5), 9)
+        cases += [(S, block_rect(j, k)) for j in scales for k in scales]
+        for S, domain in cases:
+            assert gradient_bound(S, domain) >= gradient_max(S, domain) * (1 - 1e-12), (S, domain)
 
     def test_failed_check_doubles_the_base(self, monkeypatch):
         # n = 16 checks against 32 and fails; 32 is compared with the
