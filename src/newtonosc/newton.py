@@ -18,17 +18,23 @@ from .polycore import BivarPoly, Reality
 
 @dataclass(frozen=True)
 class EdgeData:
-    """One compact edge of the boundary.
+    """One compact edge of the boundary, fixed by its two lattice endpoints.
 
-    upper is the endpoint with the larger y (smaller x), lower the other.
-    gamma = horizontal run over vertical drop, n = the vertical drop, so
-    the segment spans n rows and gamma*n columns.  Both are lattice points.
+    upper has the larger y (smaller x), lower the other.  n is the
+    vertical drop and gamma the horizontal run over it, so the segment
+    spans n rows and gamma*n columns.
     """
 
-    gamma: Fraction
-    n: int
     upper: tuple[int, int]
     lower: tuple[int, int]
+
+    @property
+    def n(self) -> int:
+        return self.upper[1] - self.lower[1]
+
+    @property
+    def gamma(self) -> Fraction:
+        return Fraction(self.lower[0] - self.upper[0], self.n)
 
     @property
     def delta(self) -> Fraction:
@@ -95,15 +101,7 @@ def lower_hull(points) -> list[tuple[int, int]]:
 
 def hull_edges(hull) -> tuple[EdgeData, ...]:
     """The compact edges between consecutive vertices of lower_hull."""
-    return tuple(
-        EdgeData(
-            gamma=Fraction(x1 - x0, y0 - y1),
-            n=y0 - y1,
-            upper=(x0, y0),
-            lower=(x1, y1),
-        )
-        for (x0, y0), (x1, y1) in zip(hull, hull[1:])
-    )
+    return tuple(EdgeData(upper, lower) for upper, lower in zip(hull, hull[1:]))
 
 
 def _cross(o, a, b):
@@ -208,19 +206,25 @@ def _degeneracy(F: BivarPoly, polygon: NewtonPolygon, branches) -> Degeneracy:
 class DecayReport:
     """Everything the polygon says about the decay of the operator norm.
 
-    Stores the diagonal crossing t0 and its kind, the degeneracy, and the
-    polygon; delta = 1/(1 + t0), and the offsets A, B and the edges, each
-    with its own exponent delta_nu, are the polygon's.
+    Stores the degeneracy and the polygon.  The diagonal crossing t0, its
+    kind and delta = 1/(1 + t0) are decay_rate(polygon); the offsets A, B
+    and the edges, each with its own exponent delta_nu, are the polygon's.
     """
 
-    t0: Fraction
-    boundary_crossing: str
     degeneracy: Degeneracy
     polygon: NewtonPolygon
 
     @property
+    def t0(self) -> Fraction:
+        return decay_rate(self.polygon)[0]
+
+    @property
     def delta(self) -> Fraction:
-        return 1 / (1 + self.t0)
+        return decay_rate(self.polygon)[1]
+
+    @property
+    def boundary_crossing(self) -> str:
+        return decay_rate(self.polygon)[2]
 
     @property
     def A(self) -> int:
@@ -242,10 +246,11 @@ class DecayReport:
             deg["c"] = self.degeneracy.c
         if self.degeneracy.checked_order is not None:
             deg["checked_order"] = str(self.degeneracy.checked_order)
+        t0, delta, crossing = decay_rate(self.polygon)
         return {
-            "t0": str(self.t0),
-            "delta": str(self.delta),
-            "boundary_crossing": self.boundary_crossing,
+            "t0": str(t0),
+            "delta": str(delta),
+            "boundary_crossing": crossing,
             "A": self.A,
             "B": self.B,
             "edges": [
@@ -265,17 +270,11 @@ class DecayReport:
 def analyze_decay(F: BivarPoly, branches=None) -> DecayReport:
     """Polygon, crossing, per-edge rates, and degeneracy in one report.
 
-    The polygon is built once; the crossing and the degeneracy test both
-    read it.  branches may be passed in to reuse an existing expansion;
-    otherwise one is computed at the default order (4 * total_degree + 8)
-    when the polygon admits complete degeneracy.  checked_order is the
-    order of the expansion actually used.
+    The polygon is built once; the report stores it with the degeneracy,
+    and the crossing is read from it.  branches may be passed in to reuse
+    an existing expansion; otherwise one is computed at the default order
+    (4 * total_degree + 8) when the polygon admits complete degeneracy.
+    checked_order is the order of the expansion actually used.
     """
     polygon = build_polygon(F)
-    t0, _, crossing = decay_rate(polygon)
-    return DecayReport(
-        t0=t0,
-        boundary_crossing=crossing,
-        degeneracy=_degeneracy(F, polygon, branches),
-        polygon=polygon,
-    )
+    return DecayReport(degeneracy=_degeneracy(F, polygon, branches), polygon=polygon)

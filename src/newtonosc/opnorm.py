@@ -116,11 +116,14 @@ def gradient_bound(S: BivarPoly, domain) -> float:
     The sum of |c| X^a Y^b over the terms c x^a y^b of S_x and S_y, with X
     and Y the largest |x| and |y| there: the max when neither derivative's
     terms cancel at some corner (+-X, +-Y), as on every reference phase.
-    Exact in Fractions of S's coefficients and float ends, rounded up once.
+    Exact in Fractions of S's coefficients and float ends, rounded up once;
+    inf when the sum is beyond the largest double, which still bounds it.
     """
     x0, x1, y0, y1 = (Fraction(float(v)) for v in domain)
     X, Y = max(abs(x0), abs(x1)), max(abs(y0), abs(y1))
     total = sum(abs(c) * X**a * Y**b for v in "xy" for (a, b), c in S.diff(v).terms.items())
+    if total > np.finfo(float).max:
+        return math.inf
     G = float(total)
     return G if Fraction(G) >= total else math.nextafter(G, math.inf)
 

@@ -389,17 +389,15 @@ class PuiseuxTerm:
 class PuiseuxBranch:
     """A solution sheet y = sum c_k x^(e_k) of F(x, y(x)) = 0 near x = 0+.
 
-    exact marks sheets whose series terminates (the sum is the whole
-    solution); order is the truncation exponent otherwise.  ramification,
-    the lcm of the exponent denominators, is this sheet's alone: no
-    substitution x -> x^(1/r) is ever shared across branches.
-    split_undetermined marks a non-exact cluster of several sheets that
-    could not be told apart at this order.
+    order is the exponent the series is resolved up to, None when it
+    terminates (the sum is the whole solution: the branch is exact).
+    ramification, the lcm of the exponent denominators, is this sheet's
+    alone, never shared across branches.  split_undetermined marks a
+    non-exact cluster of several sheets not told apart at this order.
     """
 
     terms: tuple[PuiseuxTerm, ...]
     multiplicity: int = 1
-    exact: bool = False
     order: Fraction | None = None
 
     def __post_init__(self):
@@ -412,6 +410,10 @@ class PuiseuxBranch:
                 raise ValueError("series exponents must increase strictly")
         if self.multiplicity < 1:
             raise ValueError("multiplicity must be a positive integer")
+
+    @property
+    def exact(self) -> bool:
+        return self.order is None
 
     @property
     def ramification(self) -> int:

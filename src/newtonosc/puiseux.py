@@ -11,8 +11,8 @@ per branch; there is never a global x -> x^(1/r) substitution.
 
 The sheets that stop at one prefix (an exact root, sheets stuck at the
 cluster scale, continuations beyond the order) form one branch: terms,
-multiplicity, exactness and the order resolved.  Sheets with different
-prefixes are never merged.
+multiplicity and the order resolved, None when every sheet is exact.
+Sheets with different prefixes are never merged.
 
 Truncation is reported in band: a cluster of sheets that agree to the
 computed order comes back as one branch with the combined multiplicity
@@ -239,19 +239,15 @@ def _substitute(poly, G, c):
 # --- the expansion ----------------------------------------------------------
 
 
-def _branch(terms, mult, order, exact=False) -> PuiseuxBranch:
+def _branch(terms, mult, order) -> PuiseuxBranch:
     """One branch of mult sheets from (gamma, c) pairs, resolved up to order.
 
-    order is None only for exact branches.  Terms below TERM_DROP_TOL of
-    the leading coefficient are dropped.
+    order None makes the branch exact: every sheet terminates on terms.
+    Terms below TERM_DROP_TOL of the leading coefficient are dropped.
     """
     lead = abs(terms[0][1])
-    return PuiseuxBranch(
-        terms=tuple(PuiseuxTerm(e, c) for e, c in terms if abs(c) > TERM_DROP_TOL * lead),
-        multiplicity=mult,
-        exact=exact,
-        order=order,
-    )
+    kept = tuple(PuiseuxTerm(e, c) for e, c in terms if abs(c) > TERM_DROP_TOL * lead)
+    return PuiseuxBranch(kept, mult, order)
 
 
 def _expand(poly, D, m, prefix, gamma_prev, order, out):
@@ -304,9 +300,8 @@ def _expand(poly, D, m, prefix, gamma_prev, order, out):
     # nothing but sheets beyond the order
     mult = v + stuck + beyond
     if mult:
-        exact = mult == v
-        resolved = None if exact else gamma_prev if stuck else order
-        out.insert(slot if v or stuck else len(out), _branch(prefix, mult, resolved, exact))
+        resolved = None if mult == v else gamma_prev if stuck else order
+        out.insert(slot if v or stuck else len(out), _branch(prefix, mult, resolved))
 
 
 def expand_branches(F: BivarPoly, order=None) -> BranchSet:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -278,32 +279,57 @@ def log_exponent_fit(samples: Sequence[NormSample], N: int) -> float:
 class ScalingReport:
     """Sweep, fit, prediction, and verdict in one record.
 
-    predicted, read from decay, is -delta/2 from the polygon, or
-    -1/(N+2) when the mixed derivative is an exact N-th power of a
-    curve; log_exponent is the measured exponent of the log correction
-    in that degenerate case (informational: for N = 2 the correction is
-    known to be removable; None below 4 valid samples above lambda 2).
-    Flat norms give a NaN slope and stderr.  verdict is derived, not
-    stored: Inconclusive on a NaN slope, Pass when every sample is valid
-    and the slope is within tol_slope of predicted, Fail otherwise.
-    retry holds a second report at half the cutoff radius, attached
-    when the first verdict is Fail so a too-large neighborhood can be
+    Stores the samples, the SweepConfig they were measured with, the
+    DecayReport and the retry; the rest is derived.  slope and stderr are
+    fit_decay over config.fit_window, NaN on flat norms.  predicted is
+    -delta/2 from the polygon, or -1/(N+2) when the mixed derivative is
+    an exact N-th power of a curve; log_exponent is the measured exponent
+    of the log correction in that case (informational: for N = 2 it is
+    known to be removable; None otherwise and below 4 valid samples above
+    lambda 2).  verdict is Inconclusive on a NaN slope, Pass when every
+    sample is valid and the slope is within config.tol_slope of
+    predicted, Fail otherwise.  retry holds a second report at half the
+    cutoff radius, attached on a Fail so a too-large neighborhood can be
     told apart from a genuine failure.
     """
 
     samples: tuple[NormSample, ...]
-    slope: float
-    stderr: float
-    tol_slope: float
+    config: SweepConfig
     decay: DecayReport
-    log_exponent: Optional[float] = None
     retry: Optional["ScalingReport"] = None
+
+    @cached_property
+    def _fit(self) -> tuple[float, float, Optional[float]]:
+        """(slope, stderr, log_exponent), fitted once per report."""
+        try:
+            slope, stderr = fit_decay(self.samples, self.config.fit_window)
+        except DomainError:
+            return math.nan, math.nan, None  # flat norms: no decay to measure
+        deg = self.decay.degeneracy
+        if deg.kind is not DegeneracyKind.COMPLETELY_DEGENERATE:
+            return slope, stderr, None
+        try:
+            return slope, stderr, log_exponent_fit(self.samples, deg.N)
+        except InsufficientSamplesError:
+            return slope, stderr, None  # informational: omitted, not fatal
+
+    @property
+    def slope(self) -> float:
+        return self._fit[0]
+
+    @property
+    def stderr(self) -> float:
+        return self._fit[1]
+
+    @property
+    def log_exponent(self) -> Optional[float]:
+        return self._fit[2]
 
     @property
     def verdict(self) -> str:
         if math.isnan(self.slope):
             return VERDICT_INCONCLUSIVE
-        close = abs(self.slope - float(self.predicted)) <= self.tol_slope
+        close = abs(self.slope - float(self.predicted)) <= self.config.tol_slope
         passed = close and all(s.valid for s in self.samples)
         return VERDICT_PASS if passed else VERDICT_FAIL
 
@@ -317,7 +343,7 @@ class ScalingReport:
             "slope": self.slope,
             "stderr": self.stderr,
             "predicted": str(self.predicted),
-            "tol_slope": self.tol_slope,
+            "tol_slope": self.config.tol_slope,
             "verdict": self.verdict,
             "decay": self.decay.to_dict(),
         }
@@ -341,39 +367,17 @@ def verify_theorem(
 ) -> ScalingReport:
     """Measure the norm decay of the phase and judge it against the prediction.
 
-    Pipeline: mixed derivative, polygon, decay rate, branch expansion,
-    degeneracy test, sweep, fit.  Pass means every sample converged and
-    the fitted slope sits within tol_slope of the predicted exponent;
-    flat norms are Inconclusive.  A Fail reruns the sweep at half the
-    radius and hands it this DecayReport as _decay, since F is the same;
-    a call given _decay is that retry and does not retry again.
+    Pipeline: mixed derivative, polygon, branch expansion, degeneracy
+    test, sweep; the report derives the decay rate, fit and verdict.
+    Pass means every sample converged and the fitted slope sits within
+    tol_slope of the predicted exponent; flat norms are Inconclusive.  A
+    Fail reruns the sweep at half the radius and hands it this
+    DecayReport as _decay, since F is the same; a call given _decay is
+    that retry and does not retry again.
     """
     cfg = cfg if cfg is not None else SweepConfig()
     decay = _decay if _decay is not None else analyze_decay(mixed_derivative(p.S))
-    deg = decay.degeneracy
-
-    samples = tuple(sweep(p, cfg))
-    try:
-        slope, stderr = fit_decay(samples, cfg.fit_window)
-    except DomainError:
-        # flat norms: no oscillatory decay to measure
-        slope = stderr = math.nan
-
-    log_exp = None
-    if deg.kind is DegeneracyKind.COMPLETELY_DEGENERATE and not math.isnan(slope):
-        try:
-            log_exp = log_exponent_fit(samples, deg.N)
-        except InsufficientSamplesError:
-            pass  # informational: omitted, not fatal
-
-    report = ScalingReport(
-        samples=samples,
-        slope=slope,
-        stderr=stderr,
-        tol_slope=cfg.tol_slope,
-        decay=decay,
-        log_exponent=log_exp,
-    )
+    report = ScalingReport(samples=tuple(sweep(p, cfg)), config=cfg, decay=decay)
     if report.verdict == VERDICT_FAIL and _decay is None:
         half = PhaseSpec(S=p.S, rho=p.rho / 2)
         report = replace(report, retry=verify_theorem(half, cfg, _decay=decay))

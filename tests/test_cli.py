@@ -60,6 +60,22 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"]["type"] == "DomainError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("norm", "--phase", "10^400*x*y", "--lambda", "16"),
+            ("norm", "--phase", "10^308*x*y", "--rho", "1", "--lambda", "16"),
+            ("sweep", "--phase", "10^400*x*y"),
+        ],
+    )
+    def test_gradient_bound_beyond_the_double_range_is_a_resolution_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ResolutionError",
+            "message": "lambda=16.0 needs n>4096 on the full square (required inf)",
+        }
+
     def test_bad_fit_window_is_2(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--phase", "x*y", "--fit-window", "16"
@@ -335,6 +351,16 @@ class TestBlocks:
         assert s["resolution_failures"] == []
         assert s["worst_ratio"]["Gap"] < 1.0
         assert len(d["estimates"]) == 9
+
+    def test_gradient_bound_beyond_the_double_range_fails_every_block(self, capsys):
+        d = run_json(
+            capsys, "blocks", "--phase", "10^400*x*y", "--lambda", "16",
+            "--j-max", "3", "--format", "json",
+        )
+        failures = d["summary"]["resolution_failures"]
+        assert d["estimates"] == []
+        assert [(j, k) for j, k, _ in failures] == [(j, k) for j in (1, 2, 3) for k in (1, 2, 3)]
+        assert all(msg.endswith("(lam*G*h=inf)") for _, _, msg in failures)
 
     def test_empty_block_range_is_1(self, capsys):
         code, out, err = run(

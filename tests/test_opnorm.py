@@ -203,6 +203,21 @@ class TestGridSpec:
         g = gradient_bound(XY, (-0.5, 0.5, -0.5, 0.5))
         assert g == 1.0
 
+    @pytest.mark.parametrize(
+        "text, rho, G",
+        [
+            ("10^400*x*y", 0.5, math.inf),  # the coefficient is no double
+            ("10^308*x*y", 1.0, math.inf),  # 2e308: finite terms, overflowing sum
+            ("10^308*x*y", 0.5, 1e308),
+        ],
+    )
+    def test_gradient_bound_beyond_the_double_range_is_inf(self, text, rho, G):
+        p = PhaseSpec(S=parse_poly(text), rho=rho)
+        assert gradient_bound(p.S, (-rho, rho, -rho, rho)) == G
+        if math.isinf(G):
+            with pytest.raises(ResolutionError, match=r"\(required inf\)$"):
+                auto_grid(p, 16.0)
+
     def test_list_domain_discretizes(self):
         p = PhaseSpec(S=XY, rho=0.5)
         g = GridSpec(n=16, domain=[-0.5, 0.5, -0.5, 0.5])

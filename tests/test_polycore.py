@@ -211,6 +211,15 @@ class TestBranchTypes:
         with pytest.raises(ValueError):
             PuiseuxTerm(F(1, 2), 0.0)
 
+    def test_exactness_follows_the_order(self):
+        # a branch built without an order terminates: it is exact, and so
+        # never an undetermined cluster, whatever its multiplicity
+        terms = (PuiseuxTerm(F(1), 1.0),)
+        exact = PuiseuxBranch(terms=terms, multiplicity=2)
+        assert exact.exact and not exact.split_undetermined
+        cluster = PuiseuxBranch(terms=terms, multiplicity=2, order=F(3))
+        assert not cluster.exact and cluster.split_undetermined
+
     def test_branch_needs_terms(self):
         with pytest.raises(ValueError):
             PuiseuxBranch(terms=())

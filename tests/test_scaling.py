@@ -560,27 +560,61 @@ class TestPredictedExponent:
 
 
 class TestScalingReportVerdict:
-    # the verdict is derived from the fields, so it cannot contradict them
+    # the slope and the verdict are derived from the samples, so neither
+    # can contradict them; five lambdas leave four valid samples to fit
+    # when one is invalid
     @pytest.mark.parametrize(
         "slope, conv, verdict",
         [
-            (math.nan, (0.0, 0.0, 0.0, 0.0), "Inconclusive"),
-            (math.nan, (0.0, 0.5, 0.0, 0.0), "Inconclusive"),
-            (-0.5, (0.0, 0.0, 0.0, 0.0), "Pass"),
-            (-0.45, (0.0, 0.0, 0.01, 0.0), "Pass"),
-            (-0.5, (0.0, 0.0, 0.5, 0.0), "Fail"),
-            (-0.7, (0.0, 0.0, 0.0, 0.0), "Fail"),
+            (math.nan, (0.0, 0.0, 0.0, 0.0, 0.0), "Inconclusive"),
+            (math.nan, (0.0, 0.5, 0.0, 0.0, 0.0), "Inconclusive"),
+            (-0.5, (0.0, 0.0, 0.0, 0.0, 0.0), "Pass"),
+            (-0.45, (0.0, 0.0, 0.01, 0.0, 0.0), "Pass"),
+            (-0.5, (0.0, 0.0, 0.5, 0.0, 0.0), "Fail"),
+            (-0.7, (0.0, 0.0, 0.0, 0.0, 0.0), "Fail"),
         ],
     )
     def test_verdict_reads_slope_and_samples(self, slope, conv, verdict):
+        lams = (16.0, 32.0, 64.0, 128.0, 256.0)
+        # norms lambda^slope, or equal norms for a NaN (flat) slope
+        values = [1.0 if math.isnan(slope) else l**slope for l in lams]
         samples = tuple(
-            NormSample(lam=l, n=256, value=1.0, conv_err=c, iterations=10)
-            for l, c in zip((16.0, 32.0, 64.0, 128.0), conv)
+            NormSample(lam=l, n=256, value=v, conv_err=c, iterations=10)
+            for l, v, c in zip(lams, values, conv)
         )
         decay = analyze_decay(parse_poly("1"))  # predicts -1/2
-        rep = ScalingReport(samples=samples, slope=slope, stderr=0.0, tol_slope=0.1, decay=decay)
+        rep = ScalingReport(samples, SweepConfig(lambdas=lams, tol_slope=0.1), decay)
+        if math.isnan(slope):
+            assert math.isnan(rep.slope) and math.isnan(rep.stderr)
+        else:
+            assert rep.slope == pytest.approx(slope, abs=1e-12)
         assert rep.verdict == verdict
         assert rep.to_dict()["verdict"] == verdict
+
+
+class TestScalingReportFit:
+    def test_fit_runs_once_per_report(self, monkeypatch):
+        calls = []
+
+        def counted(samples, fit_window=None):
+            calls.append(fit_window)
+            return fit_decay(samples, fit_window)
+
+        monkeypatch.setattr(scaling, "fit_decay", counted)
+        lams = (16.0, 32.0, 64.0, 128.0, 256.0)
+        cfg = SweepConfig(lambdas=lams, fit_window=(32.0, 256.0))
+        samples = tuple(mk_samples(lams, [l**-0.5 for l in lams]))
+        rep = ScalingReport(samples, cfg, analyze_decay(parse_poly("1")))
+        assert rep.verdict == "Pass" and rep.slope == pytest.approx(-0.5)
+        assert rep.to_dict()["stderr"] == rep.stderr
+        assert calls == [(32.0, 256.0)]
+
+    def test_too_few_samples_raise_when_the_fit_is_read(self):
+        lams = (16.0, 32.0, 64.0, 128.0)
+        samples = tuple(mk_samples(lams, [1.0, 0.9, 0.8, 0.7], conv=0.5))
+        rep = ScalingReport(samples, SweepConfig(lambdas=lams), analyze_decay(parse_poly("1")))
+        with pytest.raises(InsufficientSamplesError):
+            rep.verdict
 
 
 class TestVerifyTheorem:
