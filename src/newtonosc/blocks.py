@@ -137,7 +137,11 @@ class BlockEstimate:
 
     @property
     def size(self) -> float:
-        """Support-size bound of the block: the ring [2^(-j-1), 2^(-j+1)] is 3 * 2^(-j-1) long."""
+        """Support-size bound of the block: the ring [2^(-j-1), 2^(-j+1)] is 3 * 2^(-j-1) long.
+
+        Read on the full ring, as mu is, though the block's grid covers
+        only the part of it inside the cutoff's support (_block_operator).
+        """
         return size_bound(3.0 * 2.0 ** (-self.j - 1), 3.0 * 2.0 ** (-self.k - 1))
 
     @property
@@ -170,7 +174,16 @@ def first_block_scale(rho: float) -> int:
 
 
 def _block_operator(p: PhaseSpec, lam: float, j: int, k: int):
-    rect = block_rect(j, k)
+    """The discretized block T_jk, on its ring clipped to the cutoff's support.
+
+    bump(x/rho) bump(y/rho) vanishes beyond rho, so the grid covers
+    (x0, min(x1, rho), y0, min(y1, rho)) of block_rect(j, k), never empty
+    since j, k >= first_block_scale(rho); it is sized by grid_points and
+    guarded by gradient_bound on that rectangle.  size_bound and mu are
+    still read on the full ring.
+    """
+    x0, x1, y0, y1 = block_rect(j, k)
+    rect = (x0, min(x1, p.rho), y0, min(y1, p.rho))
     n, _ = grid_points(lam, gradient_bound(p.S, rect), rect)
     if n > GRID_CAP:
         raise ResolutionError(f"block ({j},{k}) needs n={n} at lambda={lam}")

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NoConvergenceError, ResolutionError
+from .errors import DomainError, NoConvergenceError, ResolutionError
 from .polycore import BivarPoly, eval_grid, integrate_xy, mixed_derivative
 
 # grid sizing: hard cap on the base grid, oversampling safety factor,
@@ -75,6 +75,8 @@ class PhaseSpec:
     continuum and on any midpoint grid alike.  S is stored in the
     canonical form integrate_xy(F), so pure terms cannot inflate the
     grid sizing and every input with the same F builds the same kernel.
+    A canonical coefficient beyond the double range, which no kernel
+    build can convert, is refused here (DomainError).
     """
 
     S: BivarPoly
@@ -83,7 +85,14 @@ class PhaseSpec:
     def __post_init__(self):
         if not 0 < self.rho <= 1:
             raise ValueError("cutoff radius must lie in (0, 1]")
-        object.__setattr__(self, "S", integrate_xy(mixed_derivative(self.S)))
+        S = integrate_xy(mixed_derivative(self.S))
+        for key, c in S.terms.items():
+            if abs(c) > np.finfo(float).max:
+                raise DomainError(
+                    f"the coefficient of {BivarPoly({key: 1}).render()} in the phase "
+                    "is beyond the double range"
+                )
+        object.__setattr__(self, "S", S)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from newtonosc.blocks import (
 )
 from newtonosc.errors import ResolutionError, WrongRegionError
 from newtonosc.newton import NewtonPolygon, build_polygon
-from newtonosc.opnorm import PhaseSpec, gradient_bound, grid_points, size_bound
+from newtonosc.opnorm import GridSpec, PhaseSpec, discretize, gradient_bound, grid_points, size_bound
 from newtonosc.polycore import BivarPoly, eval_grid, integrate_xy, parse_poly
 
 
@@ -258,22 +258,63 @@ class TestBlockGrid:
     PHASE = PhaseSpec(S=parse_poly("x^2*y^2/4"), rho=0.5)
 
     def test_pinned_sizes(self):
-        # opnorm.grid_points on the block rectangle, with G from
-        # gradient_bound there; GRID_MIN at lambda 0
+        # opnorm.grid_points on the block ring clipped to [0, rho]^2, with
+        # G from gradient_bound there; GRID_MIN at lambda 0
         pinned = {
             (1, 1, 0.0): 16,
-            (2, 1, 256.0): 128,
-            (1, 1, 256.0): 256,
-            (1, 3, 2048.0): 512,
+            (2, 1, 256.0): 16,
+            (1, 1, 256.0): 16,
+            (1, 3, 2048.0): 32,
             (4, 6, 2048.0): 16,
+            (1, 1, 2.0**14): 1024,
         }
         for (j, k, lam), n in pinned.items():
             op = _block_operator(self.PHASE, lam, j, k)
             assert op.shape == (n, n), (j, k, lam)
 
+    @pytest.mark.parametrize("lam, n", [(256.0, 16), (2048.0, 128)])
+    def test_nodes_only_where_the_kernel_lives(self, lam, n):
+        # the ring [1/4, 1] reaches past rho = 1/2; the grid covers only
+        # [1/4, 1/2].  A row or column is zero only where chi itself
+        # rounds to 0, within 1e-16 of the ring's inner end on the finer
+        # grid, and never for the cutoff
+        op = _block_operator(self.PHASE, lam, 1, 1)
+        rho = self.PHASE.rho
+        assert op.shape == (n, n)
+        assert np.all(np.abs(op.xs) < rho) and np.all(np.abs(op.ys) < rho)
+        for nodes, axis in ((op.xs, 1), (op.ys, 0)):
+            np.testing.assert_array_equal(~np.any(op.matrix != 0, axis=axis), chi(1, nodes) == 0)
+        if n == 16:
+            assert np.all(op.matrix != 0)
+
+    @pytest.mark.parametrize("text, rho, lam, j_max", [
+        ("x^2*y^2/4", 0.5, 2048.0, 8),
+        ("x^2*y^2/4", 0.9, 256.0, 6),
+    ])
+    def test_first_scale_blocks_match_a_finer_grid(self, text, rho, lam, j_max):
+        # the n = 16 blocks at the first scale, against the dense SVD of
+        # the same clipped block at 8n; 5.2e-4 is the worst error of the
+        # unclipped ring grids on the first call
+        p = PhaseSpec(S=parse_poly(text), rho=rho)
+        j0 = first_block_scale(rho)
+        checked = 0
+        for j, k in [(j0, k) for k in range(j0, j_max + 1)] + [(j, j0) for j in range(j0 + 1, j_max + 1)]:
+            n = _block_operator(p, lam, j, k).shape[0]
+            if n != 16:
+                continue
+            x0, x1, y0, y1 = block_rect(j, k)
+            fine = discretize(
+                p, lam, GridSpec(n=8 * n, domain=(x0, min(x1, rho), y0, min(y1, rho))),
+                x_window=lambda x: chi(j, x), y_window=lambda y: chi(k, y),
+            )
+            ref = float(np.linalg.norm(fine.matrix, 2))
+            assert abs(measure_block(p, lam, j, k) - ref) <= 5.2e-4 * ref, (j, k)
+            checked += 1
+        assert checked >= 4
+
     def test_over_cap_names_the_block_grid(self):
-        with pytest.raises(ResolutionError, match=r"^block \(1,2\) needs n=8192 at lambda=16384\.0$"):
-            _block_operator(self.PHASE, 2.0**14, 1, 2)
+        with pytest.raises(ResolutionError, match=r"^block \(1,2\) needs n=8192 at lambda=131072\.0$"):
+            _block_operator(self.PHASE, 2.0**17, 1, 2)
 
 
 class TestVerifyBlocks:

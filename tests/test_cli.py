@@ -60,12 +60,13 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"]["type"] == "DomainError"
 
+    # double coefficients whose gradient bound on [-1, 1]^2, 2e308, is not
     @pytest.mark.parametrize(
         "argv",
         [
-            ("norm", "--phase", "10^400*x*y", "--lambda", "16"),
+            ("norm", "--mixed", "--phase", "10^308", "--rho", "1", "--lambda", "16"),
             ("norm", "--phase", "10^308*x*y", "--rho", "1", "--lambda", "16"),
-            ("sweep", "--phase", "10^400*x*y"),
+            ("sweep", "--phase", "10^308*x*y", "--rho", "1"),
         ],
     )
     def test_gradient_bound_beyond_the_double_range_is_a_resolution_error(self, capsys, argv):
@@ -74,6 +75,26 @@ class TestExitCodes:
         assert json.loads(err)["error"] == {
             "type": "ResolutionError",
             "message": "lambda=16.0 needs n>4096 on the full square (required inf)",
+        }
+
+    # a coefficient that is no double is refused with the phase, before
+    # any grid is sized or kernel built, at any rho and lambda
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("norm", "--phase", "10^400*x*y", "--rho", "1e-300", "--lambda", "16"),
+            ("norm", "--phase", "10^400*x*y", "--rho", "1e-300", "--lambda", "0"),
+            ("sweep", "--phase", "10^400*x*y", "--rho", "1e-300"),
+            ("blocks", "--phase", "10^400*x*y", "--lambda", "16", "--j-max", "3"),
+        ],
+        ids=["norm", "norm-lambda-0", "sweep", "blocks"],
+    )
+    def test_coefficient_beyond_the_double_range_is_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "DomainError",
+            "message": "the coefficient of x*y in the phase is beyond the double range",
         }
 
     def test_bad_fit_window_is_2(self, capsys):
@@ -353,13 +374,15 @@ class TestBlocks:
         assert len(d["estimates"]) == 9
 
     def test_gradient_bound_beyond_the_double_range_fails_every_block(self, capsys):
+        # every block of j, k <= 1 at rho 1 reaches x = y = 1, where the
+        # bound is 2e308
         d = run_json(
-            capsys, "blocks", "--phase", "10^400*x*y", "--lambda", "16",
-            "--j-max", "3", "--format", "json",
+            capsys, "blocks", "--phase", "10^308*x*y", "--rho", "1", "--lambda", "16",
+            "--j-max", "1", "--format", "json",
         )
         failures = d["summary"]["resolution_failures"]
         assert d["estimates"] == []
-        assert [(j, k) for j, k, _ in failures] == [(j, k) for j in (1, 2, 3) for k in (1, 2, 3)]
+        assert [(j, k) for j, k, _ in failures] == [(j, k) for j in (0, 1) for k in (0, 1)]
         assert all(msg.endswith("(lam*G*h=inf)") for _, _, msg in failures)
 
     def test_empty_block_range_is_1(self, capsys):

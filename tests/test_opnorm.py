@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from newtonosc import opnorm
-from newtonosc.errors import NoConvergenceError, ResolutionError
+from newtonosc.errors import DomainError, NoConvergenceError, ResolutionError
 from newtonosc.opnorm import (
     DiscreteOperator,
     GridSpec,
@@ -212,11 +212,24 @@ class TestGridSpec:
         ],
     )
     def test_gradient_bound_beyond_the_double_range_is_inf(self, text, rho, G):
-        p = PhaseSpec(S=parse_poly(text), rho=rho)
-        assert gradient_bound(p.S, (-rho, rho, -rho, rho)) == G
-        if math.isinf(G):
+        S = parse_poly(text)  # c*x*y is its own canonical phase
+        assert gradient_bound(S, (-rho, rho, -rho, rho)) == G
+        if max(map(abs, S.terms.values())) > np.finfo(float).max:
+            # no kernel can convert the coefficient, so the phase is refused
+            with pytest.raises(DomainError, match=r"^the coefficient of x\*y in the phase"):
+                PhaseSpec(S=S, rho=rho)
+        elif math.isinf(G):
             with pytest.raises(ResolutionError, match=r"\(required inf\)$"):
-                auto_grid(p, 16.0)
+                auto_grid(PhaseSpec(S=S, rho=rho), 16.0)
+
+    def test_phase_coefficient_beyond_the_double_range_refused(self):
+        # the canonical coefficients are what a kernel build converts, so
+        # a pure term drops out before the check
+        for text in ("10^400*x*y", "-x*y^2*10^400", "10^400*x^2*y^2"):
+            with pytest.raises(DomainError, match=r"^the coefficient of x(\^2)?\*y(\^2)? in the phase is beyond the double range$"):
+                PhaseSpec(S=parse_poly(text))
+        assert PhaseSpec(S=parse_poly("10^400*x^2 + x*y")).S == XY
+        assert PhaseSpec(S=parse_poly("10^308*x*y")).S.terms[(1, 1)] == 10**308
 
     def test_list_domain_discretizes(self):
         p = PhaseSpec(S=XY, rho=0.5)
