@@ -52,9 +52,13 @@ def theta(t) -> np.ndarray:
 
 
 def chi(j: int, t) -> np.ndarray:
-    """Dyadic ring cutoff supported in [2^(-j-1), 2^(-j+1)]."""
-    t = np.asarray(t, dtype=float)
-    return theta(2.0**j * t) - theta(2.0 ** (j + 1) * t)
+    """Dyadic ring cutoff supported in [2^(-j-1), 2^(-j+1)].
+
+    theta(a) - theta(2a) at a = 2^j t, read as theta(a) for a >= 1 and as
+    theta(3 - 2a) = 1 - theta(2a) below, so neither end cancels to 0.
+    """
+    a = 2.0**j * np.asarray(t, dtype=float)
+    return np.where(a >= 1, theta(a), theta(3 - 2 * a))
 
 
 @dataclass(frozen=True)

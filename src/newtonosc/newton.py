@@ -1,12 +1,13 @@
 """Newton polygon of the mixed derivative and the decay rates it predicts.
 
 All polygon combinatorics are exact: vertices are lattice points, slopes
-and rates are Fractions.  Floats appear only inside degeneracy detection,
-which leans on the numeric branch expansion.
+and rates are Fractions, and so are the degeneracy test's N and c.  The
+numeric branch expansion says only whether the sheets are one real sheet.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -147,59 +148,55 @@ class DegeneracyKind(str, Enum):
 class Degeneracy:
     """Whether F is a unit times an N-th power of (y - smooth curve).
 
-    CompletelyDegenerate carries N and the curve's linear coefficient c.
-    Undetermined means the single multiplicity-N cluster could not be
-    separated (nor certified equal) up to checked_order.
+    Stores N and the curve's exact slope c = f'(0) when F passes the
+    N-th-power test, and checked_order when its one sheet was not seen
+    to terminate up to that order; kind is read from which are set.
     """
 
-    kind: DegeneracyKind
     N: Optional[int] = None
-    c: Optional[float] = None
+    c: Optional[Fraction] = None
     checked_order: Optional[Fraction] = None
+
+    @property
+    def kind(self) -> DegeneracyKind:
+        if self.N is None:
+            return DegeneracyKind.NON_DEGENERATE
+        if self.checked_order is not None:
+            return DegeneracyKind.UNDETERMINED
+        return DegeneracyKind.COMPLETELY_DEGENERATE
 
 
 def _degeneracy(F: BivarPoly, polygon: NewtonPolygon, branches) -> Degeneracy:
     """Classify F, given its polygon, as completely degenerate, not, or undetermined.
 
-    Complete degeneracy requires the exact shape U * (y - f(x))^N with U a
-    unit, f(0) = 0, f'(0) = c != 0 and N >= 2; on the polygon side that
-    forces A = B = 0 and a single edge of slope parameter 1, and on the
-    branch side a single real sheet of multiplicity N through the origin
-    with leading term c*x.  When the sheet's series terminates the
-    factorization is exact and the verdict is definite; otherwise the
-    cluster is reported Undetermined at the order it was checked.
+    Complete degeneracy is the shape U * (y - f(x))^N with U a unit,
+    f(0) = 0, f'(0) = c != 0 and N >= 2.  Its polygon has A = B = 0 and
+    one edge of slope 1 and height N, whose polynomial is U(0,0)*(z - c)^N:
+    F's exact coefficients fix N and c.  Only an F that passes asks the
+    branch expansion whether its N sheets are one real sheet.  A sheet
+    whose series terminates makes the verdict definite; otherwise it is
+    Undetermined at the order checked.
     """
-    if polygon.A != 0 or polygon.B != 0:
-        return Degeneracy(DegeneracyKind.NON_DEGENERATE)
-    if len(polygon.edges) != 1:
-        return Degeneracy(DegeneracyKind.NON_DEGENERATE)
+    if polygon.A != 0 or polygon.B != 0 or len(polygon.edges) != 1:
+        return Degeneracy()
     edge = polygon.edges[0]
-    if edge.gamma != 1 or edge.n < 2:
-        return Degeneracy(DegeneracyKind.NON_DEGENERATE)
     N = edge.n
+    if edge.gamma != 1 or N < 2:
+        return Degeneracy()
+    coeff = F.terms
+    lead = coeff[(0, N)]
+    c = -coeff.get((1, N - 1), 0) / (N * lead)
+    for i in range(N + 1):
+        if coeff.get((i, N - i), 0) != lead * math.comb(N, i) * (-c) ** i:
+            return Degeneracy()
 
     if branches is None:
         from .puiseux import expand_branches
 
         branches = expand_branches(F)
-
-    if branches.axis_roots != (0, 0) or len(branches.branches) != 1:
-        return Degeneracy(DegeneracyKind.NON_DEGENERATE)
-    sheet = branches.branches[0]
-    if (
-        sheet.multiplicity != N
-        or sheet.leading_exponent != 1
-        or sheet.reality is not Reality.REAL
-    ):
-        return Degeneracy(DegeneracyKind.NON_DEGENERATE)
-    c = sheet.leading_coefficient
-    if c == 0 or c.imag != 0:
-        return Degeneracy(DegeneracyKind.NON_DEGENERATE)
-    if sheet.exact:
-        return Degeneracy(DegeneracyKind.COMPLETELY_DEGENERATE, N=N, c=c.real)
-    return Degeneracy(
-        DegeneracyKind.UNDETERMINED, N=N, c=c.real, checked_order=branches.order
-    )
+    if len(branches.branches) != 1 or branches.branches[0].reality is not Reality.REAL:
+        return Degeneracy()
+    return Degeneracy(N, c, None if branches.branches[0].exact else branches.order)
 
 
 @dataclass(frozen=True)
@@ -243,7 +240,7 @@ class DecayReport:
         if self.degeneracy.N is not None:
             deg["N"] = self.degeneracy.N
         if self.degeneracy.c is not None:
-            deg["c"] = self.degeneracy.c
+            deg["c"] = float(self.degeneracy.c)
         if self.degeneracy.checked_order is not None:
             deg["checked_order"] = str(self.degeneracy.checked_order)
         t0, delta, crossing = decay_rate(self.polygon)
@@ -272,9 +269,9 @@ def analyze_decay(F: BivarPoly, branches=None) -> DecayReport:
 
     The polygon is built once; the report stores it with the degeneracy,
     and the crossing is read from it.  branches may be passed in to reuse
-    an existing expansion; otherwise one is computed at the default order
-    (4 * total_degree + 8) when the polygon admits complete degeneracy.
-    checked_order is the order of the expansion actually used.
+    an existing expansion of F; otherwise one is computed at the default
+    order (4 * total_degree + 8), and only when F's coefficients pass the
+    N-th-power test.  checked_order is the order of the expansion used.
     """
     polygon = build_polygon(F)
     return DecayReport(degeneracy=_degeneracy(F, polygon, branches), polygon=polygon)

@@ -30,6 +30,10 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+# F whose edge polynomial has the close roots 1 and 1001/1000
+CONFLATED = "(y-x)*(1000*y-1001*x)*(y-x-x^2)*(y-x+x^2)"
+
+
 class TestExitCodes:
     def test_parse_error_is_2_with_json_on_stderr(self, capsys):
         code, out, err = run(capsys, "analyze", "--phase", "x*y +")
@@ -38,6 +42,13 @@ class TestExitCodes:
         blob = json.loads(err)
         assert blob["schema"] == "newton-osc/2"
         assert blob["error"]["type"] == "ParseError"
+
+    def test_unclosed_exponent_is_2(self, capsys):
+        code, out, err = run(capsys, "analyze", "--phase", "x^(2")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ParseError", "message": "expected ')' after exponent (at position 4)"
+        }
 
     def test_empty_polygon_is_3(self, capsys):
         # S = x + y has identically zero mixed derivative
@@ -197,6 +208,12 @@ class TestAnalyze:
         assert d["branches"]["order"] == "1/2"
         assert d["branches"] == json.loads(json.dumps(expected))
 
+    def test_distinct_edge_roots_are_not_conflated(self, capsys):
+        # the sheets 1.0*x and 1.001*x merge into one cluster at order 1/2;
+        # the edge polynomial's exact coefficients keep them apart
+        d = run_json(capsys, "analyze", "--mixed", "--phase", CONFLATED, "--order", "1/2")
+        assert d["decay"]["degeneracy"] == {"kind": "NonDegenerate"}
+
     @pytest.mark.parametrize("order", ["abc", "1/0", ""])
     def test_malformed_order_is_2(self, capsys, order):
         code, out, err = run(
@@ -336,6 +353,17 @@ class TestSweep:
         r = d["report"]
         assert r["verdict"] == r["retry"]["verdict"] == "Fail"
         assert "log_exponent" not in r and "log_exponent" not in r["retry"]
+
+    def test_close_edge_roots_do_not_overflow(self, capsys):
+        # the prediction needs only the polygon, so the expansion that
+        # overflows about the conflated roots is never run
+        d = run_json(capsys, "sweep", "--mixed", "--phase", CONFLATED, "--rho", "0.1",
+                     "--lambdas", "16,32,64,128")
+        assert d["report"]["decay"]["degeneracy"] == {"kind": "NonDegenerate"}
+        code, out, err = run(capsys, "sweep", "--mixed", "--phase", CONFLATED, "--rho", "0.5",
+                             "--lambdas", "16,32,64,128")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "ResolutionError"
 
     def test_nan_tol_slope_is_1(self, capsys):
         code, out, err = run(
@@ -549,7 +577,7 @@ class TestFrontEndOnce:
 
     def test_one_expansion_per_sweep_with_retry(self, capsys, monkeypatch):
         # F = (y-x)^2 is completely degenerate, which the Puiseux expansion
-        # decides; the Fail retry at half the radius does not expand F again
+        # confirms; the Fail retry at half the radius does not expand F again
         calls, original = [], puiseux.expand_branches
 
         def counted(F, *args, **kwargs):
@@ -802,6 +830,17 @@ class TestSelftest:
         assert "ok polygon oracle" in out
         assert "ok Lanczos norm vs dense" in out
         assert out.strip().split("\n")[-1].startswith("selftest passed")
+
+    def test_failing_case_is_named_and_exits_1(self, capsys, monkeypatch):
+        def broken():
+            raise AssertionError("planted failure")
+
+        cases = list(cli._SELFTEST_CASES)
+        cases[1] = (cases[1][0], broken)
+        monkeypatch.setattr(cli, "_SELFTEST_CASES", cases)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert out.splitlines() == [f"ok {cases[0][0]}", f"FAIL {cases[1][0]}: planted failure"]
 
     def test_output_is_deterministic(self, capsys):
         _, out1, _ = run(capsys, "selftest")

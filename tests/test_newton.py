@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from newtonosc import puiseux
 from newtonosc.errors import EmptyPolygonError
 from newtonosc.newton import (
     DegeneracyKind,
@@ -251,6 +252,37 @@ class TestDegeneracy:
 
     def test_axis_offset_not_degenerate(self):
         assert analyze_decay(parse_poly("x*(y-x)^2")).degeneracy.kind is DegeneracyKind.NON_DEGENERATE
+
+
+class TestExactDegeneracy:
+    """The polygon's one edge and its polynomial decide N, c and the N-th power."""
+
+    @pytest.mark.parametrize("text", ["(y-x)*(y-2*x)", "y^2 + x^2", "(y-x)*(1000*y-1001*x)"])
+    def test_distinct_edge_roots_never_expand(self, monkeypatch, text):
+        # the edge polynomial has distinct roots, so F is no N-th power
+        # and the branch expansion is never asked
+        calls = []
+        monkeypatch.setattr(puiseux, "expand_branches", lambda *a, **k: calls.append(a))
+        deg = analyze_decay(parse_poly(text)).degeneracy
+        assert deg.kind is DegeneracyKind.NON_DEGENERATE
+        assert calls == []
+
+    def test_constructed_powers_are_completely_degenerate(self):
+        # F = (1 + a x + b y) * (y - r x - s x^2)^N: N as built, c = r exactly
+        rng = random.Random(24)
+        x, y = BivarPoly.variable("x"), BivarPoly.variable("y")
+        for _ in range(60):
+            N = rng.choice((2, 3))
+            r = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 7))
+            s = F(rng.randint(-3, 3), rng.randint(1, 4))
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            Fpoly = (1 + a * x + b * y) * (y - r * x - s * x * x) ** N
+            report = analyze_decay(Fpoly)
+            deg = report.degeneracy
+            case = (N, r, s, a, b)
+            assert deg.kind is DegeneracyKind.COMPLETELY_DEGENERATE, case
+            assert deg.N == N and deg.c == r, case
+            assert report.to_dict()["degeneracy"]["c"] == float(r), case
 
 
 class TestReport:

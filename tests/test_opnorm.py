@@ -509,6 +509,15 @@ class TestOperatorNorm:
         val, _, _ = operator_norm(op, tol=1e-14, seed=0)
         assert val == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"tol": 0.0}, "tolerance must be positive"), ({"max_iter": 0}, "max_iter must be positive")],
+    )
+    def test_nonpositive_stopping_rule_is_refused(self, kwargs, message):
+        op = DiscreteOperator(matrix=np.eye(4, dtype=complex), xs=np.arange(4.0), ys=np.arange(4.0))
+        with pytest.raises(ValueError, match=message):
+            operator_norm(op, **kwargs)
+
     def test_separable_kernel(self):
         n = 80
         rng = np.random.default_rng(3)

@@ -72,7 +72,7 @@ class TestParse:
             parse_poly("x^-2")
 
     def test_syntax_errors_carry_position(self):
-        for text, pos in [("x +", 3), ("2x", 1), ("(x", 2), ("x^", 2), ("x & y", 2)]:
+        for text, pos in [("x +", 3), ("2x", 1), ("(x", 2), ("x^", 2), ("x & y", 2), ("x^(2", 4)]:
             with pytest.raises(ParseError) as info:
                 parse_poly(text)
             assert info.value.position == pos, text
@@ -148,6 +148,21 @@ class TestCalculus:
             assert a >= 1 and b >= 1
 
 
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: BivarPoly({(-1, 0): 1}), id="negative-degree"),
+            pytest.param(lambda: BivarPoly.variable("z"), id="variable-z"),
+            pytest.param(lambda: parse_poly("x*y").diff("z"), id="diff-z"),
+            pytest.param(lambda: parse_poly("x*y") ** -1, id="negative-power"),
+        ],
+    )
+    def test_bad_construction_is_a_value_error(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+
 class TestEval:
     def test_product_point(self):
         assert eval_poly(BivarPoly({(1, 1): 1}), 0.5, 0.25) == 0.125
@@ -219,6 +234,10 @@ class TestBranchTypes:
         assert exact.exact and not exact.split_undetermined
         cluster = PuiseuxBranch(terms=terms, multiplicity=2, order=F(3))
         assert not cluster.exact and cluster.split_undetermined
+
+    def test_multiplicity_must_be_positive(self):
+        with pytest.raises(ValueError, match="multiplicity"):
+            PuiseuxBranch(terms=(PuiseuxTerm(F(1), 1.0),), multiplicity=0)
 
     def test_branch_needs_terms(self):
         with pytest.raises(ValueError):

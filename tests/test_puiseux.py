@@ -109,6 +109,10 @@ class TestCorpus:
         with pytest.raises(EmptyPolygonError):
             expand_branches(BivarPoly())
 
+    def test_nonpositive_order_rejected(self):
+        with pytest.raises(ValueError, match="branch order must be positive"):
+            expand_branches(parse_poly("y^2 - x^3"), order=0)
+
     def test_rational_double_sheet_merges(self):
         # ((1+x)y - x)^2 vanishes on y = x/(1+x); the square never separates
         out = expand_branches(parse_poly("((1+x)*y - x)^2"), order=6)
