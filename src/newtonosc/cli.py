@@ -185,10 +185,7 @@ def cmd_analyze(args) -> int:
     _, F = _load_phase(args.phase, args.mixed)
     polygon = build_polygon(F)  # EmptyPolygonError -> exit 3
     order = _parse_fraction(args.order) if args.order is not None else None
-    if order is not None and order <= 0:  # expand_branches' check, for a y-free F too
-        raise ValueError(f"branch order must be positive, got {order}")
-    deg_y = max((b for _, b in F.support()), default=0)
-    branches = expand_branches(F, order=order) if deg_y > 0 else None
+    branches = expand_branches(F, order=order)
     decay = analyze_decay(F, branches=branches)
     payload = {
         "phase": args.phase,
@@ -200,9 +197,7 @@ def cmd_analyze(args) -> int:
             "B": polygon.B,
         },
         "decay": decay.to_dict(),
-        "branches": branches.to_dict()
-        if branches is not None
-        else {"branches": [], "total_multiplicity": 0},
+        "branches": branches.to_dict(),
     }
     _emit_json(args, ANALYZE_SCHEMA, payload)
     return 0
@@ -549,12 +544,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse reads a --phase value such as "-(y-x)^4/12" as a flag
+    # argparse reads an option value that starts with '-' as a flag unless it
+    # looks like -1 or -.5: a phase such as "-(y-x)^4/12", a lambda -1e3 or
+    # -inf.  Joined as --opt=value, every such value reaches its option.
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for sp in sub.choices.values() for a in sp._actions if a.nargs != 0]
+    takes_value = {s for a in actions for s in a.option_strings}
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] == "--phase" and argv[i][:1] == "-" and argv[i][:2] != "--":
-            argv[i - 1 : i + 1] = ["--phase=" + argv[i]]
+        if argv[i - 1] in takes_value and argv[i][:1] == "-" and argv[i][:2] != "--":
+            argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
         if getattr(args, "seed", 0) < 0:  # numpy refuses negative seeds
             raise ParseError(f"seed must be non-negative, got {args.seed}", 0)
         return args.fn(args)

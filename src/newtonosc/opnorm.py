@@ -16,11 +16,11 @@ builds one at a time.
 discretize evaluates each independent kernel entry once, as a real
 amplitude times cos and sin of a real phase, with no complex
 exponential.  A sector whose even-in-y part of S is empty (both sectors
-of x*y and of every odd-odd phase) is real and is stored real, so its
-norm is solved in real arithmetic.  A swap-symmetric phase,
-S(x, y) = S(y, x), gives a complex symmetric kernel on the square
-grid: only its upper triangle is evaluated, then mirrored, so
-M == M.T exactly.
+of x*y and of every odd-odd phase) is real and is stored as float64, so
+its norm is solved in real arithmetic; every other kernel is complex128.
+A swap-symmetric phase, S(x, y) = S(y, x), gives a complex symmetric
+kernel on the square grid: only its upper triangle is evaluated, then
+mirrored, so M == M.T exactly.
 
 The spectral norm comes from Golub-Kahan-Lanczos bidiagonalization.
 Alongside it live the two bounds the block decomposition compares
@@ -39,12 +39,10 @@ import numpy as np
 from .errors import DomainError, NoConvergenceError, ResolutionError
 from .polycore import BivarPoly, eval_grid, integrate_xy, mixed_derivative
 
-# grid sizing: hard cap on the base grid, oversampling safety factor,
-# and the dtype crossover that keeps large kernels affordable
+# grid sizing: hard cap on the base grid and oversampling safety factor
 GRID_CAP = 4096
 GRID_MIN = 16
 SAFETY = 2.0
-COMPLEX64_ABOVE = 2048
 # every kernel is built in row tiles of this height; a swap-symmetric
 # N x N kernel builds each tile from the diagonal rightwards, which
 # evaluates 1/2 + _TILE_ROWS / (2N) of it; shorter tiles cost more in
@@ -197,8 +195,6 @@ class DiscreteOperator:
         if np.iscomplexobj(v) and not np.iscomplexobj(M):
             # a real kernel takes the two parts apart, never a complex copy
             return self._product(v.real, adjoint) + 1j * self._product(v.imag, adjoint)
-        # match the kernel dtype, else matmul upcast-copies the whole matrix
-        v = v.astype(M.dtype, copy=False)
         # conj(M^T) @ v without materializing the conjugate matrix
         return np.conj(np.conj(v) @ M) if adjoint else M @ v
 
@@ -207,20 +203,6 @@ class DiscreteOperator:
 
     def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
         return self._product(v, adjoint=True)
-
-
-def kernel_dtype(n: int, real: bool = False):
-    """complex128 up to the crossover size, complex64 above it.
-
-    A real kernel (one whose even-in-y part E is empty) is stored as
-    float64 up to the crossover and float32 above it.  n is the side of
-    the stored matrix, not of the grid: a parity sector of the n-point
-    grid stores n/2 per side, so n = 4096 sectors are complex128, or
-    float64 when real.
-    """
-    if real:
-        return np.float64 if n <= COMPLEX64_ABOVE else np.float32
-    return np.complex128 if n <= COMPLEX64_ABOVE else np.complex64
 
 
 def parity_sectors(S: BivarPoly) -> tuple:
@@ -272,8 +254,8 @@ def discretize(
 
     Rows are built in tiles as amp * cos(lam E) + i amp * sin(lam E),
     amp the weight product times the sector's fold of lam O; with E
-    empty the kernel is amp itself, stored as a real matrix
-    (kernel_dtype), and no cos or sin of E is taken.
+    empty the kernel is amp itself, stored as a float64 matrix, and no
+    cos or sin of E is taken; otherwise it is stored as complex128.
     A swap-symmetric phase (S(x, y) = S(y, x) as exact coefficients) on
     a grid with the same nodes in x and y and no windows builds each
     tile only from the diagonal rightwards and mirrors it, so the result
@@ -320,7 +302,7 @@ def discretize(
         and y_window is None
         and _swap_symmetric(p.S)
     )
-    M = np.empty((xs.size, ys.size), dtype=kernel_dtype(xs.size, real=not even))
+    M = np.empty((xs.size, ys.size), dtype=np.complex128 if even else np.float64)
     for r0 in range(0, xs.size, _TILE_ROWS):
         r1 = min(r0 + _TILE_ROWS, xs.size)
         c0 = r0 if symmetric else 0

@@ -111,8 +111,8 @@ class SweepConfig:
             raise ValueError("lambda values must be positive")
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise ValueError("lambda values must be strictly increasing")
-        if not self.tol_slope > 0:  # refuses NaN too
-            raise ValueError("tol_slope must be positive")
+        if not 0 < self.tol_slope < math.inf:  # refuses NaN too
+            raise ValueError("tol_slope must be positive and finite")
         if self.fit_window is not None:
             lo, hi = self.fit_window
             if not lo < hi:

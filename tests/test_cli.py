@@ -201,6 +201,18 @@ class TestAnalyze:
             "type": "ValueError", "message": f"branch order must be positive, got {order}"
         }
 
+    @pytest.mark.parametrize("phase, mixed, axis_roots, order", [
+        ("x*y", (), {"x": 0, "y": 0}, "8"),
+        ("x^2+x^3", ("--mixed",), {"x": 2, "y": 0}, "20"),
+    ])
+    def test_y_free_payload_is_the_expansion(self, capsys, phase, mixed, axis_roots, order):
+        # F without y has no sheets, and the same payload shape as every other F
+        d = run_json(capsys, "analyze", "--phase", phase, *mixed)
+        assert d["branches"] == {
+            "axis_roots": axis_roots, "branches": [], "cluster_tolerance": 1e-06,
+            "order": order, "total_multiplicity": 0,
+        }
+
     def test_fractional_order(self, capsys):
         text = "(y^2-x^3)^2 - 4*x^5*y - x^7"
         d = run_json(capsys, "analyze", "--mixed", "--phase", text, "--order", "1/2")
@@ -224,7 +236,7 @@ class TestAnalyze:
 
 
 class TestDashPhase:
-    """A --phase value may start with '-', as the criterion-3 phase does."""
+    """An option value may start with '-', as the criterion-3 phase does."""
 
     @pytest.mark.parametrize("argv", [("norm", "--lambda", "16"), ("analyze",)])
     def test_spaced_value_matches_equals_spelling(self, capsys, argv):
@@ -238,6 +250,32 @@ class TestDashPhase:
             main(["analyze", "--phase", "--mixed"])
         assert exc.value.code == 2
         assert "--phase: expected one argument" in capsys.readouterr().err
+
+    # argparse takes -256 and -.5 as values on its own, but not -1e3 or -inf
+    @pytest.mark.parametrize("argv, lam", [
+        (("norm", "--phase", "x*y"), "-1e3"),
+        (("blocks", "--phase", "x^2*y^2/4", "--j-max", "3"), "-2e3"),
+    ], ids=["norm", "blocks"])
+    def test_exponent_lambda_matches_equals_spelling(self, capsys, argv, lam):
+        joined = run(capsys, *argv, f"--lambda={lam}")
+        spaced = run(capsys, *argv, "--lambda", lam)
+        assert joined[0] == 0
+        assert spaced == joined
+
+    def test_negative_inf_lambda_is_a_resolution_error(self, capsys):
+        code, out, err = run(capsys, "norm", "--phase", "x*y", "--lambda", "-inf")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ResolutionError",
+            "message": "lambda=-inf needs n>4096 on the full square (required inf)",
+        }
+
+    def test_store_true_flag_takes_no_value(self, capsys):
+        # --mixed is not joined to the token after it
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--phase", "x*y", "--mixed", "-1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -1" in capsys.readouterr().err
 
 
 class TestNorm:
@@ -372,6 +410,21 @@ class TestSweep:
         )
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "ValueError"
+
+    def test_inf_tol_slope_is_1(self, capsys, monkeypatch):
+        # a slope tolerance of inf would pass any slope, measured or not
+        def swept(*args, **kwargs):
+            raise AssertionError("verify_theorem ran")
+
+        monkeypatch.setattr(cli, "verify_theorem", swept)
+        code, out, err = run(
+            capsys,
+            "sweep", "--phase", "x*y", "--lambdas", "16,32,64,128", "--tol-slope", "inf",
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError", "message": "tol_slope must be positive and finite"
+        }
 
 
 class TestBlocks:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from newtonosc import opnorm
+from newtonosc.blocks import _block_operator
 from newtonosc.errors import DomainError, NoConvergenceError, ResolutionError
 from newtonosc.opnorm import (
     DiscreteOperator,
@@ -18,7 +19,6 @@ from newtonosc.opnorm import (
     discretize,
     gradient_bound,
     grid_points,
-    kernel_dtype,
     op_vdc_bound,
     operator_norm,
     parity_sectors,
@@ -112,8 +112,8 @@ def sublevel_check(
 def stored_dtype(p: PhaseSpec, sector):
     """float64 when the even-in-y part E of S is empty, else complex128.
 
-    Holds up to the crossover.  The full kernel (sector None) takes all
-    of S as its E.
+    Holds at every size.  The full kernel (sector None) takes all of S
+    as its E.
     """
     even = [b for _, b in p.S.terms if sector is None or b % 2 == 0]
     return np.complex128 if even else np.float64
@@ -239,13 +239,22 @@ class TestGridSpec:
             discretize(p, 4.0, g).matrix, discretize(p, 4.0, GridSpec.square(16, 0.5)).matrix
         )
 
-    def test_dtype_crossover(self):
-        assert kernel_dtype(2048) is np.complex128
-        assert kernel_dtype(2049) is np.complex64
 
-    def test_real_dtype_crossover(self):
-        assert kernel_dtype(2048, real=True) is np.float64
-        assert kernel_dtype(2049, real=True) is np.float32
+class TestKernelPrecision:
+    def test_every_kernel_is_float64_or_complex128(self):
+        # the reference phases at their top lambda, a phase without parity
+        # on 2304- and 4096-point grids, and a 4096-point block grid
+        mixed = PhaseSpec(S=parse_poly("x^3*y/3 + x*y^2"), rho=0.5)
+        cases = [(mixed, 1024.0, GridSpec.square(2304, 0.5)), (mixed, 2048.0, GridSpec.square(4096, 0.5))]
+        for text, rho, lam in [("x*y", 0.85, 1024.0), ("x^2*y^2/4", 0.9, 2048.0), ("-(y-x)^4/12", 0.5, 2048.0)]:
+            p = PhaseSpec(S=parse_poly(text), rho=rho)
+            cases.append((p, lam, auto_grid(p, lam)))
+        for p, lam, g in cases:
+            for k in parity_sectors(p.S):
+                M = discretize(p, lam, g, sector=k).matrix
+                assert M.dtype == stored_dtype(p, k), (p.S.render(), g.n, k)
+        block = _block_operator(PhaseSpec(S=parse_poly("x^2*y^2/4"), rho=0.5), 2.0**16, 1, 1)
+        assert block.shape == (4096, 4096) and block.matrix.dtype == np.complex128
 
 
 class TestDiscretize:
@@ -331,13 +340,13 @@ class TestParitySectors:
         p = PhaseSpec(S=XY, rho=0.85)
         g = GridSpec.square(4096, 0.85)
         K = discretize(p, 1024.0, g).matrix
-        assert K.dtype == np.complex64
+        assert K.dtype == np.complex128
         plus, minus = K[2048:, 2048:], K[2048:, 2047::-1]
         del K
         for k, folded in ((1, plus + minus), (-1, (plus - minus) / 1j)):
             M = discretize(p, 1024.0, g, sector=k).matrix
             assert M.shape == (2048, 2048) and M.dtype == np.float64
-            assert np.max(np.abs(M - folded)) <= 1e-6 * np.max(np.abs(M))
+            assert np.max(np.abs(M - folded)) <= 1e-12 * np.max(np.abs(M))
 
     @pytest.mark.parametrize(
         "text, grid, sector, window",
@@ -446,14 +455,13 @@ class TestFusedBuild:
         assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(M))
 
     def test_complex64_full_kernel_agreement(self):
+        # 2304 per side, where complex64 storage once took over: complex128
         p = PhaseSpec(S=XY, rho=0.5)
         g = GridSpec.square(2304, 0.5)
         M = discretize(p, 256.0, g).matrix
-        assert M.dtype == np.complex64
+        assert M.dtype == np.complex128
         ref = direct_kernel(p, 256.0, g)
-        # each stored entry is the complex64 rounding of the exact value
-        tol = (1e-14 + np.finfo(np.float32).eps) * np.max(np.abs(M))
-        assert np.max(np.abs(M - ref)) <= tol
+        assert np.max(np.abs(M - ref)) <= 1e-14 * np.max(np.abs(M))
 
     @pytest.mark.parametrize("n", [32, 100, 2048])
     @pytest.mark.parametrize("text", SYMMETRIC)
@@ -611,10 +619,12 @@ class TestLanczosMechanism:
         assert relative_residual(op.matrix, val, vec) <= 10 * 1e-6
 
     def test_residual_complex64_kernel(self):
+        # 2304 per side, in complex128: a residual that single-precision
+        # products could not reach
         op = discretize(PhaseSpec(S=XY, rho=0.5), 256.0, GridSpec.square(2304, 0.5))
-        assert op.matrix.dtype == np.complex64
-        val, _, vec = operator_norm(op, seed=0)
-        assert relative_residual(op.matrix, val, vec) <= 10 * 1e-6
+        assert op.matrix.dtype == np.complex128
+        val, _, vec = operator_norm(op, tol=1e-10, seed=0)
+        assert relative_residual(op.matrix, val, vec) <= 10 * 1e-10
 
     @pytest.mark.parametrize("real", [True, False])
     def test_bases_stay_orthonormal_over_many_steps(self, monkeypatch, real):
@@ -670,12 +680,12 @@ class TestRealSectors:
         assert relative_residual(op.matrix, val, vec) <= 10 * 1e-6
 
     def test_residual_float32_sector(self):
-        # a 4608-point grid stores 2304-point sectors, above the crossover
+        # a 4608-point grid stores 2304-point sectors, in float64 too
         op = discretize(PhaseSpec(S=XY, rho=0.5), 256.0, GridSpec.square(4608, 0.5), sector=1)
-        assert op.matrix.dtype == np.float32
-        val, _, vec = operator_norm(op, seed=0)
+        assert op.matrix.dtype == np.float64
+        val, _, vec = operator_norm(op, tol=1e-10, seed=0)
         assert vec.dtype == np.float64
-        assert relative_residual(op.matrix, val, vec) <= 10 * 1e-6
+        assert relative_residual(op.matrix, val, vec) <= 10 * 1e-10
 
     @pytest.mark.parametrize("sector", [1, -1])
     def test_adjoint_identity_with_complex_vectors(self, sector):

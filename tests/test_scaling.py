@@ -116,6 +116,11 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(tol_slope=0.0)
 
+    def test_infinite_tolerance(self):
+        # any slope would pass
+        with pytest.raises(ValueError, match="finite"):
+            SweepConfig(tol_slope=math.inf)
+
     def test_bad_window(self):
         with pytest.raises(ValueError):
             SweepConfig(fit_window=(64.0, 16.0))
@@ -415,15 +420,22 @@ class TestInvariance:
             assert s.n == base.n
             assert s.value == pytest.approx(base.value, rel=1e-10)
 
-    def test_sign_and_swap_complex64(self, monkeypatch):
-        # n = 2304 puts the kernel above the complex64 crossover at a
-        # third of the cost of the auto-sized n = 4096
+    def test_sign_and_swap_above_2048(self, monkeypatch):
+        # n = 2304 puts the full kernel above 2048 per side at a third of
+        # the cost of the auto-sized n = 4096
         S = parse_poly(self.MIXED)
         force_grid(monkeypatch, 2304)
         base = norm_at(PhaseSpec(S=S, rho=0.5), 1024.0)
         for other in (-S, swap_xy(S)):
             s = norm_at(PhaseSpec(S=other, rho=0.5), 1024.0)
-            assert s.value == pytest.approx(base.value, rel=1e-6)
+            assert s.value == pytest.approx(base.value, rel=1e-10)
+
+    def test_n4096_full_kernel_error_is_quadrature_only(self):
+        # the largest full kernel under GRID_CAP: conv_err measures the
+        # quadrature, not the rounding of the stored entries
+        s = norm_at(PhaseSpec(S=parse_poly("x^3*y/3 + x*y^2"), rho=0.5), 2048.0)
+        assert s.n == 4096
+        assert s.conv_err <= 1e-10
 
 
 class TestSweep:
