@@ -542,15 +542,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _value_options() -> frozenset[str]:
+    """Every option string, over all subcommands, that takes a value."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for sp in sub.choices.values() for a in sp._actions if a.nargs != 0]
+    return frozenset(s for a in actions for s in a.option_strings)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads an option value that starts with '-' as a flag unless it
     # looks like -1 or -.5: a phase such as "-(y-x)^4/12", a lambda -1e3 or
     # -inf.  Joined as --opt=value, every such value reaches its option.
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = [a for sp in sub.choices.values() for a in sp._actions if a.nargs != 0]
-    takes_value = {s for a in actions for s in a.option_strings}
+    parser, takes_value = build_parser(), _value_options()
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] in takes_value and argv[i][:1] == "-" and argv[i][:2] != "--":
             argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]

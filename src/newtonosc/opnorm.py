@@ -352,8 +352,9 @@ def operator_norm(
     these raises NoConvergenceError.
 
     The vector is the unit Ritz vector V_k y, the estimate of the top
-    right singular vector.  v0 warm-starts the iteration: the check grid
-    of norm_at passes the other grid's vector, interpolated onto its nodes.
+    right singular vector.  v0 warm-starts the iteration: norm_at solves
+    its check grid cold from seed, then passes that grid's vector,
+    interpolated onto its nodes, to each sector of the reported grid.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")

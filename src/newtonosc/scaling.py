@@ -56,12 +56,13 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 class NormSample:
     """One norm estimate with its quadrature-error estimate.
 
-    conv_err is the relative gap to the check grid (n/2, or 2n where
-    n/2 is below GRID_MIN).  iterations counts Lanczos steps summed
-    over every parity sector of every grid solved for the sample, base
-    and check grids alike; each step is one product with a sector
-    matrix (the full kernel when the phase has no parity) and one with
-    its adjoint.
+    n is the reported grid and value its norm.  conv_err is the
+    relative gap to the check grid (n/2, solved first, or 2n where n/2
+    is below GRID_MIN).  iterations counts Lanczos steps
+    summed over every parity sector of every grid solved for the
+    sample, check and reported grids alike; each step is one product
+    with a sector matrix (the full kernel when the phase has no parity)
+    and one with its adjoint.
     """
 
     lam: float
@@ -138,10 +139,11 @@ def _solve(p: PhaseSpec, lam: float, n: int, seed: int, start=None):
 
     Returns (value, steps, starts): the largest sector norm, the Lanczos
     steps summed over sectors, and starts = {sector: (ys, vec)}.  A phase
-    without parity has the single sector None, the full kernel.  The
-    starts of the other grid of the pair warm-start each sector from its
-    own.  Only nodes and vectors leave, so each kernel is freed before
-    the next one is built.
+    without parity has the single sector None, the full kernel.  Without
+    start every sector is solved cold from seed; given the starts of the
+    grid solved before it, each sector warm-starts from its own.  Only
+    nodes and vectors leave, so each kernel is freed before the next one
+    is built.
     """
     g = GridSpec.square(n, p.rho)
     value, steps, starts = 0.0, 0, {}
@@ -164,27 +166,29 @@ def _solve(p: PhaseSpec, lam: float, n: int, seed: int, start=None):
 def norm_at(p: PhaseSpec, lam: float, seed: int = 0) -> NormSample:
     """Norm estimate at one lambda with grid-check error control.
 
-    The base grid n is solved first, from the caller's seed.  Its
-    estimate is checked against the grid n/2 when n > GRID_MIN, and
-    against 2n otherwise; conv_err is the relative gap
+    The reported grid n is checked against the grid n/2 when
+    n > GRID_MIN, and against 2n otherwise; conv_err is the relative gap
     |v(n) - v(check)| / v(n).  auto_grid keeps |lam| * G * h <= pi/4 at n,
     G a proven bound on |grad S|, so n/2 passes discretize's pi/2 guard.  The
     midpoint rule on the bump-windowed kernel converges spectrally, so
     the gap to n/2 is a conservative estimate of the error at n.  If the
-    gap reaches 2 percent the base doubles and is compared with the grid
-    already solved, while 2n fits under GRID_CAP.  Each grid is solved
+    gap reaches 2 percent the reported grid doubles and is compared with
+    the grid already solved, while 2n fits under GRID_CAP.  Each grid is solved
     one parity sector at a time (_solve), and its value is the largest
-    sector norm.  Each solve
-    after the first is warm-started from the singular vector of the
-    same sector of the other grid of the pair.  auto_grid returns a
+    sector norm.  The smaller grid of the pair is solved first, cold
+    from the caller's seed: the check grid n/2, or n itself at GRID_MIN.
+    Each solve after it is warm-started from the singular vector of the
+    same sector of the other grid of the pair, so the many cold Lanczos
+    steps run on the small matrix and a few warm ones on the large one
+    (nested iteration, as in cascadic multigrid).  auto_grid returns a
     power of two >= GRID_MIN, so n, its check grid and every doubling
     are even and share the phase's sector list.  A grid whose value is
     not positive raises DomainError: T is never zero, so such a value
     means the kernel underflowed in double precision.
     """
     n = auto_grid(p, lam).n
-    runs = {n: _solve(p, lam, n, seed)}
     m = n // 2 if n > GRID_MIN else 2 * n
+    runs = {min(n, m): _solve(p, lam, min(n, m), seed)}
     while True:
         # one grid of the pair is solved; the other warm-starts from it
         for k, other in ((m, n), (n, m)):

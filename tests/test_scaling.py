@@ -209,6 +209,34 @@ def built_grids(monkeypatch) -> list[tuple]:
     return grids
 
 
+def recorded_solves(monkeypatch) -> list[dict]:
+    """Record n, sector, seed, start and Lanczos steps of every solve norm_at makes."""
+    solves = []
+    real_discretize, real_operator_norm = scaling.discretize, scaling.operator_norm
+
+    def building(p, lam, g, *args, **kwargs):
+        solves.append({"n": g.n, "sector": kwargs.get("sector")})
+        return real_discretize(p, lam, g, *args, **kwargs)
+
+    def solving(op, *args, **kwargs):
+        out = real_operator_norm(op, *args, **kwargs)
+        solves[-1].update(seed=kwargs.get("seed"), v0=kwargs.get("v0"), steps=out[1])
+        return out
+
+    monkeypatch.setattr(scaling, "discretize", building)
+    monkeypatch.setattr(scaling, "operator_norm", solving)
+    return solves
+
+
+def dense_sector_norm(p: PhaseSpec, lam: float, n: int) -> float:
+    """The largest dense-SVD norm over the parity sectors of the n-point grid."""
+    g = GridSpec.square(n, p.rho)
+    return max(
+        float(np.linalg.norm(discretize(p, lam, g, sector=k).matrix, 2))
+        for k in parity_sectors(p.S)
+    )
+
+
 class TestGridCheck:
     # conv_err compares the base grid n with the check grid n/2, or
     # with 2n where n/2 is below GRID_MIN
@@ -217,22 +245,24 @@ class TestGridCheck:
         "text, rho, lam, seed", [("x*y", 0.5, 64.0, 0), ("x^2*y^2/4", 0.9, 32.0, 3)]
     )
     def test_value_is_the_base_solve_and_conv_err_the_half_grid_gap(
-        self, text, rho, lam, seed
+        self, monkeypatch, text, rho, lam, seed
     ):
+        # the check grid is solved cold from the caller's seed, and each
+        # sector of the reported grid warm-starts from it
         p = PhaseSpec(S=parse_poly(text), rho=rho)
+        solves = recorded_solves(monkeypatch)
         s = norm_at(p, lam, seed=seed)
-        g = GridSpec.square(s.n, rho)
-        assert s.value == max(
-            operator_norm(discretize(p, lam, g, sector=k), seed=seed)[0]
-            for k in parity_sectors(p.S)
-        )
+        check = [c for c in solves if c["n"] == s.n // 2]
+        assert check and all(c["v0"] is None and c["seed"] == seed for c in check)
+        assert all(c["v0"] is not None for c in solves if c["n"] == s.n)
+        assert s.value == pytest.approx(dense_sector_norm(p, lam, s.n), rel=1e-10)
         v, v_half = dense_norm(p, lam, s.n), dense_norm(p, lam, s.n // 2)
         assert s.conv_err == pytest.approx(abs(v - v_half) / v, abs=1e-9)
 
     def test_half_grid_is_the_only_check(self, monkeypatch):
         grids = built_grids(monkeypatch)
         s = norm_at(PhaseSpec(S=parse_poly("x*y"), rho=0.5), 64.0)
-        assert grids == [(128, 1), (128, -1), (64, 1), (64, -1)] and s.n == 128
+        assert grids == [(64, 1), (64, -1), (128, 1), (128, -1)] and s.n == 128
 
     def test_fallback_to_double_at_grid_min(self, monkeypatch):
         p = PhaseSpec(S=parse_poly("x*y"), rho=0.5)
@@ -325,6 +355,50 @@ class TestGridCheck:
         assert s.conv_err >= true_err
 
 
+class TestWarmStartedValue:
+    # the reported grid is solved from the check grid's singular vectors,
+    # so its value must still be the top singular value of its own grid
+
+    def test_seeded_phases_match_dense(self):
+        checked = 0
+        for p, _ in seeded_phases():
+            G = gradient_bound(p.S, (-p.rho, p.rho, -p.rho, p.rho))
+            unit = 2 * p.rho * G * (2.0 / math.pi) * SAFETY
+            for n in (64, 512):
+                s = norm_at(p, n / unit)
+                if s.n <= 512:
+                    dense = dense_sector_norm(p, s.lam, s.n)
+                    assert abs(s.value - dense) / dense <= 1e-10, (p, s)
+                    checked += 1
+        assert checked >= 60
+
+    @pytest.mark.parametrize(
+        "text, rho",
+        [("x*y", 0.85), ("x^2*y^2/4", 0.9), ("-(y-x)^4/12", 0.5), ("x^3*y/3 + x*y^2", 0.5)],
+    )
+    def test_reference_phases_match_dense(self, text, rho):
+        p = PhaseSpec(S=parse_poly(text), rho=rho)
+        for lam in (2.0**k for k in range(4, 12)):
+            if auto_grid(p, lam).n > 2048:
+                break
+            s = norm_at(p, lam)
+            if s.n <= 2048:
+                dense = dense_sector_norm(p, lam, s.n)
+                assert abs(s.value - dense) / dense <= 1e-10, s
+
+    def test_reported_grid_takes_fewer_steps_than_cold(self, monkeypatch):
+        p = PhaseSpec(S=parse_poly("x*y"), rho=0.85)
+        solves = recorded_solves(monkeypatch)
+        s = norm_at(p, 512.0, seed=0)
+        warm = sum(c["steps"] for c in solves if c["n"] == s.n)
+        g = GridSpec.square(s.n, p.rho)
+        cold = sum(
+            operator_norm(discretize(p, 512.0, g, sector=k), seed=0)[1]
+            for k in parity_sectors(p.S)
+        )
+        assert warm < cold
+
+
 class TestParityDispatch:
     # norm_at solves one kernel per parity sector of each grid
 
@@ -348,7 +422,7 @@ class TestParityDispatch:
         monkeypatch.setattr(scaling, "discretize", recording)
         s = norm_at(PhaseSpec(S=parse_poly(text), rho=rho), lam)
         expected = []
-        for n in (s.n, s.n // 2):
+        for n in (s.n // 2, s.n):
             m = n if sectors == (None,) else n // 2
             expected += [(n, k, (m, m)) for k in sectors]
         assert built == expected
