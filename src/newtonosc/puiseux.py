@@ -3,10 +3,13 @@
 Exponents are exact, coefficients complex doubles.  Along a branch every
 exponent is a multiple of 1/D, D the lcm of the slope denominators so far,
 so a polynomial is keyed by (E, k) for x^(E/D) y^k with E an int.  Each
-level picks a slope from the Newton polygon of that lattice, which
-newton.lower_hull and newton.hull_edges build exactly as for F, rescales
-the keys if the slope needs a larger D, solves the edge polynomial for
-leading coefficients, substitutes, and recurses.  Ramification is tracked
+level reads the power y^v dividing it, its Newton polygon and the edge
+polynomials from the lowest key of each row, found in one pass; those row
+minima have the same Pareto points as the full support, and
+newton.lower_hull and newton.hull_edges build the polygon exactly as for F.
+It picks a slope, rescales the keys if the slope needs a larger D, solves
+the edge polynomial for leading coefficients (a linear one by its quotient,
+without an eigensolve), substitutes, and recurses.  Ramification is tracked
 per branch; there is never a global x -> x^(1/r) substitution.
 
 The sheets that stop at one prefix (an exact root, sheets stuck at the
@@ -28,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptyPolygonError, NumericalUnderflowError
+from .errors import DomainError, EmptyPolygonError, NumericalUnderflowError
 from .newton import EdgeData, hull_edges, lower_hull
 from .polycore import BivarPoly, PuiseuxBranch, PuiseuxTerm, eval_branch
 
@@ -103,19 +106,21 @@ class BranchSet:
 # --- edge polynomials -------------------------------------------------------
 
 
-def _edge_poly(poly, edge: EdgeData):
+def _edge_poly(poly, low, edge: EdgeData):
     """Coefficients (highest power first) of the edge polynomial psi.
 
-    psi(z) collects the support points on the edge; its nonzero roots are
-    the admissible leading coefficients at the edge's slope.  The
-    constant term sits at the lower vertex, so zero is never a root.
+    psi(z) collects the support points on the edge, each the lowest of its
+    row, so only the row minima low (row k -> least E) are read.  Its
+    nonzero roots are the admissible leading coefficients at the edge's
+    slope.  The constant term sits at the lower vertex, so zero is never a root.
     """
     (e_up, k_up), (e_lo, k_lo) = edge.upper, edge.lower
     run, n = e_lo - e_up, edge.n
     coeffs = np.zeros(n + 1, dtype=complex)
-    for (e, k), c in poly.items():
-        if k_lo <= k <= k_up and (e - e_up) * n == run * (k_up - k):
-            coeffs[k_up - k] = c
+    for k in range(k_lo, k_up + 1):
+        e = low.get(k)
+        if e is not None and (e - e_up) * n == run * (k_up - k):
+            coeffs[k_up - k] = poly[(e, k)]
     return coeffs
 
 
@@ -182,9 +187,10 @@ def _polish_root(psi, root, multiplicity):
     p = np.asarray(psi, dtype=complex)
     for _ in range(multiplicity - 1):
         p = np.polyder(p)
+    dp = np.polyder(p)
     z = complex(root)
     for _ in range(8):
-        dv = np.polyval(np.polyder(p), z)
+        dv = np.polyval(dp, z)
         if dv == 0:
             break
         step = np.polyval(p, z) / dv
@@ -212,12 +218,12 @@ def _snap(z: complex) -> complex:
 def _substitute(poly, G, c):
     """Apply y -> c*x^(G/D) + y on keys over D, pruning cancellation residue.
 
-    Alongside each value an absolute accumulation is tracked; entries whose
-    final value is below PRUNE_REL_TOL of that mass are treated as exact
-    cancellations.
+    Each key accumulates one [value, mass] cell, the mass summing absolute
+    contributions; entries whose final value is below PRUNE_REL_TOL of that
+    mass are treated as exact cancellations.  A cell starts at 0j + coeff*w,
+    so a zero part is +0.0 whatever the sign of the product's.
     """
-    out: dict[tuple[int, int], complex] = {}
-    acc: dict[tuple[int, int], float] = {}
+    cells: dict[tuple[int, int], list] = {}
     # y^k -> sum_j comb(k, j) c^(k-j) x^(G(k-j)/D) y^j: one row per degree k
     rows: dict[int, list[tuple[int, int, complex, float]]] = {}
     for (e, k), coeff in poly.items():
@@ -227,13 +233,13 @@ def _substitute(poly, G, c):
         mass = abs(coeff)
         for j, shift, w, w_abs in rows[k]:
             key = (e + shift, j)
-            out[key] = out.get(key, 0j) + coeff * w
-            acc[key] = acc.get(key, 0.0) + mass * w_abs
-    return {
-        key: val
-        for key, val in out.items()
-        if abs(val) > PRUNE_REL_TOL * acc[key]
-    }
+            cell = cells.get(key)
+            if cell is None:
+                cells[key] = [0j + coeff * w, mass * w_abs]
+            else:
+                cell[0] += coeff * w
+                cell[1] += mass * w_abs
+    return {key: val for key, (val, acc) in cells.items() if abs(val) > PRUNE_REL_TOL * acc}
 
 
 # --- the expansion ----------------------------------------------------------
@@ -254,12 +260,18 @@ def _expand(poly, D, m, prefix, gamma_prev, order, out):
     """Expand the m sheets of poly, whose key (E, k) is x^(E/D) y^k."""
     if len(prefix) > _MAX_DEPTH:
         raise RuntimeError("expansion recursion exceeded the depth cap")
+    low: dict[int, int] = {}  # row k -> its least E
+    for e, k in poly:
+        if k not in low or e < low[k]:
+            low[k] = e
     # y^v divides exactly: the prefix is a terminating solution of v sheets
-    v = min(k for _, k in poly)
+    v = min(low)
     if v > 0:
         poly = {(e, k - v): c for (e, k), c in poly.items()}
+        low = {k - v: e for k, e in low.items()}
 
-    edges = [(e, e.gamma / D) for e in hull_edges(lower_hull(poly.keys()))]
+    hull = lower_hull((E, k) for k, E in low.items())
+    edges = [(e, e.gamma / D) for e in hull_edges(hull)]
     target = [(e, gamma) for e, gamma in edges if gamma > gamma_prev]
     k_top = target[0][0].upper[1] if target else 0
     # sheets stuck at the cluster scale: conflated roots that did not
@@ -276,8 +288,9 @@ def _expand(poly, D, m, prefix, gamma_prev, order, out):
             # on the prefix with its exact and stuck sheets
             beyond += edge.n
             continue
-        psi = _edge_poly(poly, edge)
-        roots = list(np.roots(psi))
+        psi = _edge_poly(poly, low, edge)
+        # a linear psi's root is the quotient np.roots would hand its 1x1 eigensolve
+        roots = list(-psi[1:] / psi[0] if edge.n == 1 else np.roots(psi))
         # put the slope on the lattice: one rescale of the keys, shared by
         # every root of this edge, when its denominator does not divide D
         D2 = math.lcm(D, gamma.denominator)
@@ -310,7 +323,8 @@ def expand_branches(F: BivarPoly, order=None) -> BranchSet:
     order bounds the largest exponent computed (default 4*total_degree + 8)
     and must be positive; larger is slower and rarely needed.  Pure x and
     y factors are split off into axis_roots first, so a monomial comes
-    back with no branches.
+    back with no branches.  A coefficient of F beyond the double range is
+    refused (DomainError).
     """
     if not F:
         raise EmptyPolygonError("the zero polynomial has no branch structure")
@@ -322,7 +336,15 @@ def expand_branches(F: BivarPoly, order=None) -> BranchSet:
 
     A = min(a for a, _ in F.support())
     B = min(b for _, b in F.support())
-    work = {(a - A, b - B): complex(c) for (a, b), c in F.terms.items()}
+    work = {}
+    for (a, b), c in F.terms.items():
+        try:
+            work[(a - A, b - B)] = complex(c)
+        except OverflowError:
+            raise DomainError(
+                f"the coefficient of {BivarPoly({(a, b): 1}).render()} in F "
+                "is beyond the double range"
+            ) from None
     m = min(k for (e, k) in work if e == 0)
 
     branches: list[PuiseuxBranch] = []

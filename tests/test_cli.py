@@ -89,23 +89,26 @@ class TestExitCodes:
         }
 
     # a coefficient that is no double is refused with the phase, before
-    # any grid is sized or kernel built, at any rho and lambda
+    # any grid is sized or kernel built, at any rho and lambda; analyze
+    # refuses the term of F that the branch expansion cannot convert
     @pytest.mark.parametrize(
-        "argv",
+        "argv, term",
         [
-            ("norm", "--phase", "10^400*x*y", "--rho", "1e-300", "--lambda", "16"),
-            ("norm", "--phase", "10^400*x*y", "--rho", "1e-300", "--lambda", "0"),
-            ("sweep", "--phase", "10^400*x*y", "--rho", "1e-300"),
-            ("blocks", "--phase", "10^400*x*y", "--lambda", "16", "--j-max", "3"),
+            (("norm", "--phase", "10^400*x*y", "--rho", "1e-300", "--lambda", "16"), "x*y in the phase"),
+            (("norm", "--phase", "10^400*x*y", "--rho", "1e-300", "--lambda", "0"), "x*y in the phase"),
+            (("sweep", "--phase", "10^400*x*y", "--rho", "1e-300"), "x*y in the phase"),
+            (("blocks", "--phase", "10^400*x*y", "--lambda", "16", "--j-max", "3"), "x*y in the phase"),
+            (("analyze", "--mixed", "--phase", "y - 10^400*x"), "x in F"),
+            (("analyze", "--phase", "10^400*x*y"), "1 in F"),
         ],
-        ids=["norm", "norm-lambda-0", "sweep", "blocks"],
+        ids=["norm", "norm-lambda-0", "sweep", "blocks", "analyze-mixed", "analyze"],
     )
-    def test_coefficient_beyond_the_double_range_is_refused(self, capsys, argv):
+    def test_coefficient_beyond_the_double_range_is_refused(self, capsys, argv, term):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == {
             "type": "DomainError",
-            "message": "the coefficient of x*y in the phase is beyond the double range",
+            "message": f"the coefficient of {term} is beyond the double range",
         }
 
     def test_bad_fit_window_is_2(self, capsys):

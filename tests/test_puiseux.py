@@ -12,10 +12,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from newtonosc import puiseux
 from newtonosc.cli import main
 from newtonosc.errors import EmptyPolygonError, NumericalUnderflowError
+from newtonosc.newton import lower_hull
 from newtonosc.polycore import (
     BivarPoly,
     PuiseuxBranch,
@@ -23,7 +26,12 @@ from newtonosc.polycore import (
     Reality,
     parse_poly,
 )
-from newtonosc.puiseux import BranchSet, branch_residual_order, expand_branches
+from newtonosc.puiseux import (
+    PRUNE_REL_TOL,
+    BranchSet,
+    branch_residual_order,
+    expand_branches,
+)
 
 F = Fraction
 
@@ -350,3 +358,183 @@ class TestPinnedBytes:
         # default and order-50 runs never reach.
         texts = pinned_corpus() + LATE_SPLITS
         assert analyze_bytes(texts, orders=(1, 2)) == PINNED_TRUNCATED
+
+
+# --- fast paths against the code they replaced -------------------------------
+
+
+def full_scan_edge_poly(poly, edge):
+    """The edge polynomial from a scan of every key, not the row minima."""
+    (e_up, k_up), (e_lo, k_lo) = edge.upper, edge.lower
+    run, n = e_lo - e_up, edge.n
+    coeffs = np.zeros(n + 1, dtype=complex)
+    for (e, k), c in poly.items():
+        if k_lo <= k <= k_up and (e - e_up) * n == run * (k_up - k):
+            coeffs[k_up - k] = c
+    return coeffs
+
+
+def two_dict_substitute(poly, G, c):
+    """The substitution with separate value and mass dicts."""
+    out, acc, rows = {}, {}, {}
+    for (e, k), coeff in poly.items():
+        if k not in rows:
+            weights = [math.comb(k, j) * c ** (k - j) for j in range(k + 1)]
+            rows[k] = [(j, G * (k - j), w, abs(w)) for j, w in enumerate(weights)]
+        mass = abs(coeff)
+        for j, shift, w, w_abs in rows[k]:
+            key = (e + shift, j)
+            out[key] = out.get(key, 0j) + coeff * w
+            acc[key] = acc.get(key, 0.0) + mass * w_abs
+    return {key: val for key, val in out.items() if abs(val) > PRUNE_REL_TOL * acc[key]}
+
+
+def row_minima(poly):
+    low = {}
+    for e, k in poly:
+        low[k] = min(e, low.get(k, e))
+    return low
+
+
+def reprs(values):
+    return [repr(complex(v)) for v in values]
+
+
+@pytest.fixture(scope="module")
+def levels():
+    """Every level the expansion of pinned_corpus() + LATE_SPLITS passes through.
+
+    Each _expand call builds one hull before it recurses, and reads each
+    edge's polynomial just before it clusters that edge's roots, so the
+    recorded lists pair up by position.
+    """
+    rec = {"poly": [], "hull": [], "edge": [], "roots": [], "sub": []}
+    expand, hull, edge_poly = puiseux._expand, puiseux.lower_hull, puiseux._edge_poly
+    cluster, substitute = puiseux._cluster_roots, puiseux._substitute
+
+    def expand_(poly, *rest):
+        rec["poly"].append(dict(poly))
+        return expand(poly, *rest)
+
+    def hull_(points):
+        points = list(points)
+        rec["hull"].append((points, hull(points)))
+        return rec["hull"][-1][1]
+
+    def edge_poly_(poly, low, edge):
+        psi = edge_poly(poly, low, edge)
+        rec["edge"].append((dict(poly), dict(low), edge, psi.copy()))
+        return psi
+
+    def cluster_(roots):
+        rec["roots"].append(list(roots))
+        return cluster(roots)
+
+    def substitute_(poly, G, c):
+        out = substitute(poly, G, c)
+        rec["sub"].append((dict(poly), G, c, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, fn in [("_expand", expand_), ("lower_hull", hull_),
+                         ("_edge_poly", edge_poly_), ("_cluster_roots", cluster_),
+                         ("_substitute", substitute_)]:
+            mp.setattr(puiseux, name, fn)
+        for text in pinned_corpus() + LATE_SPLITS:
+            for order in (None, 1):
+                expand_branches(parse_poly(text), order=order)
+    return rec
+
+
+class TestRowMinimaFastPaths:
+    """Each fast path is bit-identical to the code it replaced on every level."""
+
+    def test_hull_of_row_minima_is_the_full_hull(self, levels):
+        assert len(levels["poly"]) == len(levels["hull"]) > 100
+        for poly, (points, hull) in zip(levels["poly"], levels["hull"]):
+            v = min(k for _, k in poly)
+            shifted = [(e, k - v) for e, k in poly]
+            assert sorted(points) == sorted((e, k) for k, e in row_minima(shifted).items())
+            assert hull == lower_hull(shifted)
+
+    def test_edge_poly_reads_only_row_minima(self, levels):
+        assert len(levels["edge"]) > 100
+        for poly, low, edge, psi in levels["edge"]:
+            assert low == row_minima(poly)
+            assert reprs(psi) == reprs(full_scan_edge_poly(poly, edge))
+
+    def test_roots_are_np_roots(self, levels):
+        assert len(levels["edge"]) == len(levels["roots"])
+        linear = 0
+        for (_, _, edge, psi), roots in zip(levels["edge"], levels["roots"]):
+            linear += edge.n == 1
+            assert reprs(roots) == reprs(np.roots(psi))
+        assert 0 < linear < len(levels["roots"])
+
+    def test_substitute_matches_two_dicts(self, levels):
+        assert len(levels["sub"]) > 100
+        for poly, G, c, out in levels["sub"]:
+            want = two_dict_substitute(poly, G, c)
+            assert list(out) == list(want)
+            assert reprs(out.values()) == reprs(want.values())
+
+
+class _Stop(Exception):
+    pass
+
+
+def linear_root(a, b):
+    """The root _expand hands on for the edge polynomial a*z + b."""
+    seen = []
+
+    def cluster_(roots):
+        seen.extend(roots)
+        raise _Stop
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(puiseux, "_cluster_roots", cluster_)
+        with pytest.raises(_Stop):
+            puiseux._expand({(0, 1): a, (1, 0): b}, 1, 1, [], F(0), F(1), [])
+    (root,) = seen
+    return complex(root)
+
+
+def random_linear_edges(lo, hi, count=400):
+    rng = np.random.default_rng(27)
+    for _ in range(count):
+        a = complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-3, 3)
+        r = complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(lo, hi)
+        if rng.random() < 0.3:
+            r = complex(r.real, 0.0)
+        yield a, -a * r
+
+
+class TestLinearEdgeRoot:
+    """A linear edge's root is the quotient np.roots hands its 1x1 eigensolve."""
+
+    def test_bit_equal_to_np_roots_inside_the_unscaled_range(self):
+        for a, b in random_linear_edges(-100, 100):
+            assert repr(linear_root(a, b)) == repr(complex(np.roots([a, b])[0]))
+
+    @pytest.mark.parametrize("lo, hi", [(-300, -139), (139, 300)])
+    def test_within_one_ulp_beyond_it(self, lo, hi):
+        # zgeev scales a matrix whose norm lies outside about 1e+-138 and
+        # scales the eigenvalue back, which can move each part by an ulp
+        # of |root| and flip the sign of a zero part
+        for a, b in random_linear_edges(lo, hi):
+            got, want = linear_root(a, b), complex(np.roots([a, b])[0])
+            ulp = math.ulp(abs(want))
+            assert abs(got.real - want.real) <= ulp and abs(got.imag - want.imag) <= ulp
+
+
+@pytest.mark.xfail(
+    raises=ValueError,
+    strict=True,
+    reason="_snap measures a part against max(1, |z|), so a root below "
+    "REAL_SNAP_TOL loses both parts and its branch has no term",
+)
+@pytest.mark.parametrize("text", ["10^11*y - x", "(10^11*y - x)*(y - x)"])
+def test_root_below_the_snap_tolerance_keeps_its_value(text):
+    out = expand_branches(parse_poly(text))
+    small = min(out.branches, key=lambda b: abs(b.leading_coefficient))
+    assert small.leading_coefficient == pytest.approx(1e-11, rel=1e-12)
