@@ -371,8 +371,7 @@ def _case_dyadpol_soundness():
 def _case_lanczos_vs_dense():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-    grid = np.arange(40, dtype=float)
-    op = DiscreteOperator(matrix=m, xs=grid, ys=grid)
+    op = DiscreteOperator(matrix=m)
     val = operator_norm(op, tol=1e-13, max_iter=3000)[0]
     ref = float(np.linalg.norm(m, 2))
     _check(abs(val - ref) / ref < 1e-8, "Lanczos norm vs dense SVD")
@@ -381,8 +380,7 @@ def _case_lanczos_vs_dense():
 def _case_adjoint_identity():
     rng = np.random.default_rng(1)
     m = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
-    grid = np.arange(30, dtype=float)
-    op = DiscreteOperator(matrix=m, xs=grid, ys=grid)
+    op = DiscreteOperator(matrix=m)
     v = rng.standard_normal(30) + 1j * rng.standard_normal(30)
     w = rng.standard_normal(30) + 1j * rng.standard_normal(30)
     lhs = np.vdot(w, op.apply(v))

@@ -203,37 +203,18 @@ def _degeneracy(F: BivarPoly, polygon: NewtonPolygon, branches) -> Degeneracy:
 class DecayReport:
     """Everything the polygon says about the decay of the operator norm.
 
-    Stores the degeneracy and the polygon.  The diagonal crossing t0, its
-    kind and delta = 1/(1 + t0) are decay_rate(polygon); the offsets A, B
-    and the edges, each with its own exponent delta_nu, are the polygon's.
+    Stores the degeneracy and the polygon.  to_dict reads the diagonal
+    crossing t0, its kind and delta = 1/(1 + t0) from decay_rate(polygon),
+    and the offsets A, B and the edges, each with its own exponent
+    delta_nu, from the polygon; delta is the one rate read by name.
     """
 
     degeneracy: Degeneracy
     polygon: NewtonPolygon
 
     @property
-    def t0(self) -> Fraction:
-        return decay_rate(self.polygon)[0]
-
-    @property
     def delta(self) -> Fraction:
         return decay_rate(self.polygon)[1]
-
-    @property
-    def boundary_crossing(self) -> str:
-        return decay_rate(self.polygon)[2]
-
-    @property
-    def A(self) -> int:
-        return self.polygon.A
-
-    @property
-    def B(self) -> int:
-        return self.polygon.B
-
-    @property
-    def edges(self) -> tuple[EdgeData, ...]:
-        return self.polygon.edges
 
     def to_dict(self) -> dict:
         deg: dict = {"kind": self.degeneracy.kind.value}
@@ -248,8 +229,8 @@ class DecayReport:
             "t0": str(t0),
             "delta": str(delta),
             "boundary_crossing": crossing,
-            "A": self.A,
-            "B": self.B,
+            "A": self.polygon.A,
+            "B": self.polygon.B,
             "edges": [
                 {
                     "gamma": str(e.gamma),
@@ -258,7 +239,7 @@ class DecayReport:
                     "B_nu": e.lower[1],
                     "delta_nu": str(e.delta),
                 }
-                for e in self.edges
+                for e in self.polygon.edges
             ],
             "degeneracy": deg,
         }

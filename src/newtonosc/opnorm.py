@@ -183,8 +183,6 @@ class DiscreteOperator:
     """
 
     matrix: np.ndarray
-    xs: np.ndarray
-    ys: np.ndarray
 
     @property
     def shape(self):
@@ -324,7 +322,7 @@ def discretize(
             below = np.tril_indices(r1 - r0, -1)
             tile[below] = tile.T[below]
             M[r1:, r0:r1] = M[r0:r1, r1:].T
-    return DiscreteOperator(matrix=M, xs=xs, ys=ys)
+    return DiscreteOperator(matrix=M)
 
 
 def operator_norm(
@@ -354,7 +352,7 @@ def operator_norm(
     The vector is the unit Ritz vector V_k y, the estimate of the top
     right singular vector.  v0 warm-starts the iteration: norm_at solves
     its check grid cold from seed, then passes that grid's vector,
-    interpolated onto its nodes, to each sector of the reported grid.
+    repeated twice, to the same sector of the grid twice as fine.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")

@@ -120,39 +120,25 @@ class SweepConfig:
                 raise ValueError("fit_window must be an increasing pair")
 
 
-def _interp_start(vec: np.ndarray, ys_source, ys_target) -> Optional[np.ndarray]:
-    """vec on the nodes ys_source, interpolated onto ys_target, unit norm.
-
-    A real vec gives a real start, so a real sector stays real.
-    """
-    v = np.interp(ys_target, ys_source, vec.real)
-    if np.iscomplexobj(vec):
-        v = v + 1j * np.interp(ys_target, ys_source, vec.imag)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return None  # degenerate; let the caller's seed take over
-    return v / norm
-
-
 def _solve(p: PhaseSpec, lam: float, n: int, seed: int, start=None):
     """Build and solve the n-point square grid, one parity sector at a time.
 
     Returns (value, steps, starts): the largest sector norm, the Lanczos
-    steps summed over sectors, and starts = {sector: (ys, vec)}.  A phase
+    steps summed over sectors, and starts = {sector: vec}.  A phase
     without parity has the single sector None, the full kernel.  Without
     start every sector is solved cold from seed; given the starts of the
-    grid solved before it, each sector warm-starts from its own.  Only
-    nodes and vectors leave, so each kernel is freed before the next one
-    is built.
+    grid n/2 solved before it, each sector warm-starts from its own
+    vector repeated twice: coarse cell i holds fine nodes 2i and 2i + 1,
+    in a sector (nodes x, y > 0) as on the full square.  Only vectors
+    leave, so each kernel is freed before the next one is built.
     """
     g = GridSpec.square(n, p.rho)
     value, steps, starts = 0.0, 0, {}
     for sector in parity_sectors(p.S):
         op = discretize(p, lam, g, sector=sector)
-        v0 = None if start is None else _interp_start(start[sector][1], start[sector][0], op.ys)
-        s, k, vec = operator_norm(op, seed=seed, v0=v0)
+        v0 = None if start is None else np.repeat(start[sector], 2)
+        s, k, starts[sector] = operator_norm(op, seed=seed, v0=v0)
         value, steps = max(value, s), steps + k
-        starts[sector] = (op.ys, vec)
         del op
     if not value > 0:
         # the kernel is unimodular times a cutoff that is 1 at the origin
@@ -177,14 +163,16 @@ def norm_at(p: PhaseSpec, lam: float, seed: int = 0) -> NormSample:
     one parity sector at a time (_solve), and its value is the largest
     sector norm.  The smaller grid of the pair is solved first, cold
     from the caller's seed: the check grid n/2, or n itself at GRID_MIN.
-    Each solve after it is warm-started from the singular vector of the
-    same sector of the other grid of the pair, so the many cold Lanczos
-    steps run on the small matrix and a few warm ones on the large one
-    (nested iteration, as in cascadic multigrid).  auto_grid returns a
-    power of two >= GRID_MIN, so n, its check grid and every doubling
-    are even and share the phase's sector list.  A grid whose value is
-    not positive raises DomainError: T is never zero, so such a value
-    means the kernel underflowed in double precision.
+    Each solve after it doubles the grid of the pair, and each of its
+    sectors is warm-started from the singular vector of the same sector
+    of the other grid repeated twice (piecewise-constant prolongation),
+    so the many cold Lanczos steps run on the small matrix and a few warm
+    ones on the large one (nested iteration, as in cascadic multigrid).
+    auto_grid returns a power of two >= GRID_MIN, so n, its check grid
+    and every doubling are even and share the phase's sector list.  A
+    grid whose value is not positive raises DomainError: T is never
+    zero, so such a value means the kernel underflowed in double
+    precision.
     """
     n = auto_grid(p, lam).n
     m = n // 2 if n > GRID_MIN else 2 * n

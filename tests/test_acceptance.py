@@ -370,8 +370,7 @@ class TestCriterion8:
         for _ in range(50):
             n = int(rng.integers(16, 129))
             m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            grid = np.arange(n, dtype=float)
-            op = DiscreteOperator(matrix=m, xs=grid, ys=grid)
+            op = DiscreteOperator(matrix=m)
             val, _, _ = operator_norm(op, tol=1e-13, max_iter=5000)
             ref = float(np.linalg.norm(m, 2))
             worst_rel = max(worst_rel, abs(val - ref) / ref)

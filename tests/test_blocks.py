@@ -22,7 +22,7 @@ from newtonosc.blocks import (
 )
 from newtonosc.errors import ResolutionError, WrongRegionError
 from newtonosc.newton import NewtonPolygon, build_polygon
-from newtonosc.opnorm import GridSpec, PhaseSpec, discretize, size_bound
+from newtonosc.opnorm import GridSpec, PhaseSpec, _midpoints, discretize, size_bound
 from newtonosc.polycore import BivarPoly, eval_grid, integrate_xy, parse_poly
 
 
@@ -279,9 +279,12 @@ class TestBlockGrid:
         # its inner end included, so no row or column is zero
         op = _block_operator(self.PHASE, lam, 1, 1)
         rho = self.PHASE.rho
+        x0, x1, y0, y1 = block_rect(1, 1)
+        xs, _ = _midpoints(x0, min(x1, rho), n)
+        ys, _ = _midpoints(y0, min(y1, rho), n)
         assert op.shape == (n, n)
-        assert np.all(np.abs(op.xs) < rho) and np.all(np.abs(op.ys) < rho)
-        for nodes, axis in ((op.xs, 1), (op.ys, 0)):
+        assert np.all(np.abs(xs) < rho) and np.all(np.abs(ys) < rho)
+        for nodes, axis in ((xs, 1), (ys, 0)):
             assert np.all(chi(1, nodes) > 0)
             assert np.all(np.any(op.matrix != 0, axis=axis))
         if n == 16:

@@ -299,5 +299,5 @@ class TestReport:
     def test_report_nondegenerate(self):
         report = analyze_decay(parse_poly("x*y"))
         assert report.delta == F(1, 2)
-        assert report.edges == ()
+        assert report.polygon.edges == ()
         assert report.degeneracy.kind is DegeneracyKind.NON_DEGENERATE

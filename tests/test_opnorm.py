@@ -121,11 +121,7 @@ def stored_dtype(p: PhaseSpec, sector):
 
 def random_op(rng, n, scale=1.0):
     M = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return DiscreteOperator(
-        matrix=M,
-        xs=np.arange(n, dtype=float),
-        ys=np.arange(n, dtype=float),
-    )
+    return DiscreteOperator(matrix=M)
 
 
 class TestBump:
@@ -297,7 +293,8 @@ class TestDiscretize:
         full = discretize(p, 16.0, g)
         half = discretize(p, 16.0, g, x_window=lambda x: (x > 0).astype(float))
         zero = discretize(p, 16.0, g, y_window=lambda y: np.zeros_like(y))
-        assert np.all(half.matrix[half.xs <= 0] == 0)
+        xs, _ = _midpoints(-0.5, 0.5, 64)
+        assert np.all(half.matrix[xs <= 0] == 0)
         n_full, _, _ = operator_norm(full, seed=1)
         n_half, _, _ = operator_norm(half, seed=1)
         assert n_half <= n_full + 1e-12
@@ -509,11 +506,7 @@ class TestOperatorNorm:
     def test_constant_kernel_unit_norm(self):
         n = 100
         h = 1.0 / n
-        op = DiscreteOperator(
-            matrix=np.full((n, n), h, dtype=complex),
-            xs=(np.arange(n) + 0.5) * h,
-            ys=(np.arange(n) + 0.5) * h,
-        )
+        op = DiscreteOperator(matrix=np.full((n, n), h, dtype=complex))
         val, _, _ = operator_norm(op, tol=1e-14, seed=0)
         assert val == pytest.approx(1.0, abs=1e-12)
 
@@ -522,7 +515,7 @@ class TestOperatorNorm:
         [({"tol": 0.0}, "tolerance must be positive"), ({"max_iter": 0}, "max_iter must be positive")],
     )
     def test_nonpositive_stopping_rule_is_refused(self, kwargs, message):
-        op = DiscreteOperator(matrix=np.eye(4, dtype=complex), xs=np.arange(4.0), ys=np.arange(4.0))
+        op = DiscreteOperator(matrix=np.eye(4, dtype=complex))
         with pytest.raises(ValueError, match=message):
             operator_norm(op, **kwargs)
 
@@ -531,11 +524,7 @@ class TestOperatorNorm:
         rng = np.random.default_rng(3)
         phi = rng.standard_normal(n)
         psi = rng.standard_normal(n)
-        op = DiscreteOperator(
-            matrix=np.outer(phi, psi).astype(complex),
-            xs=np.arange(n, dtype=float),
-            ys=np.arange(n, dtype=float),
-        )
+        op = DiscreteOperator(matrix=np.outer(phi, psi).astype(complex))
         val, _, _ = operator_norm(op, tol=1e-14, seed=0)
         assert val == pytest.approx(
             np.linalg.norm(phi) * np.linalg.norm(psi), rel=1e-10
@@ -551,21 +540,13 @@ class TestOperatorNorm:
             assert abs(val - dense) <= 1e-8 * dense
 
     def test_zero_operator(self):
-        op = DiscreteOperator(
-            matrix=np.zeros((16, 16), dtype=complex),
-            xs=np.arange(16, dtype=float),
-            ys=np.arange(16, dtype=float),
-        )
+        op = DiscreteOperator(matrix=np.zeros((16, 16), dtype=complex))
         assert operator_norm(op, seed=0)[0] == 0.0
 
     def test_no_convergence_strict_mode(self):
         # 64 singular values clustered just below 1: three Krylov steps
         # cannot settle the top one to 1e-15
-        op = DiscreteOperator(
-            matrix=np.diag(np.linspace(1.0, 0.95, 64)).astype(complex),
-            xs=np.arange(64, dtype=float),
-            ys=np.arange(64, dtype=float),
-        )
+        op = DiscreteOperator(matrix=np.diag(np.linspace(1.0, 0.95, 64)).astype(complex))
         with pytest.raises(NoConvergenceError) as exc:
             operator_norm(op, tol=1e-15, max_iter=3, seed=0)
         assert len(exc.value.quotients) == 2
@@ -606,8 +587,7 @@ class TestLanczosMechanism:
         n = 200
         s = np.concatenate([[1.0, 0.995], np.linspace(0.99, 0.0, n - 2)])
         M = unitary(rng, n) @ (s[:, None] * unitary(rng, n).conj().T)
-        grid = np.arange(n, dtype=float)
-        op = DiscreteOperator(matrix=M, xs=grid, ys=grid)
+        op = DiscreteOperator(matrix=M)
         val, steps, vec = operator_norm(op, seed=0)
         assert abs(val - np.linalg.norm(M, 2)) <= 1e-8
         assert steps <= 60
@@ -646,8 +626,7 @@ class TestLanczosMechanism:
         else:
             Q1, Q2 = unitary(rng, n), unitary(rng, n)
         M = Q1 @ (s[:, None] * Q2.conj().T)
-        grid = np.arange(n, dtype=float)
-        val, steps, _ = operator_norm(DiscreteOperator(matrix=M, xs=grid, ys=grid), tol=1e-12)
+        val, steps, _ = operator_norm(DiscreteOperator(matrix=M), tol=1e-12)
         assert steps >= 100
         assert abs(val - 1.0) <= 1e-8
         for basis in bases:
@@ -707,11 +686,7 @@ class TestBounds:
     def test_schur_constant_kernel(self):
         n = 50
         h = 1.0 / n
-        op = DiscreteOperator(
-            matrix=np.full((n, n), h, dtype=complex),
-            xs=np.arange(n, dtype=float),
-            ys=np.arange(n, dtype=float),
-        )
+        op = DiscreteOperator(matrix=np.full((n, n), h, dtype=complex))
         assert schur_bound(op) == pytest.approx(1.0, abs=1e-12)
 
     def test_schur_blind_to_oscillation(self):
@@ -720,9 +695,7 @@ class TestBounds:
         ts = (np.arange(n) + 0.5) * h
         for lam in (1.0, 256.0):
             M = np.exp(1j * lam * np.outer(ts, ts)) * h
-            op = DiscreteOperator(
-                matrix=M, xs=ts, ys=ts
-            )
+            op = DiscreteOperator(matrix=M)
             assert schur_bound(op) == pytest.approx(1.0, abs=1e-12)
 
     def test_schur_dominates_norm(self):
@@ -730,11 +703,7 @@ class TestBounds:
         for _ in range(20):
             n = int(rng.integers(16, 65))
             M = rng.random((n, n))
-            op = DiscreteOperator(
-                matrix=M.astype(complex),
-                xs=np.arange(n, dtype=float),
-                ys=np.arange(n, dtype=float),
-            )
+            op = DiscreteOperator(matrix=M.astype(complex))
             assert np.linalg.norm(M, 2) <= schur_bound(op) * (1 + 1e-12)
 
     def test_size_bound(self):

@@ -538,3 +538,16 @@ def test_root_below_the_snap_tolerance_keeps_its_value(text):
     out = expand_branches(parse_poly(text))
     small = min(out.branches, key=lambda b: abs(b.leading_coefficient))
     assert small.leading_coefficient == pytest.approx(1e-11, rel=1e-12)
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="_snap zeroes the second root, 1e-11, against max(1, |z|), so the "
+    "sheet y = x + 1e-11 x^2 prints as y = x and is marked inexact",
+)
+def test_small_second_term_above_a_unit_root_is_kept():
+    (branch,) = expand_branches(parse_poly("y - x - x^2/100000000000")).branches
+    assert branch.exact
+    assert [t.exponent for t in branch.terms] == [1, 2]
+    assert branch.terms[1].coefficient == pytest.approx(1e-11, rel=1e-12)

@@ -39,7 +39,6 @@ from newtonosc.polycore import (
 from newtonosc.scaling import (
     NormSample,
     ScalingReport,
-    _interp_start,
     SweepConfig,
     fit_decay,
     log_exponent_fit,
@@ -210,7 +209,7 @@ def built_grids(monkeypatch) -> list[tuple]:
 
 
 def recorded_solves(monkeypatch) -> list[dict]:
-    """Record n, sector, seed, start and Lanczos steps of every solve norm_at makes."""
+    """Record n, sector, seed, start, Lanczos steps and vector of every solve norm_at makes."""
     solves = []
     real_discretize, real_operator_norm = scaling.discretize, scaling.operator_norm
 
@@ -220,7 +219,7 @@ def recorded_solves(monkeypatch) -> list[dict]:
 
     def solving(op, *args, **kwargs):
         out = real_operator_norm(op, *args, **kwargs)
-        solves[-1].update(seed=kwargs.get("seed"), v0=kwargs.get("v0"), steps=out[1])
+        solves[-1].update(seed=kwargs.get("seed"), v0=kwargs.get("v0"), steps=out[1], vec=out[2])
         return out
 
     monkeypatch.setattr(scaling, "discretize", building)
@@ -399,6 +398,44 @@ class TestWarmStartedValue:
         assert warm < cold
 
 
+class TestRepeatedStart:
+    # each warm solve doubles the grid and starts every sector from that
+    # sector's vector on the grid before it, each entry repeated twice
+
+    @pytest.mark.parametrize(
+        "text, rho, lam, forced_n",
+        [
+            ("x*y", 0.85, 64.0, None),  # two real sectors
+            ("x^2*y^2/4", 0.9, 64.0, None),  # one complex sector
+            ("x^3*y/3 + x*y^2", 0.5, 64.0, None),  # no parity: the full kernel
+            ("-(y-x)^4/12", 0.5, 16.0, None),  # n = GRID_MIN, checked against 2n
+            # n = 32 checked against 16 fails a tightened CONV_TOL and doubles
+            ("-(y-x)^4/12", 0.5, 16.0, 32),
+        ],
+    )
+    def test_warm_start_is_the_coarse_vector_repeated(self, monkeypatch, text, rho, lam, forced_n):
+        p = PhaseSpec(S=parse_poly(text), rho=rho)
+        if forced_n is not None:
+            force_grid(monkeypatch, forced_n)
+            monkeypatch.setattr(scaling, "CONV_TOL", 1e-6)
+        solves = recorded_solves(monkeypatch)
+        s = norm_at(p, lam)
+        if forced_n is not None:
+            assert s.n == 2 * forced_n
+        first = solves[0]["n"]
+        assert any(c["n"] != first for c in solves)
+        for i, c in enumerate(solves):
+            if c["n"] == first:
+                assert c["v0"] is None
+                continue
+            (coarse,) = [
+                d for d in solves[:i] if d["n"] == c["n"] // 2 and d["sector"] == c["sector"]
+            ]
+            expected = np.repeat(coarse["vec"], 2)
+            assert c["v0"].dtype == expected.dtype
+            assert c["v0"].tobytes() == expected.tobytes()
+
+
 class TestParityDispatch:
     # norm_at solves one kernel per parity sector of each grid
 
@@ -426,22 +463,6 @@ class TestParityDispatch:
             m = n if sectors == (None,) else n // 2
             expected += [(n, k, (m, m)) for k in sectors]
         assert built == expected
-
-
-class TestInterpStart:
-    def test_zero_vector_gives_none(self):
-        ys_source = np.linspace(-0.5, 0.5, 32)
-        ys_target = np.linspace(-0.5, 0.5, 16)
-        assert _interp_start(np.zeros(32, dtype=complex), ys_source, ys_target) is None
-
-    @pytest.mark.parametrize("n_source, n_target", [(32, 16), (16, 32)])
-    def test_target_length_and_unit_norm(self, n_source, n_target):
-        ys_source = np.linspace(-0.5, 0.5, n_source)
-        ys_target = np.linspace(-0.5, 0.5, n_target)
-        vec = np.exp(2j * ys_source) * (1 + ys_source)
-        v = _interp_start(vec, ys_source, ys_target)
-        assert v.shape == (n_target,)
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
 
 
 def swap_xy(S: BivarPoly) -> BivarPoly:
