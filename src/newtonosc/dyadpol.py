@@ -183,7 +183,8 @@ class LowerBoundReport:
 # below its right end, which is deep inside the P ~ 1 regime
 _LEADING_OCTAVES = 40
 # trials go through the arithmetic in blocks whose h^i table holds at most
-# about this many doubles, so memory does not grow with the trial count
+# about this many doubles, so memory does not grow with the trial count;
+# an h_density whose one-trial table is larger is refused
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -204,7 +205,8 @@ def verify_lower_bound(
     first.  The points come on top of the interval endpoints; h_density 0
     samples the endpoints alone.  The earliest trial attaining the minimum
     is the worst.  ValueError, before any sampling, when a coefficient or
-    1 + sum |a_i| can overflow a double.
+    1 + sum |a_i| can overflow a double, or when one trial's table of
+    h^i exceeds _BLOCK_ELEMENTS doubles.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -224,6 +226,14 @@ def verify_lower_bound(
     N = profile.N
     spans = [(lbset.leading_beta - _LEADING_OCTAVES, lbset.leading_beta), *lbset.intervals]
     ends = [2.0 ** float(b) for _, b in spans] + [2.0 ** float(a) for a, _ in lbset.intervals]
+    # one trial's h^i table holds (len(ends) + h_density * len(spans)) * N
+    # doubles; refuse before any array is built
+    most = max(0, (_BLOCK_ELEMENTS // N - len(ends)) // len(spans))
+    if h_density > most:
+        raise ValueError(
+            f"h_density {h_density} needs more than {_BLOCK_ELEMENTS} doubles per trial "
+            f"for this profile; the largest accepted is {most}"
+        )
     # columns of one trial's uniform draws: N magnitudes when C > 1, then
     # h_density per span; uniform(lo, hi) is lo + (hi - lo) * random()
     n_mags = N if profile.C > 1 else 0

@@ -543,6 +543,17 @@ class TestDyadpol:
         assert v["pass"] is True and v["min_observed"] >= v["bound"]
         assert v["worst_trial"] >= 0
 
+    def test_h_density_past_one_block_is_1(self, capsys):
+        # one trial's h^i table would hold (1 + 10^8) * 2 doubles
+        argv = ("dyadpol", "--r", "0,6", "--trials", "1", "--h-density", "100000000")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError",
+            "message": "h_density 100000000 needs more than 65536 doubles per trial "
+            "for this profile; the largest accepted is 32767",
+        }
+
     def test_negative_h_density_is_1(self, capsys):
         argv = ("dyadpol", "--r", "0,6", "--trials", "5", "--h-density")
         code, out, err = run(capsys, *argv, "-2")
@@ -551,6 +562,22 @@ class TestDyadpol:
         # 0 still samples the interval endpoints alone
         d = run_json(capsys, *argv, "0")
         assert d["verification"]["h_density"] == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ValueError,
+    reason="a slope fitted on no valid sample is written as a bare NaN (ROADMAP item 6, "
+    "null waits for the newton-osc/3 schema bump)",
+)
+def test_sweep_below_resolution_writes_json(capsys):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    code, out, err = run(capsys, "sweep", "--phase", "x*y", "--lambdas", "1e-9,2e-9,3e-9,4e-9",
+                         "--format", "json")
+    assert code == 0, err
+    json.loads(out, parse_constant=refuse)
 
 
 class TestDeterminism:
@@ -646,6 +673,21 @@ class TestFrontEndOnce:
         assert len(calls) == 1
 
 
+def dropped_keys(schema: dict, value, path: str = "payload"):
+    """(label, copy of value) with one required key removed, at every depth the schema reaches."""
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            yield f"{path} without {key}", {k: v for k, v in value.items() if k != key}
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                for label, changed in dropped_keys(sub, value[key], f"{path}.{key}"):
+                    yield label, {**value, key: changed}
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            for label, changed in dropped_keys(schema["items"], item, f"{path}[{i}]"):
+                yield label, [*value[:i], changed, *value[i + 1 :]]
+
+
 class TestSchemas:
     # one real payload per schema, default format json where none is given
     CASES = {
@@ -659,24 +701,81 @@ class TestSchemas:
         "dyadpol": (cli.DYADPOL_SCHEMA, ["dyadpol", "--r", "0,6", "--C", "1", "--trials", "10"]),
     }
 
+    # a nested required key per payload, from the labels of dropped_keys
+    NESTED = {
+        "analyze": "payload.decay without t0",
+        "norm": "payload.samples[0] without n",
+        "sweep": "payload.report without slope",
+        "blocks": "payload.summary without violations",
+        "dyadpol": "payload.verification without pass",
+    }
+
+    @staticmethod
+    def accepts(schema: dict, payload) -> bool:
+        """The CLI checker's verdict on payload, once it agrees with jsonschema's."""
+        try:
+            jsonschema.validate(payload, schema)
+            oracle = True
+        except jsonschema.ValidationError:
+            oracle = False
+        try:
+            cli._validate(schema, payload, "payload")
+            ours = True
+        except cli.ValidationError:
+            ours = False
+        assert ours == oracle, payload
+        return ours
+
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_broken_payloads_are_refused(self, capsys, name):
         schema, argv = self.CASES[name]
         payload = run_json(capsys, *argv)
-        jsonschema.validate(payload, schema)
+        assert self.accepts(schema, payload)
         assert schema["required"][:2] == ["schema", "provenance"]
-        for key in schema["required"]:
-            with pytest.raises(jsonschema.ValidationError):
-                jsonschema.validate({k: v for k, v in payload.items() if k != key}, schema)
-        with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate({**payload, "schema": "newton-osc/1"}, schema)
+        broken = dict(dropped_keys(schema, payload))
+        assert {f"payload without {key}" for key in schema["required"]} <= broken.keys()
+        assert self.NESTED[name] in broken
+        for label, changed in broken.items():
+            assert not self.accepts(schema, changed), label
+        assert not self.accepts(schema, {**payload, "schema": "newton-osc/1"})
 
     def test_sweep_verdict_outside_enum_is_refused(self, capsys):
         schema, argv = self.CASES["sweep"]
         payload = run_json(capsys, *argv)
         report = {**payload["report"], "verdict": "Maybe"}
-        with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate({**payload, "report": report}, schema)
+        assert not self.accepts(schema, {**payload, "report": report})
+        for verdict in ("Pass", "Fail", "Inconclusive"):
+            assert self.accepts(schema, {**payload, "report": {**report, "verdict": verdict}})
+
+    def test_norm_without_samples_is_refused(self, capsys):
+        schema, argv = self.CASES["norm"]
+        payload = run_json(capsys, *argv)
+        assert not self.accepts(schema, {**payload, "samples": []})
+        assert not self.accepts(schema, {**payload, "samples": [1.0]})
+        assert not self.accepts(schema, {**payload, "samples": tuple(payload["samples"])})
+
+    # JSON Schema's integer: a bool is none, a float with an integral value is one
+    @pytest.mark.parametrize(
+        "seed, valid",
+        [(5, True), (0, True), (1.0, True), (-3.0, True), ("5", False), (1.5, False),
+         (True, False), (None, False), (float("nan"), False), (float("inf"), False)],
+    )
+    def test_seed_is_a_json_schema_integer(self, capsys, seed, valid):
+        schema, argv = self.CASES["dyadpol"]
+        payload = run_json(capsys, *argv)
+        assert self.accepts(schema, {**payload, "provenance": {"seed": seed}}) is valid
+
+    def test_import_leaves_jsonschema_unloaded(self):
+        # only the lazy cli.jsonschema, which the benchmark's trace patches, loads it
+        code = "import sys, newtonosc.cli as c; assert 'jsonschema' not in sys.modules; c.jsonschema"
+        root = os.path.dirname(os.path.dirname(newtonosc.__file__))
+        path = [root, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert cli.jsonschema is jsonschema
+        with pytest.raises(AttributeError, match="no attribute 'yaml'"):
+            cli.yaml
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_schema_passes_the_metaschema(self, name):

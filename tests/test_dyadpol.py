@@ -383,6 +383,27 @@ class TestVerify:
         with pytest.raises(ValueError, match=f"overflow a double: C={C}, max r={max(r)} "):
             verify_lower_bound(p, lower_bound_set(p), trials=3)
 
+    @pytest.mark.parametrize("r", [(0, 6), (0, 1, 3, 7), (3, 0, 5)])
+    def test_h_density_past_one_block_refused_before_sampling(self, monkeypatch, r):
+        # one trial's h^i table, (len(ends) + h_density * len(spans)) * N
+        # doubles, fits in one block up to the largest accepted h_density
+        p = ExponentProfile(r=r, C=2.0)
+        e = lower_bound_set(p)
+        spans, ends = 1 + len(e.intervals), 1 + 2 * len(e.intervals)
+        most = (dyadpol._BLOCK_ELEMENTS // p.N - ends) // spans
+        assert (ends + most * spans) * p.N <= dyadpol._BLOCK_ELEMENTS < (ends + (most + 1) * spans) * p.N
+        rep = verify_lower_bound(p, e, trials=1, h_density=most)
+        assert rep.h_density == most and rep.passed
+
+        def built(*args, **kwargs):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(dyadpol.np, "repeat", built)
+        for h_density in (most + 1, 10**8):
+            message = f"h_density {h_density} needs more than 65536 doubles per trial for this profile; "
+            with pytest.raises(ValueError, match=re.escape(message + f"the largest accepted is {most}")):
+                verify_lower_bound(p, e, trials=1, h_density=h_density)
+
     # 1 + C * sum 2^r_i just below 2^1024: 1 + 1.5 * 2^1023, and 1 + 2^1023
     @pytest.mark.parametrize("r, C", [((1023,), 1.5), ((1021, 1021), 2.0)])
     def test_largest_double_coefficients_are_checked(self, r, C):
