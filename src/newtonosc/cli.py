@@ -15,6 +15,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -67,7 +68,47 @@ def _emit_json(args, schema: dict, payload: dict) -> None:
     payload = {"schema": SCHEMA_ID, "provenance": {"seed": args.seed}, **payload}
     # _validate covers exactly the JSON Schema keywords the schemas below use
     _validate(schema, payload, "payload")
-    _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write(args, _json(payload) + "\n")
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, in one pass.
+
+    Takes what a payload holds: str-keyed dicts, lists, tuples, str, int,
+    float, bool and None, with str and int subclasses written as json
+    writes them.  indent is the newline and indentation before the value's
+    closing bracket.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NONFINITE.get(text, text)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _csv_row(header: str, d: dict) -> str:
@@ -219,7 +260,10 @@ DYADPOL_SCHEMA = _payload_schema(
 
 
 def cmd_analyze(args) -> int:
-    _, F = _load_phase(args.phase, args.mixed)
+    # unlike _load_phase, never builds the phase S that --mixed would imply
+    F = parse_poly(args.phase)
+    if not args.mixed:
+        F = mixed_derivative(F)
     polygon = build_polygon(F)  # EmptyPolygonError -> exit 3
     order = _parse_fraction(args.order) if args.order is not None else None
     branches = expand_branches(F, order=order)

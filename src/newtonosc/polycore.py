@@ -89,7 +89,7 @@ class BivarPoly:
             return NotImplemented
         merged = dict(self._terms)
         for key, coeff in other._terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + coeff
+            merged[key] = merged[key] + coeff if key in merged else coeff
         return BivarPoly._raw(merged)
 
     __radd__ = __add__
@@ -117,7 +117,8 @@ class BivarPoly:
         for (a1, b1), c1 in self._terms.items():
             for (a2, b2), c2 in other._terms.items():
                 key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                c = c1 * c2
+                out[key] = out[key] + c if key in out else c
         return BivarPoly._raw(out)
 
     __rmul__ = __mul__
@@ -125,6 +126,9 @@ class BivarPoly:
     def __pow__(self, n: int) -> "BivarPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponents must be nonnegative integers")
+        if len(self._terms) == 1:
+            [((a, b), c)] = self._terms.items()
+            return BivarPoly._raw({(a * n, b * n): c**n})
         result = BivarPoly.constant(1)
         for _ in range(n):
             result = result * self
@@ -194,9 +198,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
+        if "0" <= ch <= "9":  # ASCII only: str.isdigit() also takes '²' and '٣'
+            j = i + 1
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j
@@ -256,30 +260,50 @@ class _Parser:
         return poly
 
     def term(self) -> BivarPoly:
-        poly = self.factor()
-        while True:
-            kind = self.peek()[0]
-            if kind == "*":
-                self.advance()
-                poly = poly * self.factor()
-            elif kind == "/":
-                self.advance()
-                k, value, pos = self.peek()
-                if k != "int":
-                    raise ParseError("divisor must be an integer literal", pos)
-                if value == 0:
-                    raise ParseError("division by zero", pos)
-                self.advance()
-                poly = poly * Fraction(1, value)
-            else:
-                return poly
+        """One monomial c*x^a*y^b times the term's parenthesized factors.
 
-    def factor(self) -> BivarPoly:
-        poly = self.base()
-        if self.peek()[0] == "^":
+        Numbers and powers of x and y fold into c, a and b; c stays an int
+        until a division.  Monomials commute with everything, so the term
+        keeps the term order of the product of its parenthesized factors.
+        """
+        c, a, b, rest = 1, 0, 0, None
+        while True:
+            kind, value, pos = self.advance()
+            if kind == "(":
+                value = self.expr()
+                k, _, p = self.peek()
+                if k != ")":
+                    raise ParseError("expected ')'", p)
+                self.advance()
+            elif kind != "int" and kind != "var":
+                raise ParseError("expected a number, variable, or '('", pos)
+            n = 1
+            if self.peek()[0] == "^":
+                self.advance()
+                n = self.exponent()
+            if kind == "int":
+                c *= value**n
+            elif kind == "var":
+                if value == "x":
+                    a += n
+                else:
+                    b += n
+            else:
+                rest = value**n if rest is None else rest * value**n
+            while self.peek()[0] == "/":
+                self.advance()
+                k, value, p = self.peek()
+                if k != "int":
+                    raise ParseError("divisor must be an integer literal", p)
+                if value == 0:
+                    raise ParseError("division by zero", p)
+                self.advance()
+                c = Fraction(c, value)
+            if self.peek()[0] != "*":
+                break
             self.advance()
-            return poly ** self.exponent()
-        return poly
+        monomial = BivarPoly._raw({(a, b): Fraction(c)})
+        return monomial if rest is None else rest * monomial
 
     def exponent(self) -> int:
         kind, value, pos = self.peek()
@@ -304,24 +328,6 @@ class _Parser:
         if neg_pos is not None:
             raise NegativeExponentError("exponent must be nonnegative", neg_pos)
         return int(value)
-
-    def base(self) -> BivarPoly:
-        kind, value, pos = self.peek()
-        if kind == "int":
-            self.advance()
-            return BivarPoly.constant(int(value))
-        if kind == "var":
-            self.advance()
-            return BivarPoly.variable(str(value))
-        if kind == "(":
-            self.advance()
-            poly = self.expr()
-            k, _, p = self.peek()
-            if k != ")":
-                raise ParseError("expected ')'", p)
-            self.advance()
-            return poly
-        raise ParseError("expected a number, variable, or '('", pos)
 
 
 def parse_poly(text: str) -> BivarPoly:

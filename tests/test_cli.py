@@ -1,6 +1,7 @@
 """End-to-end checks of the command line driver via in-process main()."""
 
 import argparse
+import enum
 import json
 import os
 import subprocess
@@ -9,12 +10,13 @@ import time
 from fractions import Fraction
 
 import jsonschema
+import numpy as np
 import pytest
 
 import newtonosc
 from newtonosc import blocks, cli, newton, puiseux, scaling
 from newtonosc.cli import build_parser, main
-from newtonosc.polycore import parse_poly
+from newtonosc.polycore import Reality, parse_poly
 from newtonosc.puiseux import expand_branches
 
 
@@ -48,6 +50,15 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == {
             "type": "ParseError", "message": "expected ')' after exponent (at position 4)"
+        }
+
+    # str.isdigit() is true for both characters, but neither is a digit of a phase
+    @pytest.mark.parametrize("phase, char, pos", [("x²*y", "²", 1), ("x^٣*y", "٣", 2)])
+    def test_non_ascii_digit_is_2(self, capsys, phase, char, pos):
+        code, out, err = run(capsys, "analyze", "--phase", phase)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ParseError", "message": f"unexpected character {char!r} (at position {pos})"
         }
 
     def test_empty_polygon_is_3(self, capsys):
@@ -800,6 +811,74 @@ class TestSchemas:
         again = [run(capsys, *argv) for argv in reversed(argvs)]
         assert again[::-1] == first
         assert build_parser() is build_parser()
+
+
+class TestJsonWriter:
+    """cli._json against json.dumps(sort_keys=True, indent=2), the writer it replaced."""
+
+    @staticmethod
+    def oracle(value) -> str:
+        return json.dumps(value, sort_keys=True, indent=2)
+
+    CALLS = [
+        ("norm", "--phase", "x*y", "--lambda", "64", "--format", "json"),
+        ("sweep", "--phase", "x*y", "--rho", "0.85", "--lambdas", "16,32,64,128"),
+        # a NaN slope: no sample resolves at these lambdas
+        ("sweep", "--phase", "x*y", "--lambdas", "1e-9,2e-9,3e-9,4e-9"),
+        ("blocks", "--phase", "x^2*y^2/4", "--lambda", "64", "--j-max", "2", "--format", "json"),
+        ("dyadpol", "--r", "0,6", "--C", "1", "--trials", "20"),
+        ("dyadpol", "--r", "0,1,3,7", "--trials", "20", "--h-density", "16"),
+        ("analyze", "--phase", "x^2*y^2/4"),
+        ("analyze", "--phase", "x^3*y^2 + x*y^5", "--order", "3/2"),
+        ("analyze", "--phase", CONFLATED, "--mixed", "--order", "1/2"),
+        ("analyze", "--phase", "(y-x)^2", "--mixed", "--order", "50"),
+        ("analyze", "--phase", "3*x + 2", "--mixed"),
+    ]
+
+    @pytest.mark.parametrize("argv", CALLS, ids=lambda argv: " ".join(argv))
+    def test_payload_bytes_match_json_dumps(self, capsys, monkeypatch, argv):
+        payloads = []
+        validate = cli._validate
+
+        def spy(schema, value, path):
+            if path == "payload":
+                payloads.append(value)
+            validate(schema, value, path)
+
+        monkeypatch.setattr(cli, "_validate", spy)
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        (payload,) = payloads
+        assert out == self.oracle(payload) + "\n"
+
+    EDGES = {
+        "nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"), "-0.0": -0.0,
+        "subnormal": 5e-324, "big": 2**70, "neg": -7, "float64": np.float64(0.1),
+        "text": 'é ☃ 𝄞 "q" \\ \n\t\x00\x7f/', "": "", "empty dict": {}, "empty list": [],
+        "tuple": (1, (2.5, "b"), []), "bools": [True, False, None],
+        "nested": {"b": [{"z": 1, "a": {}}, [[]]], "a": [None]},
+        "str enum": Reality.REAL, "int enum": enum.IntEnum("Level", "LOW HIGH").HIGH,
+    }
+
+    @pytest.mark.parametrize("key", sorted(EDGES))
+    def test_edge_values_match_json_dumps(self, key):
+        value = self.EDGES[key]
+        assert cli._json(value) == self.oracle(value)
+        assert cli._json({key: value, "list": [value]}) == self.oracle({key: value, "list": [value]})
+
+    def test_every_edge_value_in_one_payload(self):
+        assert cli._json(self.EDGES) == self.oracle(self.EDGES)
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.int64(1), np.array([1.0]), Fraction(1, 2), 1j, b"x", {1, 2}, object(),
+         [1, {"a": {2}}], {1: "a"}, {("a",): 1}],
+        ids=lambda value: type(value).__name__,
+    )
+    def test_unsupported_type_raises_type_error(self, value):
+        # a dict key must be a str; json.dumps would also write 1 as "1"
+        with pytest.raises(TypeError):
+            cli._json(value)
 
 
 def _edge(gamma, n, a_nu, b_nu, delta_nu):

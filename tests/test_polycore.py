@@ -1,7 +1,9 @@
 """Parser, exact arithmetic, and series container checks."""
 
+import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -102,6 +104,134 @@ class TestParse:
         assert parse_poly("0").render() == "0"
         assert parse_poly("-x + y^2").render() == "y^2 - x"
         assert parse_poly("x^2*y^2/4").render() == "1/4*x^2*y^2"
+
+
+# --- the parser pinned on fuzzed input -------------------------------------
+
+
+def random_expr(rng: random.Random, depth: int = 0) -> str:
+    """A well-formed phase over numbers, x, y, ^k, ^(k), parentheses, - and + - * /."""
+    terms = []
+    for i in range(rng.randint(1, 3)):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            roll = rng.random()
+            if roll < 0.3:
+                base = rng.choice(["0", "1", "2", "3", "7", "12", "250", "007"])
+            elif roll < 0.8 or depth >= 2:
+                base = rng.choice("xy")
+            else:
+                base = "(" + random_expr(rng, depth + 1) + ")"
+            if rng.random() < 0.4:
+                k = rng.randint(0, 3 if base[0] == "(" else 9)
+                base += rng.choice([f"^{k}", f"^({k})", f" ^ {k}"])
+            factors.append(base)
+        term = rng.choice(["*", " * "]).join(factors)
+        if rng.random() < 0.2:
+            term += f"/{rng.choice([1, 2, 3, 12])}"
+        terms.append(term if i == 0 else rng.choice(["+", "-", " + ", " - "]) + term)
+    text = "".join(terms)
+    return "-" + text if rng.random() < 0.2 else text
+
+
+NOISE = ["+", "-", "*", "/", "^", "(", ")", "x", "0", " ", "&", ".", "z", "é", "\t", "\u00a0",
+         "/0", "^-1", "^(-2)"]
+
+
+def malformed(rng: random.Random, text: str) -> str:
+    """One random edit of text: a character dropped, noise inserted, a swap or a cut."""
+    i = rng.randrange(len(text) + 1)
+    roll = rng.random()
+    if roll < 0.3 and text:
+        i = min(i, len(text) - 1)
+        return text[:i] + text[i + 1:]
+    if roll < 0.7:
+        return text[:i] + rng.choice(NOISE) + text[i:]
+    if roll < 0.85 and len(text) > 1:
+        i = min(i, len(text) - 2)
+        return text[:i] + text[i + 1] + text[i] + text[i + 2:]
+    return text[:i]
+
+
+def fuzz_corpus(count: int = 2400, seed: int = 30) -> list[str]:
+    """Seeded phases, 40% of them edited once; 1,707 of the 2,400 parse."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        text = random_expr(rng)
+        if rng.random() < 0.4:
+            text = malformed(rng, text)
+            # an edit that joins digits into a two-digit power of a
+            # parenthesized sum expands to hundreds of terms: edit again
+            while re.search(r"\)\s*\^\s*\(?\d\d", text):
+                text = malformed(rng, text)
+        out.append(text)
+    return out
+
+
+def parse_digest(texts) -> str:
+    """sha256 over each text's ordered terms, or its error type, message and position."""
+    digest = hashlib.sha256()
+    for text in texts:
+        try:
+            poly = parse_poly(text)
+        except Exception as exc:  # noqa: BLE001  the error is the result
+            record = f"{type(exc).__name__}\0{exc}\0{getattr(exc, 'position', None)}"
+        else:
+            record = ";".join(f"{a},{b},{c.numerator},{c.denominator}" for (a, b), c in poly.terms.items())
+        digest.update(f"{text}\0{record}\n".encode())
+    return digest.hexdigest()
+
+
+# captured with the parser that multiplied every factor as a BivarPoly; the
+# term order is pinned too, since eval_grid sums the terms in that order
+PINNED_PARSE = "b703b5e874177e4abb4f8060bebe7ece7635414f48c2fd44665e6c319f6d57ea"
+
+
+class TestPinnedParse:
+    def test_fuzzed_terms_and_errors(self):
+        assert parse_digest(fuzz_corpus()) == PINNED_PARSE
+
+    def test_sympy_agrees_on_parsed_phases(self):
+        sympy = pytest.importorskip("sympy")
+        x, y = sympy.symbols("x y")
+        # the first 600 phases: sympy takes about 5 ms a phase
+        checked = 0
+        for text in fuzz_corpus()[:600]:
+            try:
+                poly = parse_poly(text)
+            except ParseError:
+                continue
+            # Python's grammar: no leading zeros, ASCII spaces, ** for ^
+            plain = re.sub(r"\b0+(\d)", r"\1", " ".join(text.split())).replace("^", "**")
+            expr = sympy.parse_expr(plain, local_dict={"x": x, "y": y})
+            want = {k: v for k, v in sympy.Poly(expr, x, y).as_dict().items() if v != 0}
+            assert {k: sympy.Rational(c.numerator, c.denominator) for k, c in poly.terms.items()} == want, text
+            checked += 1
+        assert checked == 422
+
+    def test_huge_exponent_is_one_monomial(self):
+        # each factor of x^a was once a BivarPoly product: this never finished
+        assert parse_poly("x^99999999*y").terms == {(99999999, 1): 1}
+        assert parse_poly("(2*x)^9*y^(0)/256").terms == {(9, 0): 2}
+
+    @pytest.mark.parametrize("text, pos", [("x²*y", 1), ("x^٣*y", 2), ("٣", 0)])
+    def test_non_ascii_digit_is_an_unexpected_character(self, text, pos):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text)
+        assert info.value.position == pos
+        assert info.value.message == f"unexpected character {text[pos]!r}"
+
+    def test_one_term_power_matches_repeated_products(self):
+        for text in ("3/2*x*y^2", "-x", "7", "y^3/5"):
+            p = parse_poly(text)
+            for n in range(5):
+                product = BivarPoly.constant(1)
+                for _ in range(n):
+                    product = product * p
+                assert (p**n).terms == product.terms
+        assert (BivarPoly() ** 0).terms == {(0, 0): 1}
+        assert not BivarPoly() ** 3
 
 
 class TestCalculus:
