@@ -71,9 +71,6 @@ def _emit_json(args, schema: dict, payload: dict) -> None:
     _write(args, _json(payload) + "\n")
 
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _json(value, indent: str = "\n") -> str:
     """json.dumps(value, sort_keys=True, indent=2), byte for byte, in one pass.
 
@@ -93,8 +90,8 @@ def _json(value, indent: str = "\n") -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NONFINITE.get(text, text)
+        # repr spells the non-finite floats nan, inf and -inf; json NaN and Infinity
+        return float.__repr__(value).replace("inf", "Infinity").replace("nan", "NaN")
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
         if not value:

@@ -126,9 +126,6 @@ class BivarPoly:
     def __pow__(self, n: int) -> "BivarPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponents must be nonnegative integers")
-        if len(self._terms) == 1:
-            [((a, b), c)] = self._terms.items()
-            return BivarPoly._raw({(a * n, b * n): c**n})
         result = BivarPoly.constant(1)
         for _ in range(n):
             result = result * self
@@ -219,7 +216,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
-    """Recursive descent over: expr of terms, term of factors, factor = base^int.
+    """Recursive descent over
+    expr = ['-'] term {('+' | '-') term} and
+    term = atom ['^' exponent] {'/' int}, joined by '*',
+    with atom = int | var | '(' expr ')'.
 
     Division is allowed by a positive integer literal only, at term level,
     left associative, which is how rational coefficients like x^2*y^2/4 and
