@@ -220,8 +220,8 @@ def verify_blocks(p: PhaseSpec, lam: float, D: float = 3.0, j_max: int = 6, seed
     polygon = build_polygon(F)
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
-    if not D > 0:  # refuses NaN too
-        raise ValueError(f"band width D must be positive, got {D}")
+    if not 0 < D < math.inf:  # refuses NaN too
+        raise ValueError(f"band width D must be positive and finite, got {D}")
     j_min = first_block_scale(p.rho)
     if j_max < j_min:
         raise ValueError(f"j_max={j_max} is below the first block scale {j_min}")

@@ -124,11 +124,9 @@ def _emit_csv(args, header: str, rows: list[str]) -> None:
 
 
 def _load_phase(expr: str, mixed: bool):
-    """Return (S, F) with F = S''_xy; --mixed means expr is F itself."""
+    """Return the phase S; --mixed means expr is F = S''_xy itself."""
     poly = parse_poly(expr)
-    if mixed:
-        return integrate_xy(poly), poly
-    return poly, mixed_derivative(poly)
+    return integrate_xy(poly) if mixed else poly
 
 
 def _parse_numbers(text: str, kind=float) -> tuple:
@@ -282,7 +280,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    S, _ = _load_phase(args.phase, args.mixed)
+    S = _load_phase(args.phase, args.mixed)
     p = PhaseSpec(S=S, rho=args.rho)
     sample = norm_at(p, args.lam, seed=args.seed)
     if args.format == "json":
@@ -305,7 +303,7 @@ def _plot_rows(report) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
-    S, _ = _load_phase(args.phase, args.mixed)
+    S = _load_phase(args.phase, args.mixed)
     p = PhaseSpec(S=S, rho=args.rho)
     kwargs = {"tol_slope": args.tol_slope, "seed": args.seed}
     if args.lambdas is not None:
@@ -331,7 +329,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_blocks(args) -> int:
-    S, _ = _load_phase(args.phase, args.mixed)
+    S = _load_phase(args.phase, args.mixed)
     p = PhaseSpec(S=S, rho=args.rho)
     estimates, summary = verify_blocks(p, args.lam, D=args.D, j_max=args.j_max, seed=args.seed)
     if args.format == "json":
@@ -552,7 +550,7 @@ def _typed(kind):
     return convert
 
 
-def _add_common(sp, phase=True, fmt_default=None):
+def _add_common(sp, phase=True, fmt_default=None, seed=True):
     if phase:
         sp.add_argument("--phase", required=True, help="phase expression S(x,y)")
         sp.add_argument(
@@ -560,7 +558,8 @@ def _add_common(sp, phase=True, fmt_default=None):
             action="store_true",
             help="treat the expression as F = S''_xy and synthesize S",
         )
-    sp.add_argument("--seed", type=_typed(int), default=0)
+    if seed:
+        sp.add_argument("--seed", type=_typed(int), default=0)
     sp.add_argument("--out", default="-", help="output path, - for stdout")
     if fmt_default is not None:
         sp.add_argument("--format", choices=("json", "csv"), default=fmt_default)
@@ -575,9 +574,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("analyze", help="polygon, decay rate, branches, degeneracy")
-    _add_common(sp, fmt_default=None)
+    # analyze draws no random number; its provenance reads seed 0
+    _add_common(sp, fmt_default=None, seed=False)
     sp.add_argument("--order", default=None, help="branch truncation order, e.g. 8 or 1/2")
-    sp.set_defaults(fn=cmd_analyze)
+    sp.set_defaults(fn=cmd_analyze, seed=0)
 
     sp = sub.add_parser("norm", help="operator norm at one lambda")
     _add_common(sp, fmt_default="csv")

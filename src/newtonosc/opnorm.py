@@ -178,8 +178,9 @@ class DiscreteOperator:
     """Kernel matrix with symmetric sqrt(h) weights; spectral norm ~ L2 norm.
 
     apply/apply_adjoint work on coefficient vectors v_b ~ f(y_b)*sqrt(h_y),
-    so <Tf, g> is the plain inner product of the mapped vectors.  A real
-    matrix maps a complex vector to its exact complex image.
+    so <Tf, g> is the plain inner product of the mapped vectors.  The
+    solver hands a real matrix only real vectors: a complex vector would
+    make numpy cast the whole matrix to a complex copy first.
     """
 
     matrix: np.ndarray
@@ -188,19 +189,12 @@ class DiscreteOperator:
     def shape(self):
         return self.matrix.shape
 
-    def _product(self, v: np.ndarray, adjoint: bool) -> np.ndarray:
-        M, v = self.matrix, np.asarray(v)
-        if np.iscomplexobj(v) and not np.iscomplexobj(M):
-            # a real kernel takes the two parts apart, never a complex copy
-            return self._product(v.real, adjoint) + 1j * self._product(v.imag, adjoint)
-        # conj(M^T) @ v without materializing the conjugate matrix
-        return np.conj(np.conj(v) @ M) if adjoint else M @ v
-
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self._product(v, adjoint=False)
+        return self.matrix @ v
 
     def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
-        return self._product(v, adjoint=True)
+        # conj(M^T) @ v without materializing the conjugate matrix
+        return np.conj(np.conj(v) @ self.matrix)
 
 
 def parity_sectors(S: BivarPoly) -> tuple:

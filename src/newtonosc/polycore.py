@@ -51,14 +51,6 @@ class BivarPoly:
     def constant(cls, c: RationalLike) -> "BivarPoly":
         return cls({(0, 0): c})
 
-    @classmethod
-    def variable(cls, name: str) -> "BivarPoly":
-        if name == "x":
-            return cls({(1, 0): 1})
-        if name == "y":
-            return cls({(0, 1): 1})
-        raise ValueError(f"unknown variable {name!r}")
-
     @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
         return dict(self._terms)

@@ -35,11 +35,12 @@ from .errors import DomainError, EmptyPolygonError, NumericalUnderflowError
 from .newton import EdgeData, hull_edges, lower_hull
 from .polycore import BivarPoly, PuiseuxBranch, PuiseuxTerm, eval_branch
 
-# Floor for the relative clustering tolerance.  An exact m-fold root of an
-# edge polynomial scatters by about eps^(1/m) relative in double precision
-# (measured: ~8e-8 for doubles, ~1e-5 for triples), so the ladder in
-# _cluster_roots widens the tolerance with the candidate cluster size; this
-# floor covers the m = 1..2 regime.
+# An exact m-fold root of an edge polynomial scatters by about eps^(1/m)
+# relative in double precision (measured: ~8e-8 for doubles, ~1e-5 for
+# triples), so _cluster_roots merges a candidate cluster of s >= 2 roots
+# at _CLUSTER_LADDER * eps^(1/s) relative, at least 1.49e-6.  A set of
+# fewer than two sheets is never clustered; CLUSTER_REL_TOL is the
+# cluster_tolerance it reports.
 CLUSTER_REL_TOL = 1e-6
 _CLUSTER_LADDER = 100.0
 # Coefficients below this fraction of their accumulated absolute mass are
@@ -129,7 +130,7 @@ def _edge_poly(poly, low, edge: EdgeData):
 
 def _cluster_tol(size: int) -> float:
     eps = float(np.finfo(float).eps)
-    return max(CLUSTER_REL_TOL, _CLUSTER_LADDER * eps ** (1.0 / size))
+    return _CLUSTER_LADDER * eps ** (1.0 / size)
 
 
 def _linkage(roots, tol):

@@ -31,18 +31,6 @@ from .opnorm import (
 )
 from .polycore import mixed_derivative
 
-__all__ = [
-    "NormSample",
-    "SweepConfig",
-    "ScalingReport",
-    "norm_at",
-    "sweep",
-    "fit_decay",
-    "log_exponent_fit",
-    "verify_theorem",
-    "CONV_TOL",
-]
-
 # a sample is valid when its grid check agrees to this relative gap
 CONV_TOL = 0.02
 FLAT_SPREAD = 1e-6

@@ -493,7 +493,7 @@ class TestBlocks:
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "ValueError"
 
-    @pytest.mark.parametrize("D", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("D", ["0", "-1", "nan", "inf"])
     def test_nonpositive_band_width_is_1(self, capsys, D):
         argv = ("blocks", "--phase", "x*y", "--lambda", "256", "--D", D)
         code, out, err = run(capsys, *argv)
@@ -621,7 +621,6 @@ class TestProvenance:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("analyze", "--phase", "x*y"),
             ("norm", "--phase", "x*y", "--lambda", "64"),
             ("sweep", "--phase", "x*y", "--lambdas", "16,32,64,128"),
             ("blocks", "--phase", "x*y", "--lambda", "64", "--j-max", "3"),
@@ -636,6 +635,14 @@ class TestProvenance:
         assert json.loads(err)["error"] == {
             "type": "ParseError", "message": "seed must be non-negative, got -1 (at position 0)"
         }
+
+    @pytest.mark.parametrize("seed", ["1", "-1"])
+    def test_analyze_takes_no_seed(self, capsys, seed):
+        # analyze draws no random number: --seed is an unknown option
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--phase", "x*y", "--seed", seed])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 class TestFrontEndOnce:
@@ -1011,7 +1018,7 @@ class TestPinnedPayloads:
 class TestSurface:
     # every option is read by its subcommand; a new one must be added here
     EXPECTED = {
-        "analyze": {"phase", "mixed", "seed", "out", "order"},
+        "analyze": {"phase", "mixed", "out", "order"},
         "norm": {"phase", "mixed", "seed", "out", "format", "rho", "lam"},
         "sweep": {
             "phase", "mixed", "seed", "out", "format", "rho",

@@ -270,7 +270,7 @@ class TestExactDegeneracy:
     def test_constructed_powers_are_completely_degenerate(self):
         # F = (1 + a x + b y) * (y - r x - s x^2)^N: N as built, c = r exactly
         rng = random.Random(24)
-        x, y = BivarPoly.variable("x"), BivarPoly.variable("y")
+        x, y = parse_poly("x"), parse_poly("y")
         for _ in range(60):
             N = rng.choice((2, 3))
             r = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 7))

@@ -183,7 +183,7 @@ class TestRandomFactors:
                     continue
                 seen.add(key)
                 planted.append(c)
-            x, y = BivarPoly.variable("x"), BivarPoly.variable("y")
+            x, y = parse_poly("x"), parse_poly("y")
             Fpoly = BivarPoly.constant(1)
             for c in planted:
                 f = c[0] * x + c[1] * x * x + c[2] * x * x * x
@@ -215,7 +215,7 @@ class TestRandomFactors:
             a = rng.choice([1, -1, 2, -2])
             b = rng.randrange(-3, 4)
             f = parse_poly(f"{a}*x + {b}*x^2" if b >= 0 else f"{a}*x - {abs(b)}*x^2")
-            y = BivarPoly.variable("y")
+            y = parse_poly("y")
             Fpoly = (y - f) * (y - f)
             out = expand_branches(Fpoly)
             (br,) = out.branches
