@@ -47,7 +47,6 @@ _CLUSTER_LADDER = 100.0
 # cancellation residue and are dropped after substitution.
 PRUNE_REL_TOL = 1e-10
 REAL_SNAP_TOL = 1e-10
-TERM_DROP_TOL = 1e-12
 
 _MAX_DEPTH = 512
 
@@ -175,10 +174,17 @@ def _resolve_clusters(roots, scale):
     return out
 
 
-def _cluster_roots(roots):
-    """Cluster scattered copies of multiple roots; returns (mean, size) pairs."""
-    scale = max(1.0, max(abs(r) for r in roots))
-    out = _resolve_clusters(list(roots), scale)
+def _cluster_roots(roots, psi):
+    """Cluster scattered copies of multiple roots; returns (mean, size) pairs.
+
+    A two-term psi, a*z^n + b, is never clustered: its roots are simple,
+    since its derivative vanishes only at 0, which is not a root.
+    """
+    if np.count_nonzero(psi) == 2:
+        out = [(r, 1) for r in roots]
+    else:
+        scale = max(1.0, max(abs(r) for r in roots))
+        out = _resolve_clusters(list(roots), scale)
     out.sort(key=lambda rc: (rc[0].real, rc[0].imag))
     return out
 
@@ -246,19 +252,10 @@ def _substitute(poly, G, c):
 # --- the expansion ----------------------------------------------------------
 
 
-def _branch(terms, mult, order) -> PuiseuxBranch:
-    """One branch of mult sheets from (gamma, c) pairs, resolved up to order.
-
-    order None makes the branch exact: every sheet terminates on terms.
-    Terms below TERM_DROP_TOL of the leading coefficient are dropped.
-    """
-    lead = abs(terms[0][1])
-    kept = tuple(PuiseuxTerm(e, c) for e, c in terms if abs(c) > TERM_DROP_TOL * lead)
-    return PuiseuxBranch(kept, mult, order)
-
-
 def _expand(poly, D, m, prefix, gamma_prev, order, out):
     """Expand the m sheets of poly, whose key (E, k) is x^(E/D) y^k."""
+    # prefix holds nonzero terms only; a zero root leaves the keys as they
+    # are, and the levels below it take strictly steeper edges
     if len(prefix) > _MAX_DEPTH:
         raise RuntimeError("expansion recursion exceeded the depth cap")
     low: dict[int, int] = {}  # row k -> its least E
@@ -284,7 +281,8 @@ def _expand(poly, D, m, prefix, gamma_prev, order, out):
     slot = len(out)
     beyond = 0
     for edge, gamma in target:
-        if gamma > order and prefix:
+        # gamma_prev is 0 only at the top level: every hull edge has gamma > 0
+        if gamma > order and gamma_prev:
             # continuations live entirely beyond the horizon: they stop
             # on the prefix with its exact and stuck sheets
             beyond += edge.n
@@ -298,13 +296,13 @@ def _expand(poly, D, m, prefix, gamma_prev, order, out):
         s = D2 // D
         scaled = poly if s == 1 else {(e * s, k): c for (e, k), c in poly.items()}
         G = gamma.numerator * (D2 // gamma.denominator)
-        for mean, size in _cluster_roots(roots):
+        for mean, size in _cluster_roots(roots, psi):
             c = _snap(_polish_root(psi, mean, size))
-            terms = prefix + [(gamma, c)]
+            terms = prefix + [PuiseuxTerm(gamma, c)] if c else prefix
             if gamma > order:
                 # top level: a branch needs its leading term even when that
                 # term already sits beyond the requested order
-                out.append(_branch(terms, size, order))
+                out.append(PuiseuxBranch(terms, size, order))
                 continue
             sub = _substitute(scaled, G, c)
             _expand(sub, D2, size, terms, gamma, order, out)
@@ -315,7 +313,7 @@ def _expand(poly, D, m, prefix, gamma_prev, order, out):
     mult = v + stuck + beyond
     if mult:
         resolved = None if mult == v else gamma_prev if stuck else order
-        out.insert(slot if v or stuck else len(out), _branch(prefix, mult, resolved))
+        out.insert(slot if v or stuck else len(out), PuiseuxBranch(prefix, mult, resolved))
 
 
 def expand_branches(F: BivarPoly, order=None) -> BranchSet:

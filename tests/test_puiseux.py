@@ -6,8 +6,11 @@ members terminate, so their series are checked exactly.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
+import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -426,9 +429,9 @@ def levels():
         rec["edge"].append((dict(poly), dict(low), edge, psi.copy()))
         return psi
 
-    def cluster_(roots):
+    def cluster_(roots, psi):
         rec["roots"].append(list(roots))
-        return cluster(roots)
+        return cluster(roots, psi)
 
     def substitute_(poly, G, c):
         out = substitute(poly, G, c)
@@ -487,7 +490,7 @@ def linear_root(a, b):
     """The root _expand hands on for the edge polynomial a*z + b."""
     seen = []
 
-    def cluster_(roots):
+    def cluster_(roots, psi):
         seen.extend(roots)
         raise _Stop
 
@@ -551,3 +554,198 @@ def test_small_second_term_above_a_unit_root_is_kept():
     assert branch.exact
     assert [t.exponent for t in branch.terms] == [1, 2]
     assert branch.terms[1].coefficient == pytest.approx(1e-11, rel=1e-12)
+
+
+# --- dropped terms and merged binomial roots ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("y - 10000*x - x^2/100000000", [(1, 10000.0), (2, 1e-08)]),
+        ("y - 1000*x - x^2/1000000000", [(1, 1000.0), (2, 1e-09)]),
+    ],
+)
+def test_small_term_beside_a_large_leading_one_is_kept(text, terms):
+    (branch,) = expand_branches(parse_poly(text)).branches
+    assert branch.exact
+    assert [(t.exponent, t.coefficient) for t in branch.terms] == terms
+
+
+@pytest.mark.parametrize(
+    "text, n, gamma, lead",
+    [
+        ("x + y^8", 8, F(1, 8), -1),
+        ("x^2 + y^8", 8, F(1, 4), -1),
+        ("x + y^16", 16, F(1, 16), -1),
+        ("x^3 + 2*y^9", 9, F(1, 3), -0.5),
+    ],
+)
+def test_binomial_edge_gives_one_sheet_per_root(text, n, gamma, lead):
+    # the n roots of a*z^n + b are simple; none may merge with another
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", "--phase", text, "--mixed"]) == 0
+    branches = json.loads(out.getvalue())["branches"]["branches"]
+    assert len(branches) == n
+    roots = []
+    for br in branches:
+        assert br["multiplicity"] == 1 and br["exact"] and len(br["terms"]) == 1
+        (term,) = br["terms"]
+        assert F(term["exp"]) == gamma
+        roots.append(complex(term["re"], term["im"]))
+    for c in roots:
+        assert c**n == pytest.approx(lead, abs=1e-14)
+    assert min(abs(a - b) for a, b in itertools.combinations(roots, 2)) > 0.1
+
+
+# --- printed sheets against the roots of F(x0, .) ----------------------------
+
+ORACLE_XS = (F(1, 100), F(1, 1000), F(1, 10000))
+# An exact branch may miss a root of F(x0, .) by the rounding of its
+# doubles: ROUNDING units of 2^-52 times the sum of its terms' moduli over |y|.
+ROUNDING = 8
+# A branch resolved to order K with leading exponent g is its partial sum
+# plus o(x^K), so its relative miss is at most TRUNCATION * x0^(K - g) and
+# that ratio falls at least FALL-fold from each x0 to the next, unless the
+# miss is down to the rounding.
+TRUNCATION = 1.0
+FALL = 1.25
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of Fraction coefficient lists, highest power first."""
+    a, q = list(a), []
+    while len(a) >= len(b):
+        f = a[0] / b[0]
+        q.append(f)
+        for i, c in enumerate(b):
+            a[i] -= f * c
+        a.pop(0)
+    while a and a[0] == 0:
+        a.pop(0)
+    return q, a
+
+
+def _roots(p, mpmath):
+    """The roots of p, each as often as its multiplicity.
+
+    p / gcd(p, p') has every root of p once, and gcd(p, p') the rest, so
+    polyroots only ever meets simple roots.
+    """
+    if len(p) < 2:
+        return []
+    g, r = p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
+    while r:
+        g, r = r, _poly_divmod(g, r)[1]
+    square_free = _poly_divmod(p, g)[0]
+    simple = []
+    if len(square_free) > 1:
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in square_free]
+        simple = list(mpmath.polyroots(coeffs, maxsteps=200, extraprec=60))
+    return simple + _roots([c / g[0] for c in g], mpmath)
+
+
+@functools.lru_cache(maxsize=None)
+def column_roots(text, x0):
+    """The roots of F(x0, .) / y^B at 60 digits, each as often as its multiplicity."""
+    mpmath = pytest.importorskip("mpmath")
+    poly = parse_poly(text)
+    B = min(b for _, b in poly.support())
+    deg = max(b for _, b in poly.support())
+    column = [F(0)] * (deg - B + 1)
+    for (a, b), c in poly.terms.items():
+        column[deg - b] += c * x0**a
+    with mpmath.workdps(60):
+        return _roots(column, mpmath)
+
+
+def sheet_failures(text, order=None):
+    """Each branch of F = text whose partial sum misses the roots of F(x0, .).
+
+    At each x0 a branch of m sheets takes the relative miss to its m-th
+    nearest root of F(x0, .) / y^B.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    out = expand_branches(parse_poly(text), order=order)
+    misses = [[] for _ in out.branches]
+    with mpmath.workdps(60):
+        for x0 in ORACLE_XS:
+            roots = column_roots(text, x0)
+            x = mpmath.mpf(x0.numerator) / x0.denominator
+            for br, rows in zip(out.branches, misses):
+                parts = [
+                    mpmath.mpc(t.coefficient.real, t.coefficient.imag)
+                    * x ** (mpmath.mpf(t.exponent.numerator) / t.exponent.denominator)
+                    for t in br.terms
+                ]
+                y = mpmath.fsum(parts)
+                miss = sorted(abs(r - y) / abs(y) for r in roots)[br.multiplicity - 1]
+                floor = ROUNDING * 2.0**-52 * mpmath.fsum(abs(p) for p in parts) / abs(y)
+                rows.append((float(x0), float(miss), float(floor)))
+    failures = []
+    for br, rows in zip(out.branches, misses):
+        if br.exact:
+            bad = [x0 for x0, miss, floor in rows if miss > floor]
+        else:
+            k = float(br.order - br.leading_exponent)
+            bad = [x0 for x0, miss, floor in rows if miss > max(floor, TRUNCATION * x0**k)]
+            for (x_a, miss_a, _), (x_b, miss_b, floor) in zip(rows, rows[1:]):
+                if miss_b > floor and miss_b / x_b**k > miss_a / x_a**k / FALL:
+                    bad.append(f"no fall at {x_b}")
+        if bad:
+            failures.append((br.terms, br.multiplicity, br.order, bad, rows))
+    return failures
+
+
+LARGE_LEADS = [
+    "y - 10000*x - x^2/100000000",
+    "y - 1000*x - x^2/1000000000",
+    "(y - 500*x)*(y - 700*x - x^3)",
+    "y^2 - 90000*x^3 - x^5",
+    "y^3 - 8000000*x^2",
+]
+BINOMIALS = ["x + y^8", "x^2 + y^8", "x + y^16", "x^3 + 2*y^9"]
+
+
+class TestSheetOracle:
+    """Every printed sheet lies within its truncation error of a root of F(x0, .)."""
+
+    @pytest.mark.parametrize("orders", [(None, 50), (1, 2)])
+    def test_pinned_corpus(self, orders):
+        for text in pinned_corpus() + LATE_SPLITS:
+            for order in orders:
+                assert sheet_failures(text, order) == [], (text, order)
+
+    @pytest.mark.parametrize("text", LARGE_LEADS + BINOMIALS)
+    def test_fixed_and_large_leading_inputs(self, text):
+        for order in (None, 1):
+            assert sheet_failures(text, order) == [], order
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="_cluster_roots merges the roots 1..8 into one cluster, "
+        "printed as y = 4.5x of multiplicity 8",
+    )
+    def test_eight_distinct_lines(self):
+        text = "*".join(f"(y-{k}*x)" for k in range(1, 9))
+        assert sheet_failures(text) == []
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="the roots 1 and 1.001 merge, so the sheets x +- x^2 print "
+        "with 666.67*x^3 terms about their cluster mean",
+    )
+    def test_four_factors_at_order_three(self):
+        assert sheet_failures("(y-x)*(1000*y-1001*x)*(y-x-x^2)*(y-x+x^2)", 3) == []
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="_snap zeroes the x^4 root, about 5.5e-11, against max(1, |z|), "
+        "so y = 0.012x^2 - 5.76e-7x^3 claims order 4 but misses by that x^4 term",
+    )
+    def test_fourth_term_below_the_snap_tolerance(self):
+        assert sheet_failures("y^2 + 250*x*y - 3*x^3") == []
