@@ -28,7 +28,6 @@ from .errors import (
     InsufficientSamplesError,
     NegativeExponentError,
     NoConvergenceError,
-    NumericalUnderflowError,
     ParseError,
     ResolutionError,
     WrongRegionError,
@@ -53,12 +52,11 @@ from .polycore import (
     PuiseuxBranch,
     PuiseuxTerm,
     Reality,
-    eval_branch,
     integrate_xy,
     mixed_derivative,
     parse_poly,
 )
-from .puiseux import BranchSet, branch_residual_order, expand_branches
+from .puiseux import BranchSet, expand_branches
 from .scaling import (
     NormSample,
     ScalingReport,
@@ -88,7 +86,6 @@ __all__ = [
     "NewtonPolygon",
     "NoConvergenceError",
     "NormSample",
-    "NumericalUnderflowError",
     "ParseError",
     "PhaseSpec",
     "PuiseuxBranch",
@@ -100,14 +97,12 @@ __all__ = [
     "SweepConfig",
     "WrongRegionError",
     "analyze_decay",
-    "branch_residual_order",
     "build_polygon",
     "chi",
     "classify_block",
     "decay_rate",
     "discretize",
     "envelope_corners",
-    "eval_branch",
     "expand_branches",
     "fit_decay",
     "integrate_xy",

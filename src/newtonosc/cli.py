@@ -37,7 +37,7 @@ from .opnorm import (
     operator_norm,
 )
 from .polycore import integrate_xy, mixed_derivative, parse_poly
-from .puiseux import branch_residual_order, expand_branches
+from .puiseux import expand_branches
 from .scaling import SweepConfig, norm_at, verify_theorem
 from .scaling import VERDICT_FAIL, VERDICT_INCONCLUSIVE, VERDICT_PASS
 
@@ -476,12 +476,13 @@ def _case_static_norm():
 
 
 def _case_puiseux_exact_root():
-    F = parse_poly("y^2 - x^3")
-    bs = expand_branches(F)
+    # F(x, c*x^(3/2)) = (c^2 - 1)*x^3, so c^2 == 1 is the zero-residual claim, made exactly
+    bs = expand_branches(parse_poly("y^2 - x^3"))
     _check(len(bs.branches) == 2, "y^2 - x^3 must have two sheets")
     for b in bs.branches:
-        _check(b.leading_exponent == Fraction(3, 2), "sheet exponent must be 3/2")
-        _check(branch_residual_order(F, b) >= 30, "exact root must leave no residual")
+        _check(b.exact and [t.exponent for t in b.terms] == [Fraction(3, 2)],
+               "each sheet must be exactly c*x^(3/2)")
+        _check(b.leading_coefficient**2 == 1, "each sheet must solve c^2 = 1 exactly")
 
 
 def _case_degeneracy():

@@ -41,9 +41,5 @@ class DomainError(ValueError):
     """Argument outside the function's domain."""
 
 
-class NumericalUnderflowError(ArithmeticError):
-    """Residual magnitudes too small to measure in double precision."""
-
-
 class InsufficientSamplesError(ValueError):
     """A decay fit needs at least four valid samples."""

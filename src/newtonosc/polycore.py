@@ -1,8 +1,8 @@
 """Exact bivariate polynomials over Q, a small phase parser, and series types.
 
 Everything upstream of the numerics is exact: coefficients are Fractions
-and supports are integer lattice points.  Float evaluation (eval_grid,
-eval_branch) rounds each coefficient to a float and computes in floats.
+and supports are integer lattice points.  Float evaluation (eval_grid)
+rounds each coefficient to a float and computes in floats.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import DomainError, NegativeExponentError, ParseError
+from .errors import NegativeExponentError, ParseError
 
 RationalLike = Union[int, Fraction]
 
@@ -435,17 +435,3 @@ class PuiseuxBranch:
     def leading_coefficient(self) -> complex:
         return self.terms[0].coefficient
 
-
-def eval_branch(branch: PuiseuxBranch, x: float) -> float | complex:
-    """Sum the series at a point x > 0; fractional powers need the open axis.
-
-    Returns a real float when the imaginary part cancels exactly.
-    """
-    if not x > 0:
-        raise DomainError(f"branch evaluation needs x > 0, got {x}")
-    total = 0j
-    for term in branch.terms:
-        total = total + term.coefficient * x ** float(term.exponent)
-    if total.imag == 0.0:
-        return total.real
-    return total

@@ -31,9 +31,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, EmptyPolygonError, NumericalUnderflowError
+from .errors import DomainError, EmptyPolygonError
 from .newton import EdgeData, hull_edges, lower_hull
-from .polycore import BivarPoly, PuiseuxBranch, PuiseuxTerm, eval_branch
+from .polycore import BivarPoly, PuiseuxBranch, PuiseuxTerm
 
 # An exact m-fold root of an edge polynomial scatters by about eps^(1/m)
 # relative in double precision (measured: ~8e-8 for doubles, ~1e-5 for
@@ -322,8 +322,8 @@ def expand_branches(F: BivarPoly, order=None) -> BranchSet:
     order bounds the largest exponent computed (default 4*total_degree + 8)
     and must be positive; larger is slower and rarely needed.  Pure x and
     y factors are split off into axis_roots first, so a monomial comes
-    back with no branches.  A coefficient of F beyond the double range is
-    refused (DomainError).
+    back with no branches.  A coefficient of F beyond the double range, or
+    below it so that it rounds to 0.0, is refused (DomainError).
     """
     if not F:
         raise EmptyPolygonError("the zero polynomial has no branch structure")
@@ -338,12 +338,16 @@ def expand_branches(F: BivarPoly, order=None) -> BranchSet:
     work = {}
     for (a, b), c in F.terms.items():
         try:
-            work[(a - A, b - B)] = complex(c)
+            work[(a - A, b - B)] = z = complex(c)
         except OverflowError:
+            z = None
+        if not z:
+            # a coefficient that rounds to 0j would act as support
+            where = "beyond" if z is None else "below"
             raise DomainError(
                 f"the coefficient of {BivarPoly({(a, b): 1}).render()} in F "
-                "is beyond the double range"
-            ) from None
+                f"is {where} the double range"
+            )
     m = min(k for (e, k) in work if e == 0)
 
     branches: list[PuiseuxBranch] = []
@@ -363,48 +367,3 @@ def expand_branches(F: BivarPoly, order=None) -> BranchSet:
         )
     return out
 
-
-# --- residual check ---------------------------------------------------------
-
-_RESIDUAL_XS = (0.1, 0.05, 0.025, 0.0125)
-
-
-def branch_residual_order(F: BivarPoly, branch: PuiseuxBranch) -> float:
-    """Least-squares slope of log |F(x, branch(x))| against log x.
-
-    A branch truncated at order K with leading exponent g should score at
-    least K + g on a clean corpus; a wrong branch scores the vanishing
-    order of whatever residual it leaves.  Returns inf when the residual
-    is zero at the working precision at every sample, which is the
-    expected outcome for exact branches.
-    """
-    coeffs = [(a, b, float(c)) for (a, b), c in F.terms.items()]
-    eps = float(np.finfo(float).eps)
-    residuals = []
-    machine_zero = True
-    for x in _RESIDUAL_XS:
-        y = complex(eval_branch(branch, x))
-        value = 0j
-        scale = 0.0
-        for a, b, c in coeffs:
-            xa = x**a
-            yb = y**b
-            value += c * xa * yb
-            scale += abs(c) * xa * abs(yb)
-        r = abs(value)
-        if 0.0 < r < 1e-300:
-            raise NumericalUnderflowError(
-                f"residual {r} at x={x} is below measurable range"
-            )
-        if r > 100 * eps * scale:
-            machine_zero = False
-        residuals.append(r)
-    if machine_zero:
-        return math.inf
-    pts = [(math.log(x), math.log(r)) for x, r in zip(_RESIDUAL_XS, residuals) if r > 0.0]
-    if len(pts) < 2:
-        return math.inf
-    lx = np.array([p[0] for p in pts])
-    lr = np.array([p[1] for p in pts])
-    slope = float(np.polyfit(lx, lr, 1)[0])
-    return slope

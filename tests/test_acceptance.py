@@ -17,8 +17,9 @@ from newtonosc.dyadpol import ExponentProfile, lower_bound_set, verify_lower_bou
 from newtonosc.newton import build_polygon
 from newtonosc.opnorm import DiscreteOperator, PhaseSpec, operator_norm
 from newtonosc.polycore import parse_poly
-from newtonosc.puiseux import branch_residual_order, expand_branches
+from newtonosc.puiseux import expand_branches
 from newtonosc.scaling import CONV_TOL, SweepConfig, norm_at, sweep, verify_theorem
+from sheet_oracle import ORACLE_XS, branch_failures, sheet_failures
 
 
 def report(num: int, label: str, ok: bool, detail: str) -> None:
@@ -285,32 +286,28 @@ class TestCriterion5:
     ]
 
     def test_corpus_residuals_and_control(self):
+        # each printed sheet must lie within its truncation error of a root
+        # of F(x0, .) at x0 = 10^-2, 10^-3, 10^-4; skipped without mpmath
         checked = 0
-        worst = np.inf
+        failures = []
         for text in self.CORPUS:
-            F = parse_poly(text)
-            for b in expand_branches(F).branches:
-                slope = branch_residual_order(F, b)
-                # order is None on exact roots, which leave no residual
-                required = float(b.order) if b.order is not None else 0.0
-                assert slope > required, (
-                    f"{text}: branch residual slope {slope:.2f} "
-                    f"does not exceed order {required}"
-                )
-                worst = min(worst, slope)
-                checked += 1
-        # control: a branch of the wrong curve must leave a visible residual
+            checked += len(expand_branches(parse_poly(text)).branches)
+            failures += [(text, *f[:4]) for f in sheet_failures(text)]
+        # control: a sheet of the wrong curve must miss at every x0
         wrong = expand_branches(parse_poly("y^2 - x^3")).branches[0]
-        control = branch_residual_order(parse_poly("(y-x)^2 - x^5"), wrong)
-        control_ok = control < 3.0
-        ok = control_ok and checked >= 5
+        control = branch_failures("(y-x)^2 - x^5", [wrong])
+        flagged = control[0][3] if control else []
+        control_ok = flagged == [float(x0) for x0 in ORACLE_XS]
+        ok = not failures and control_ok and checked >= 5
         report(
             5,
-            "branch residual corpus",
+            "branch sheets vs roots of F",
             ok,
-            f"{checked} branches, worst slope={worst:.1f}, control={control:.2f}",
+            f"{checked} branches, {len(failures)} off their roots, "
+            f"control flagged at {len(flagged)}/{len(ORACLE_XS)} x0",
         )
-        assert control_ok, f"wrong-branch control scored {control:.2f}, not small"
+        assert not failures, failures
+        assert control_ok, f"wrong-branch control flagged only at {flagged}"
 
 
 class TestCriterion6:

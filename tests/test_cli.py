@@ -16,8 +16,9 @@ import pytest
 import newtonosc
 from newtonosc import blocks, cli, newton, puiseux, scaling
 from newtonosc.cli import build_parser, main
-from newtonosc.polycore import Reality, parse_poly
-from newtonosc.puiseux import expand_branches
+from newtonosc.polycore import PuiseuxBranch, PuiseuxTerm, Reality, mixed_derivative, parse_poly
+from newtonosc.puiseux import BranchSet, expand_branches
+from sheet_oracle import sheet_failures
 
 
 def run(capsys, *argv):
@@ -34,6 +35,25 @@ def run_json(capsys, *argv):
 
 # F whose edge polynomial has the close roots 1 and 1001/1000
 CONFLATED = "(y-x)*(1000*y-1001*x)*(y-x-x^2)*(y-x+x^2)"
+
+# (phase, --mixed, --order) of each analyze call in this file that prints a
+# payload; CONFLATED at the default order is left out, since its expansion
+# overflows there
+ANALYZE_CALLS = [
+    ("x*y", False, None),
+    ("x^2*y^2/4", False, None),
+    ("x^3*y + x*y^3", False, None),
+    ("x^3*y^2 + x*y^5", False, "3/2"),
+    ("(y-x)^2", True, None),
+    ("(y-x)^2", True, "50"),
+    ("(y-x)^2 - x^5", True, None),
+    ("(y-x)^2 - x^5", True, "4"),
+    ("(y-x)^2 - x^7", True, "3"),
+    ("(y^2-x^3)^2 - 4*x^5*y - x^7", True, "1/2"),
+    (CONFLATED, True, "1/2"),
+    ("x^2+x^3", True, None),
+    ("3*x + 2", True, None),
+]
 
 
 class TestExitCodes:
@@ -120,6 +140,25 @@ class TestExitCodes:
         assert json.loads(err)["error"] == {
             "type": "DomainError",
             "message": f"the coefficient of {term} is beyond the double range",
+        }
+
+    # a coefficient of F that rounds to 0.0 as a double would act as support
+    @pytest.mark.parametrize(
+        "phase, term",
+        [
+            ("y - x/1" + "0" * 400, "x"),
+            ("y^2 - x^3/1" + "0" * 400, "x^3"),
+            ("y*(y - x) + x^3/1" + "0" * 400, "x^3"),
+            ("y - x - x^2/1" + "0" * 400, "x^2"),
+        ],
+        ids=["line", "cusp", "beside-a-sheet", "second-term"],
+    )
+    def test_coefficient_below_the_double_range_is_refused(self, capsys, phase, term):
+        code, out, err = run(capsys, "analyze", "--mixed", "--phase", phase)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "DomainError",
+            "message": f"the coefficient of {term} in F is below the double range",
         }
 
     def test_bad_fit_window_is_2(self, capsys):
@@ -239,6 +278,13 @@ class TestAnalyze:
         # the edge polynomial's exact coefficients keep them apart
         d = run_json(capsys, "analyze", "--mixed", "--phase", CONFLATED, "--order", "1/2")
         assert d["decay"]["degeneracy"] == {"kind": "NonDegenerate"}
+
+    @pytest.mark.parametrize("phase, mixed, order", ANALYZE_CALLS)
+    def test_printed_sheets_lie_on_roots_of_f(self, phase, mixed, order):
+        F = parse_poly(phase)
+        if not mixed:
+            F = mixed_derivative(F)
+        assert sheet_failures(F.render(), Fraction(order) if order else None) == []
 
     @pytest.mark.parametrize("order", ["abc", "1/0", ""])
     def test_malformed_order_is_2(self, capsys, order):
@@ -1044,11 +1090,10 @@ class TestSurface:
         "DiscreteOperator", "DomainError", "EmptyPolygonError", "ExponentProfile",
         "GridSpec", "InsufficientSamplesError", "LowerBoundReport", "LowerBoundSet",
         "NegativeExponentError", "NewtonPolygon", "NoConvergenceError", "NormSample",
-        "NumericalUnderflowError", "ParseError", "PhaseSpec", "PuiseuxBranch",
-        "PuiseuxTerm", "Reality", "Region", "ResolutionError", "ScalingReport",
-        "SweepConfig", "WrongRegionError", "analyze_decay", "branch_residual_order",
-        "build_polygon", "chi", "classify_block", "decay_rate",
-        "discretize", "envelope_corners", "eval_branch", "expand_branches", "fit_decay",
+        "ParseError", "PhaseSpec", "PuiseuxBranch", "PuiseuxTerm", "Reality", "Region",
+        "ResolutionError", "ScalingReport", "SweepConfig", "WrongRegionError",
+        "analyze_decay", "build_polygon", "chi", "classify_block", "decay_rate",
+        "discretize", "envelope_corners", "expand_branches", "fit_decay",
         "integrate_xy", "lower_bound_set", "mixed_derivative", "norm_at",
         "operator_norm", "parse_poly", "predicted_exponent", "sweep", "theta",
         "verify_blocks", "verify_lower_bound", "verify_theorem",
@@ -1082,6 +1127,19 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest")
         assert code == 1
         assert out.splitlines() == [f"ok {cases[0][0]}", f"FAIL {cases[1][0]}: planted failure"]
+
+    def test_wrong_puiseux_sheet_fails(self, capsys, monkeypatch):
+        # c*x^(3/2) with c = +-(1 + 1e-9) leaves (c^2 - 1)*x^3 of y^2 - x^3
+        c = 1 + 1e-9
+        sheets = BranchSet(
+            branches=tuple(PuiseuxBranch((PuiseuxTerm(Fraction(3, 2), s),)) for s in (-c, c)),
+            axis_roots=(0, 0),
+            order=Fraction(20),
+        )
+        monkeypatch.setattr(cli, "expand_branches", lambda F, order=None: sheets)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert out.splitlines()[-1].startswith("FAIL puiseux exact root: ")
 
     def test_output_is_deterministic(self, capsys):
         _, out1, _ = run(capsys, "selftest")

@@ -8,14 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from newtonosc.errors import DomainError, NegativeExponentError, ParseError
+from newtonosc.errors import NegativeExponentError, ParseError
 from newtonosc.polycore import (
     BivarPoly,
     PuiseuxBranch,
     PuiseuxTerm,
     RationalLike,
     Reality,
-    eval_branch,
     integrate_xy,
     mixed_derivative,
     parse_poly,
@@ -325,25 +324,9 @@ class TestEval:
 
 
 class TestBranchTypes:
-    def test_eval_power(self):
-        br = PuiseuxBranch(terms=(PuiseuxTerm(F(3, 2), 1.0),))
-        assert eval_branch(br, 4.0) == 8.0
-
-    def test_eval_sum(self):
-        br = PuiseuxBranch(terms=(PuiseuxTerm(F(1), 1.0), PuiseuxTerm(F(5, 2), 1.0)))
-        assert eval_branch(br, 1.0) == 2.0
-
-    def test_eval_domain(self):
-        br = PuiseuxBranch(terms=(PuiseuxTerm(F(1), 1.0),))
-        with pytest.raises(DomainError):
-            eval_branch(br, 0.0)
-        with pytest.raises(DomainError):
-            eval_branch(br, -1.0)
-
     def test_complex_value(self):
         br = PuiseuxBranch(terms=(PuiseuxTerm(F(3, 2), 1j),))
         assert br.reality is Reality.COMPLEX_PAIR
-        assert eval_branch(br, 4.0) == 8j
 
     def test_exponents_strictly_increase(self):
         with pytest.raises(ValueError):

@@ -1,26 +1,29 @@
-"""Branch expansion on the reference corpus, with residual-slope oracles.
+"""Branch expansion on the reference corpus, checked against the roots of F.
 
 Expected coefficients here were derived by hand: y^2 = x^2*(1+x) gives
 y = x*(1+x)^(1/2) = x + x^2/2 - x^3/8 + x^4/16 - ..., and the other corpus
-members terminate, so their series are checked exactly.
+members terminate, so their series are checked exactly.  Every other
+sheet is checked by tests/sheet_oracle.py: its partial sum at small x0
+must lie within its truncation error of a root of F(x0, .).
 """
 
 import contextlib
-import functools
 import hashlib
+import importlib
 import io
 import itertools
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from newtonosc import puiseux
 from newtonosc.cli import main
-from newtonosc.errors import EmptyPolygonError, NumericalUnderflowError
+from newtonosc.errors import EmptyPolygonError
 from newtonosc.newton import lower_hull
 from newtonosc.polycore import (
     BivarPoly,
@@ -29,12 +32,8 @@ from newtonosc.polycore import (
     Reality,
     parse_poly,
 )
-from newtonosc.puiseux import (
-    PRUNE_REL_TOL,
-    BranchSet,
-    branch_residual_order,
-    expand_branches,
-)
+from newtonosc.puiseux import PRUNE_REL_TOL, expand_branches
+from sheet_oracle import branch_failures, sheet_failures
 
 F = Fraction
 
@@ -137,38 +136,39 @@ class TestCorpus:
 
 
 class TestResiduals:
+    """The sheet oracle passes what expand_branches prints and flags what is wrong."""
+
     def test_exact_branches_score_machine_zero(self):
+        # an exact sheet may miss a root of F(x0, .) only by its rounding
         for text in ("y^2 - x^3", "(y-x)^2 - x^5", "x^2 + y^2"):
-            poly = parse_poly(text)
-            out = expand_branches(poly)
-            for br in out.branches:
-                slope = branch_residual_order(poly, br)
-                assert slope == math.inf
-                assert slope >= 30
+            branches = expand_branches(parse_poly(text)).branches
+            assert branches and all(br.exact for br in branches)
+            assert branch_failures(text, branches) == []
 
     def test_truncated_series_slope(self):
-        poly = parse_poly("y^2 - x^2 - x^3")
-        out = expand_branches(poly, order=3)
-        for br in out.branches:
-            slope = branch_residual_order(poly, br)
-            # truncating at x^3 leaves a residual of size x^5
-            assert 4.5 < slope < 5.5
-            assert slope >= 3 + float(br.leading_exponent) - 0.25
+        # truncating y = +-x*(1+x)^(1/2) after x^3 misses by x^4/16, a
+        # relative x^3/16: within order 3's bound, but too slow a fall
+        # for a claim of order 4
+        text = "y^2 - x^2 - x^3"
+        branches = expand_branches(parse_poly(text), order=3).branches
+        assert len(branches) == 2 and sheet_failures(text, 3) == []
+        claims = [PuiseuxBranch(br.terms, order=F(4)) for br in branches]
+        for *_, bad, rows in branch_failures(text, claims):
+            assert bad == ["no fall at 0.001", "no fall at 0.0001"]
+            for x0, miss, _ in rows:
+                assert miss == pytest.approx(x0**3 / 16, rel=0.02)
 
     def test_wrong_branch_flagged(self):
-        # claiming y = x solves (y-x)^2 - x^5 to order 5 must fail the
-        # contract: the residual is exactly -x^5, slope 5 < 5 + 1
-        poly = parse_poly("(y-x)^2 - x^5")
-        imposter = PuiseuxBranch(terms=(PuiseuxTerm(F(1), 1.0),))
-        slope = branch_residual_order(poly, imposter)
-        assert abs(slope - 5.0) < 1e-6
-        assert slope < 5 + 1 - 0.25
-
-    def test_underflow_detected(self):
-        poly = BivarPoly({(0, 2): F(1, 10**290), (3, 0): F(-1, 10**290)})
-        off = PuiseuxBranch(terms=(PuiseuxTerm(F(3, 2), 1.0 + 1e-12),))
-        with pytest.raises(NumericalUnderflowError):
-            branch_residual_order(poly, off)
+        # y = x misses the sheets x +- x^(5/2) of (y-x)^2 - x^5 by a
+        # relative x^(3/2), above the rounding of an exact claim and
+        # above x^4 for a claim of order 5
+        claims = [PuiseuxBranch((PuiseuxTerm(F(1), 1.0),), order=order) for order in (None, F(5))]
+        failures = branch_failures("(y-x)^2 - x^5", claims)
+        assert len(failures) == 2
+        for *_, bad, rows in failures:
+            assert bad[:3] == [0.01, 0.001, 0.0001]
+            for x0, miss, _ in rows:
+                assert miss == pytest.approx(x0**1.5, rel=0.01)
 
 
 class TestRandomFactors:
@@ -255,7 +255,7 @@ class TestLattice:
         for br in out.branches:
             assert br.ramification == 6
             assert [t.exponent for t in br.terms[:4]] == [F(2, 3), F(3, 2), F(7, 3), F(19, 6)]
-            assert branch_residual_order(poly, br) == math.inf
+        assert sheet_failures("(y^3-x^2)^2 - x^5*y") == []
 
     def test_nested_ramification_exact(self):
         # y = +-x^(3/2) +- x^(7/4): D goes 2 -> 4 on the second slope
@@ -601,103 +601,6 @@ def test_binomial_edge_gives_one_sheet_per_root(text, n, gamma, lead):
 
 # --- printed sheets against the roots of F(x0, .) ----------------------------
 
-ORACLE_XS = (F(1, 100), F(1, 1000), F(1, 10000))
-# An exact branch may miss a root of F(x0, .) by the rounding of its
-# doubles: ROUNDING units of 2^-52 times the sum of its terms' moduli over |y|.
-ROUNDING = 8
-# A branch resolved to order K with leading exponent g is its partial sum
-# plus o(x^K), so its relative miss is at most TRUNCATION * x0^(K - g) and
-# that ratio falls at least FALL-fold from each x0 to the next, unless the
-# miss is down to the rounding.
-TRUNCATION = 1.0
-FALL = 1.25
-
-
-def _poly_divmod(a, b):
-    """Quotient and remainder of Fraction coefficient lists, highest power first."""
-    a, q = list(a), []
-    while len(a) >= len(b):
-        f = a[0] / b[0]
-        q.append(f)
-        for i, c in enumerate(b):
-            a[i] -= f * c
-        a.pop(0)
-    while a and a[0] == 0:
-        a.pop(0)
-    return q, a
-
-
-def _roots(p, mpmath):
-    """The roots of p, each as often as its multiplicity.
-
-    p / gcd(p, p') has every root of p once, and gcd(p, p') the rest, so
-    polyroots only ever meets simple roots.
-    """
-    if len(p) < 2:
-        return []
-    g, r = p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
-    while r:
-        g, r = r, _poly_divmod(g, r)[1]
-    square_free = _poly_divmod(p, g)[0]
-    simple = []
-    if len(square_free) > 1:
-        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in square_free]
-        simple = list(mpmath.polyroots(coeffs, maxsteps=200, extraprec=60))
-    return simple + _roots([c / g[0] for c in g], mpmath)
-
-
-@functools.lru_cache(maxsize=None)
-def column_roots(text, x0):
-    """The roots of F(x0, .) / y^B at 60 digits, each as often as its multiplicity."""
-    mpmath = pytest.importorskip("mpmath")
-    poly = parse_poly(text)
-    B = min(b for _, b in poly.support())
-    deg = max(b for _, b in poly.support())
-    column = [F(0)] * (deg - B + 1)
-    for (a, b), c in poly.terms.items():
-        column[deg - b] += c * x0**a
-    with mpmath.workdps(60):
-        return _roots(column, mpmath)
-
-
-def sheet_failures(text, order=None):
-    """Each branch of F = text whose partial sum misses the roots of F(x0, .).
-
-    At each x0 a branch of m sheets takes the relative miss to its m-th
-    nearest root of F(x0, .) / y^B.
-    """
-    mpmath = pytest.importorskip("mpmath")
-    out = expand_branches(parse_poly(text), order=order)
-    misses = [[] for _ in out.branches]
-    with mpmath.workdps(60):
-        for x0 in ORACLE_XS:
-            roots = column_roots(text, x0)
-            x = mpmath.mpf(x0.numerator) / x0.denominator
-            for br, rows in zip(out.branches, misses):
-                parts = [
-                    mpmath.mpc(t.coefficient.real, t.coefficient.imag)
-                    * x ** (mpmath.mpf(t.exponent.numerator) / t.exponent.denominator)
-                    for t in br.terms
-                ]
-                y = mpmath.fsum(parts)
-                miss = sorted(abs(r - y) / abs(y) for r in roots)[br.multiplicity - 1]
-                floor = ROUNDING * 2.0**-52 * mpmath.fsum(abs(p) for p in parts) / abs(y)
-                rows.append((float(x0), float(miss), float(floor)))
-    failures = []
-    for br, rows in zip(out.branches, misses):
-        if br.exact:
-            bad = [x0 for x0, miss, floor in rows if miss > floor]
-        else:
-            k = float(br.order - br.leading_exponent)
-            bad = [x0 for x0, miss, floor in rows if miss > max(floor, TRUNCATION * x0**k)]
-            for (x_a, miss_a, _), (x_b, miss_b, floor) in zip(rows, rows[1:]):
-                if miss_b > floor and miss_b / x_b**k > miss_a / x_a**k / FALL:
-                    bad.append(f"no fall at {x_b}")
-        if bad:
-            failures.append((br.terms, br.multiplicity, br.order, bad, rows))
-    return failures
-
-
 LARGE_LEADS = [
     "y - 10000*x - x^2/100000000",
     "y - 1000*x - x^2/1000000000",
@@ -706,6 +609,10 @@ LARGE_LEADS = [
     "y^3 - 8000000*x^2",
 ]
 BINOMIALS = ["x + y^8", "x^2 + y^8", "x + y^16", "x^3 + 2*y^9"]
+# a corpus F with a sheet of 3y^2 + (1+x)y + 3x = 0, whose radius of
+# convergence is 17 - 12*sqrt(2), about 0.029: its terms -3x, -24x^2,
+# -408x^3, -8664x^4, ... grow about 34-fold
+SMALL_RADII = ["1*x^0*y^2 + 3*x^0*y^3 + 3*x^1*y^1 + 1*x^1*y^2"]
 
 
 class TestSheetOracle:
@@ -717,10 +624,18 @@ class TestSheetOracle:
             for order in orders:
                 assert sheet_failures(text, order) == [], (text, order)
 
-    @pytest.mark.parametrize("text", LARGE_LEADS + BINOMIALS)
+    @pytest.mark.parametrize("text", LARGE_LEADS + BINOMIALS + SMALL_RADII)
     def test_fixed_and_large_leading_inputs(self, text):
         for order in (None, 1):
             assert sheet_failures(text, order) == [], order
+
+    def test_benchmark_corpus_sample(self, monkeypatch):
+        # the 300 F that the analyze_corpus workload draws at seed 1
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        for support in workloads.corpus(1):
+            text = workloads.render(support)
+            assert sheet_failures(text) == [], text
 
     @pytest.mark.xfail(
         raises=AssertionError,
