@@ -27,7 +27,7 @@ from .dyadpol import (
     verify_lower_bound,
 )
 from .errors import EmptyPolygonError, ParseError
-from .newton import DegeneracyKind, analyze_decay, build_polygon
+from .newton import analyze_decay, build_polygon
 from .opnorm import (
     DiscreteOperator,
     GridSpec,
@@ -262,7 +262,7 @@ def cmd_analyze(args) -> int:
     polygon = build_polygon(F)  # EmptyPolygonError -> exit 3
     order = _parse_fraction(args.order) if args.order is not None else None
     branches = expand_branches(F, order=order)
-    decay = analyze_decay(F, branches=branches)
+    decay = analyze_decay(F)
     payload = {
         "phase": args.phase,
         "mixed": bool(args.mixed),
@@ -486,11 +486,10 @@ def _case_puiseux_exact_root():
 
 
 def _case_degeneracy():
-    d = analyze_decay(parse_poly("(y - x)^2")).degeneracy
-    _check(
-        d.kind is DegeneracyKind.COMPLETELY_DEGENERATE and d.N == 2,
-        "(y - x)^2 must be completely degenerate with N = 2",
-    )
+    cases = {"(y - x)^2": (2, 1), "((1+x)*y - x)^2": (2, 1), "(y-x)^2 - x^7": (None, None)}
+    for text, want in cases.items():
+        d = analyze_decay(parse_poly(text)).degeneracy
+        _check((d.N, d.c) == want, f"{text} must have (N, c) = {want}")
 
 
 def _case_norm_sample_validity():

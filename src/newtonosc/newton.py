@@ -1,8 +1,8 @@
 """Newton polygon of the mixed derivative and the decay rates it predicts.
 
 All polygon combinatorics are exact: vertices are lattice points, slopes
-and rates are Fractions, and so are the degeneracy test's N and c.  The
-numeric branch expansion says only whether the sheets are one real sheet.
+and rates are Fractions, and so is the degeneracy test, from its N and c
+to the gcd in Q[x][y] that decides it.
 """
 
 from __future__ import annotations
@@ -11,10 +11,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import product, zip_longest
 from typing import Optional
 
 from .errors import EmptyPolygonError
-from .polycore import BivarPoly, Reality
+from .polycore import BivarPoly
 
 
 @dataclass(frozen=True)
@@ -141,41 +142,32 @@ def decay_rate(polygon: NewtonPolygon) -> tuple[Fraction, Fraction, str]:
 class DegeneracyKind(str, Enum):
     NON_DEGENERATE = "NonDegenerate"
     COMPLETELY_DEGENERATE = "CompletelyDegenerate"
-    UNDETERMINED = "Undetermined"
 
 
 @dataclass(frozen=True)
 class Degeneracy:
-    """Whether F is a unit times an N-th power of (y - smooth curve).
-
-    Stores N and the curve's exact slope c = f'(0) when F passes the
-    N-th-power test, and checked_order when its one sheet was not seen
-    to terminate up to that order; kind is read from which are set.
-    """
+    """N and c = f'(0), exact, when F = U * (y - f(x))^N with U a unit; kind reads N."""
 
     N: Optional[int] = None
     c: Optional[Fraction] = None
-    checked_order: Optional[Fraction] = None
 
     @property
     def kind(self) -> DegeneracyKind:
         if self.N is None:
             return DegeneracyKind.NON_DEGENERATE
-        if self.checked_order is not None:
-            return DegeneracyKind.UNDETERMINED
         return DegeneracyKind.COMPLETELY_DEGENERATE
 
 
-def _degeneracy(F: BivarPoly, polygon: NewtonPolygon, branches) -> Degeneracy:
-    """Classify F, given its polygon, as completely degenerate, not, or undetermined.
+def _degeneracy(F: BivarPoly, polygon: NewtonPolygon) -> Degeneracy:
+    """Classify F, given its polygon, as completely degenerate or not.
 
-    Complete degeneracy is the shape U * (y - f(x))^N with U a unit,
-    f(0) = 0, f'(0) = c != 0 and N >= 2.  Its polygon has A = B = 0 and
-    one edge of slope 1 and height N, whose polynomial is U(0,0)*(z - c)^N:
-    F's exact coefficients fix N and c.  Only an F that passes asks the
-    branch expansion whether its N sheets are one real sheet.  A sheet
-    whose series terminates makes the verdict definite; otherwise it is
-    Undetermined at the order checked.
+    That is F = U * (y - f(x))^N with U a unit, f(0) = 0, f'(0) = c != 0
+    and N >= 2.  Its polygon has A = B = 0 and one edge of slope 1 and
+    height N, whose polynomial U(0,0)*(z - c)^N fixes N and c exactly.
+    Then h = d^(N-1)F/dy^(N-1) has dh/dy(0,0) = N! [y^N]F != 0, so one
+    irreducible factor q of h passes through the origin, along y = f(x).
+    By Taylor's formula in y about f, F has the shape iff q divides every
+    d^kF/dy^k with k < N, iff their primitive gcd vanishes at the origin.
     """
     if polygon.A != 0 or polygon.B != 0 or len(polygon.edges) != 1:
         return Degeneracy()
@@ -189,14 +181,63 @@ def _degeneracy(F: BivarPoly, polygon: NewtonPolygon, branches) -> Degeneracy:
     for i in range(N + 1):
         if coeff.get((i, N - i), 0) != lead * math.comb(N, i) * (-c) ** i:
             return Degeneracy()
+    # F over Q[x] as used below: rows[b][a] is [x^a y^b]F, and no list ends in 0
+    rows = [[] for _ in range(1 + max(b for _, b in coeff))]
+    for (a, b), value in sorted(coeff.items()):
+        rows[b] += [Fraction(0)] * (a - len(rows[b])) + [value]
+    derivatives = [[[math.perm(b, k) * v for v in r] for b, r in enumerate(rows) if b >= k]
+                   for k in range(N)]  # d^kF/dy^k
+    G = _primitive(derivatives.pop())
+    while derivatives and (G[0] or [0])[0] == 0:
+        G = _gcd_in_y(derivatives.pop(), G)
+    return Degeneracy(N, c) if (G[0] or [0])[0] == 0 else Degeneracy()
 
-    if branches is None:
-        from .puiseux import expand_branches
 
-        branches = expand_branches(F)
-    if len(branches.branches) != 1 or branches.branches[0].reality is not Reality.REAL:
-        return Degeneracy()
-    return Degeneracy(N, c, None if branches.branches[0].exact else branches.order)
+def _trim(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _mul(p: list, q: list) -> list:
+    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
+    for (i, u), (j, v) in product(enumerate(p), enumerate(q)):
+        out[i + j] += u * v
+    return out
+
+
+def _divmod(p: list, q: list) -> tuple[list, list]:
+    quotient, rem = [Fraction(0)] * max(len(p) - len(q) + 1, 0), list(p)
+    while len(rem) >= len(q):
+        shift, t = len(rem) - len(q), rem[-1] / q[-1]
+        quotient[shift] = t
+        for i, v in enumerate(q):
+            rem[shift + i] -= t * v
+        _trim(rem)
+    return quotient, rem
+
+
+def _primitive(P: list) -> list:
+    """P over its content, the gcd of its coefficients, with the top term of P[-1] 1."""
+    content = min(filter(None, P), key=len)
+    for p in P:  # Euclid with monic remainders
+        while p and len(content) > 1:
+            content, p = [v / p[-1] for v in p], _divmod(content, p)[1]
+    scale = P[-1][-1] / content[-1]
+    return [_divmod(p, [v * scale for v in content])[0] for p in P]
+
+
+def _gcd_in_y(P: list, Q: list) -> list:
+    """The primitive gcd in Q[x][y] of P and a primitive Q, by a primitive PRS."""
+    while Q:
+        while len(P) >= len(Q):  # P <- lc(Q) P - lc(P) y^shift Q
+            shift, top = len(P) - len(Q), P[-1]
+            P = _trim([_mul(Q[-1], p) for p in P[:shift]] + [
+                _trim([u - v for u, v in zip_longest(_mul(Q[-1], p), _mul(top, q), fillvalue=0)])
+                for p, q in zip(P[shift:-1], Q)
+            ])
+        P, Q = Q, P and _primitive(P)
+    return P
 
 
 @dataclass(frozen=True)
@@ -222,8 +263,6 @@ class DecayReport:
             deg["N"] = self.degeneracy.N
         if self.degeneracy.c is not None:
             deg["c"] = float(self.degeneracy.c)
-        if self.degeneracy.checked_order is not None:
-            deg["checked_order"] = str(self.degeneracy.checked_order)
         t0, delta, crossing = decay_rate(self.polygon)
         return {
             "t0": str(t0),
@@ -245,14 +284,11 @@ class DecayReport:
         }
 
 
-def analyze_decay(F: BivarPoly, branches=None) -> DecayReport:
+def analyze_decay(F: BivarPoly) -> DecayReport:
     """Polygon, crossing, per-edge rates, and degeneracy in one report.
 
     The polygon is built once; the report stores it with the degeneracy,
-    and the crossing is read from it.  branches may be passed in to reuse
-    an existing expansion of F; otherwise one is computed at the default
-    order (4 * total_degree + 8), and only when F's coefficients pass the
-    N-th-power test.  checked_order is the order of the expansion used.
+    and the crossing is read from it.
     """
     polygon = build_polygon(F)
-    return DecayReport(degeneracy=_degeneracy(F, polygon, branches), polygon=polygon)
+    return DecayReport(degeneracy=_degeneracy(F, polygon), polygon=polygon)

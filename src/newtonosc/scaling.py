@@ -106,6 +106,9 @@ class SweepConfig:
             lo, hi = self.fit_window
             if not lo < hi:
                 raise ValueError("fit_window must be an increasing pair")
+            inside = sum(lo <= l <= hi for l in lams)
+            if inside < 4:  # refused before any sample is solved
+                raise InsufficientSamplesError(f"need 4 lambdas in the fit window, have {inside}")
 
 
 def _solve(p: PhaseSpec, lam: float, n: int, seed: int, start=None):
@@ -347,8 +350,8 @@ def verify_theorem(
 ) -> ScalingReport:
     """Measure the norm decay of the phase and judge it against the prediction.
 
-    Pipeline: mixed derivative, polygon, branch expansion, degeneracy
-    test, sweep; the report derives the decay rate, fit and verdict.
+    Pipeline: mixed derivative, polygon, degeneracy test, sweep; the
+    report derives the decay rate, fit and verdict.
     Pass means every sample converged and the fitted slope sits within
     tol_slope of the predicted exponent; flat norms are Inconclusive.  A
     Fail reruns the sweep at half the radius and hands it this

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import jsonschema
@@ -224,14 +225,13 @@ class TestAnalyze:
         )
         assert d["branches"]["order"] == "4"
 
-    def test_order_flag_sets_checked_order(self, capsys):
-        # the cluster is Undetermined at the order the branches were cut
-        d = run_json(
-            capsys, "analyze", "--mixed", "--phase", "(y-x)^2 - x^7", "--order", "3"
-        )
-        deg = d["decay"]["degeneracy"]
-        assert deg["kind"] == "Undetermined"
-        assert deg["checked_order"] == d["branches"]["order"] == "3"
+    def test_verdict_ignores_the_order(self, capsys):
+        # the sheets split at x^(7/2) and x^(11/3), past orders 1 and 3;
+        # F's coefficients decide alone
+        for phase in ("(y-x)^2 - x^7", "(y - x - x^2)^3 + x^11"):
+            for order in (("--order", "1"), ("--order", "3"), ()):
+                d = run_json(capsys, "analyze", "--mixed", "--phase", phase, *order)
+                assert d["decay"]["degeneracy"] == {"kind": "NonDegenerate"}, (phase, order)
 
     @pytest.mark.parametrize(
         "phase, order",
@@ -427,6 +427,20 @@ class TestSweep:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == {
             "type": "ValueError", "message": "lambda values must be finite"
+        }
+
+    def test_short_fit_window_is_1_before_any_solve(self, capsys, monkeypatch):
+        def solved(*args, **kwargs):
+            raise AssertionError("norm_at ran")
+
+        monkeypatch.setattr(scaling, "norm_at", solved)
+        code, out, err = run(
+            capsys, "sweep", "--phase", "x*y", "--rho", "0.5", "--fit-window", "1000,3000"
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "InsufficientSamplesError",
+            "message": "need 4 lambdas in the fit window, have 2",
         }
 
     @pytest.mark.parametrize(
@@ -722,18 +736,21 @@ class TestFrontEndOnce:
         assert code == 0, err
         assert len(builds) == expected
 
-    def test_one_expansion_per_sweep_with_retry(self, capsys, monkeypatch):
-        # F = (y-x)^2 is completely degenerate, which the Puiseux expansion
-        # confirms; the Fail retry at half the radius does not expand F again
-        calls, original = [], puiseux.expand_branches
+    def test_one_degeneracy_decision_per_sweep_with_retry(self, capsys, monkeypatch):
+        # F = (y-x)^2 is completely degenerate, which F's coefficients
+        # decide without a branch expansion; the Fail retry at half the
+        # radius reuses the decision
+        calls, original = [], newton._gcd_in_y
 
-        def counted(F, *args, **kwargs):
-            calls.append(F)
-            return original(F, *args, **kwargs)
+        def counted(P, Q):
+            calls.append(P)
+            return original(P, Q)
 
-        monkeypatch.setattr(puiseux, "expand_branches", counted)
+        monkeypatch.setattr(newton, "_gcd_in_y", counted)
+        monkeypatch.setattr(puiseux, "expand_branches", lambda *a, **k: pytest.fail("expanded"))
         d = run_json(capsys, "sweep", "--phase", "-(y-x)^4/12", "--lambdas", "16,32,64,128")
         assert d["report"]["verdict"] == "Fail" and "retry" in d["report"]
+        assert d["report"]["decay"]["degeneracy"] == {"kind": "CompletelyDegenerate", "N": 2, "c": 1.0}
         assert len(calls) == 1
 
 
@@ -1140,6 +1157,16 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest")
         assert code == 1
         assert out.splitlines()[-1].startswith("FAIL puiseux exact root: ")
+
+    def test_wrong_degeneracy_fails(self, capsys, monkeypatch):
+        # every F reads NonDegenerate; the polygon and its rates are kept
+        original = newton.analyze_decay
+        monkeypatch.setattr(
+            cli, "analyze_decay", lambda F: replace(original(F), degeneracy=newton.Degeneracy())
+        )
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        assert out.splitlines()[-1].startswith("FAIL degeneracy detection: ")
 
     def test_output_is_deterministic(self, capsys):
         _, out1, _ = run(capsys, "selftest")

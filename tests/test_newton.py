@@ -1,11 +1,13 @@
 """Polygon construction against an independent supporting-line oracle."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from newtonosc import puiseux
+from newtonosc import newton
 from newtonosc.errors import EmptyPolygonError
 from newtonosc.newton import (
     DegeneracyKind,
@@ -16,7 +18,6 @@ from newtonosc.newton import (
     lower_hull,
 )
 from newtonosc.polycore import BivarPoly, parse_poly
-from newtonosc.puiseux import expand_branches
 
 F = Fraction
 
@@ -242,13 +243,11 @@ class TestDegeneracy:
         deg = analyze_decay(parse_poly("(y-x)^2 - x^5")).degeneracy
         assert deg.kind is DegeneracyKind.NON_DEGENERATE
 
-    def test_rational_curve_undetermined(self):
-        # ((1+x)y - x)^2 vanishes on y = x/(1+x), whose series never stops
-        Fpoly = parse_poly("((1+x)*y - x)^2")
-        deg = analyze_decay(Fpoly, branches=expand_branches(Fpoly, order=12)).degeneracy
-        assert deg.kind is DegeneracyKind.UNDETERMINED
-        assert deg.N == 2
-        assert deg.checked_order == 12
+    def test_rational_curve(self):
+        # ((1+x)y - x)^2 vanishes twice on y = x/(1+x), whose series never stops
+        deg = analyze_decay(parse_poly("((1+x)*y - x)^2")).degeneracy
+        assert deg.kind is DegeneracyKind.COMPLETELY_DEGENERATE
+        assert deg.N == 2 and deg.c == 1
 
     def test_axis_offset_not_degenerate(self):
         assert analyze_decay(parse_poly("x*(y-x)^2")).degeneracy.kind is DegeneracyKind.NON_DEGENERATE
@@ -260,12 +259,16 @@ class TestExactDegeneracy:
     @pytest.mark.parametrize("text", ["(y-x)*(y-2*x)", "y^2 + x^2", "(y-x)*(1000*y-1001*x)"])
     def test_distinct_edge_roots_never_expand(self, monkeypatch, text):
         # the edge polynomial has distinct roots, so F is no N-th power
-        # and the branch expansion is never asked
-        calls = []
-        monkeypatch.setattr(puiseux, "expand_branches", lambda *a, **k: calls.append(a))
-        deg = analyze_decay(parse_poly(text)).degeneracy
-        assert deg.kind is DegeneracyKind.NON_DEGENERATE
-        assert calls == []
+        # and the gcd of its y-derivatives is never taken
+        monkeypatch.setattr(newton, "_gcd_in_y", lambda P, Q: pytest.fail("gcd taken"))
+        assert analyze_decay(parse_poly(text)).degeneracy.kind is DegeneracyKind.NON_DEGENERATE
+
+    def test_newton_imports_nothing_from_puiseux(self):
+        # the verdict reads F alone, never a branch expansion
+        tree = ast.parse(Path(newton.__file__).read_text())
+        modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+        modules |= {n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        assert not any("puiseux" in m for m in modules)
 
     def test_constructed_powers_are_completely_degenerate(self):
         # F = (1 + a x + b y) * (y - r x - s x^2)^N: N as built, c = r exactly
@@ -283,6 +286,46 @@ class TestExactDegeneracy:
             assert deg.kind is DegeneracyKind.COMPLETELY_DEGENERATE, case
             assert deg.N == N and deg.c == r, case
             assert report.to_dict()["degeneracy"]["c"] == float(r), case
+
+    def test_sqf_oracle_corpus(self):
+        # F = (1 + a x + b y) (y - r x - s x^2)^N, some times the unit
+        # 1 + (y - 2)^2, half plus k x^m with m >= 2N, which the polygon
+        # and the edge polynomial cannot see; sympy.sqf_list decides each
+        sympy = pytest.importorskip("sympy")
+        X, Y = sympy.symbols("x y")
+        rng = random.Random(34)
+        x, y = parse_poly("x"), parse_poly("y")
+        verdicts = []
+        for _ in range(240):
+            N = rng.choice((2, 3, 4))
+            r = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 7))
+            s = F(rng.randint(-3, 3), rng.randint(1, 4))
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            Fpoly = (1 + a * x + b * y) * (y - r * x - s * x * x) ** N
+            if rng.random() < 0.3:
+                Fpoly = Fpoly * (1 + (y - 2) ** 2)
+            if rng.random() < 0.5:
+                k = F(rng.choice([-2, -1, 1, 2]), rng.randint(1, 5))
+                Fpoly = Fpoly + k * x ** rng.randint(2 * N, 2 * N + 3)
+            expr = sum(
+                sympy.Rational(v.numerator, v.denominator) * X**i * Y**j
+                for (i, j), v in Fpoly.terms.items()
+            )
+            through = [
+                (g, k) for g, k in sympy.sqf_list(sympy.Poly(expr, X, Y))[1]
+                if g.eval({X: 0, Y: 0}) == 0
+            ]
+            expected = (None, None)
+            if len(through) == 1 and through[0][1] >= 2:
+                g, k = through[0]
+                gx, gy = (g.diff(v).eval({X: 0, Y: 0}) for v in (X, Y))
+                if gx != 0 and gy != 0:
+                    expected = (k, F(str(-gx / gy)))
+            deg = analyze_decay(Fpoly).degeneracy
+            assert (deg.N, deg.c) == expected, Fpoly.render()
+            verdicts.append(deg.N is not None)
+        # both verdicts occur often
+        assert 50 < sum(verdicts) < 190
 
 
 class TestReport:

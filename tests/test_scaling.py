@@ -124,6 +124,12 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(fit_window=(64.0, 16.0))
 
+    def test_window_below_four_lambdas(self):
+        # the default grid has 1024 and 2048 inside [1000, 3000]
+        with pytest.raises(InsufficientSamplesError, match="have 2"):
+            SweepConfig(fit_window=(1000.0, 3000.0))
+        assert SweepConfig(fit_window=(256.0, 2048.0)).fit_window == (256.0, 2048.0)
+
 
 class TestNormAt:
     def test_frozen_value(self):
