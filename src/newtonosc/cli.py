@@ -117,16 +117,19 @@ def _csv_row(header: str, d: dict) -> str:
     )
 
 
-def _emit_csv(args, header: str, rows: list[str]) -> None:
-    lines = [f"# {SCHEMA_ID} seed={args.seed}", header]
-    lines.extend(rows)
-    _write(args, "\n".join(lines) + "\n")
+def _emit(args, schema: dict, payload: dict, header: str, rows) -> None:
+    """Write payload as JSON, or the CSV header and rows, as --format says."""
+    if args.format == "json":
+        _emit_json(args, schema, payload)
+    else:
+        lines = [f"# {SCHEMA_ID} seed={args.seed}", header, *rows]
+        _write(args, "\n".join(lines) + "\n")
 
 
-def _load_phase(expr: str, mixed: bool):
-    """Return the phase S; --mixed means expr is F = S''_xy itself."""
-    poly = parse_poly(expr)
-    return integrate_xy(poly) if mixed else poly
+def _phase_spec(args) -> PhaseSpec:
+    """The phase and cutoff of --phase and --rho; --mixed means --phase is F = S''_xy itself."""
+    poly = parse_poly(args.phase)
+    return PhaseSpec(S=integrate_xy(poly) if args.mixed else poly, rho=args.rho)
 
 
 def _parse_numbers(text: str, kind=float) -> tuple:
@@ -255,7 +258,7 @@ DYADPOL_SCHEMA = _payload_schema(
 
 
 def cmd_analyze(args) -> int:
-    # unlike _load_phase, never builds the phase S that --mixed would imply
+    # unlike _phase_spec, never builds the phase S that --mixed would imply
     F = parse_poly(args.phase)
     if not args.mixed:
         F = mixed_derivative(F)
@@ -280,13 +283,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    S = _load_phase(args.phase, args.mixed)
-    p = PhaseSpec(S=S, rho=args.rho)
-    sample = norm_at(p, args.lam, seed=args.seed)
-    if args.format == "json":
-        _emit_json(args, NORM_SCHEMA, {"samples": [sample.to_dict()]})
-    else:
-        _emit_csv(args, NORM_CSV_HEADER, [_csv_row(NORM_CSV_HEADER, sample.to_dict())])
+    sample = norm_at(_phase_spec(args), args.lam, seed=args.seed).to_dict()
+    rows = [_csv_row(NORM_CSV_HEADER, sample)]
+    _emit(args, NORM_SCHEMA, {"samples": [sample]}, NORM_CSV_HEADER, rows)
     return 0
 
 
@@ -303,8 +302,7 @@ def _plot_rows(report) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
-    S = _load_phase(args.phase, args.mixed)
-    p = PhaseSpec(S=S, rho=args.rho)
+    p = _phase_spec(args)
     kwargs = {"tol_slope": args.tol_slope, "seed": args.seed}
     if args.lambdas is not None:
         kwargs["lambdas"] = _parse_numbers(args.lambdas)
@@ -320,27 +318,19 @@ def cmd_sweep(args) -> int:
         with open(args.emit_plot_data, "w") as fh:
             fh.write("log2_lambda,log2_norm,predicted\n")
             fh.write("\n".join(rows) + "\n")
-    if args.format == "json":
-        _emit_json(args, SWEEP_SCHEMA, {"report": report.to_dict()})
-    else:
-        rows = [_csv_row(NORM_CSV_HEADER, s.to_dict()) for s in report.samples]
-        _emit_csv(args, NORM_CSV_HEADER, rows)
+    rows = (_csv_row(NORM_CSV_HEADER, s.to_dict()) for s in report.samples)
+    _emit(args, SWEEP_SCHEMA, {"report": report.to_dict()}, NORM_CSV_HEADER, rows)
     return 0
 
 
 def cmd_blocks(args) -> int:
-    S = _load_phase(args.phase, args.mixed)
-    p = PhaseSpec(S=S, rho=args.rho)
-    estimates, summary = verify_blocks(p, args.lam, D=args.D, j_max=args.j_max, seed=args.seed)
-    if args.format == "json":
-        payload = {
-            "estimates": [e.to_row() for e in estimates],
-            "summary": summary,
-        }
-        _emit_json(args, BLOCKS_SCHEMA, payload)
-    else:
-        rows = [_csv_row(BLOCKS_CSV_HEADER, e.to_row()) for e in estimates]
-        _emit_csv(args, BLOCKS_CSV_HEADER, rows)
+    estimates, summary = verify_blocks(
+        _phase_spec(args), args.lam, D=args.D, j_max=args.j_max, seed=args.seed
+    )
+    estimates = [e.to_row() for e in estimates]
+    rows = (_csv_row(BLOCKS_CSV_HEADER, e) for e in estimates)
+    payload = {"estimates": estimates, "summary": summary}
+    _emit(args, BLOCKS_SCHEMA, payload, BLOCKS_CSV_HEADER, rows)
     return 0
 
 

@@ -50,8 +50,6 @@ SAFETY = 2.0
 _TILE_ROWS = 64
 # the resolution guard: at most pi/2 of phase across one grid cell
 _MAX_CELL_PHASE = math.pi / 2 + 1e-12
-# rows a Lanczos basis holds before it first doubles
-_BASIS_ROWS = 32
 
 
 def bump(t):
@@ -329,13 +327,15 @@ def operator_norm(
     """Golub-Kahan-Lanczos bidiagonalization; returns (norm, steps, vector).
 
     Step k costs one T and one T* product and extends T V_k = U_k B_k
-    with B_k upper bidiagonal; both bases are fully reorthogonalized
-    (_Basis).  The iteration runs in float64 when the matrix and the
-    start are real and in complex128 otherwise; a real matrix starts
-    from a real Gaussian vector, so the iteration and its Ritz vector
-    stay real.  The estimate is the top singular value s of B_k with
-    left and right singular vectors x and y.  Its Ritz vector V_k y has
-    relative residual |T*T v - s^2 v| / s^2 = beta_k |x_k| / s, and the
+    with B_k upper bidiagonal.  Each basis is one array of
+    min(max_iter, n) rows, allocated once, whose row k - 1 is written at
+    step k; both are fully reorthogonalized (_orthogonalize).  The
+    iteration runs in float64 when the matrix and the start are real and
+    in complex128 otherwise; a real matrix starts from a real Gaussian
+    vector, so the iteration and its Ritz vector stay real.  The
+    estimate is the top singular value s of B_k with left and right
+    singular vectors x and y.  Its Ritz vector V_k y has relative
+    residual |T*T v - s^2 v| / s^2 = beta_k |x_k| / s, and the
     iteration stops once that is at most tol.  It also stops when the
     Krylov space is invariant or spans the whole domain, where the Ritz
     value is exact up to rounding.  A random start keeps the top Ritz
@@ -348,7 +348,7 @@ def operator_norm(
     its check grid cold from seed, then passes that grid's vector,
     repeated twice, to the same sector of the grid twice as fine.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
@@ -362,21 +362,24 @@ def operator_norm(
         v = rng.standard_normal(n)
         if dtype.kind == "c":
             v = v + 1j * rng.standard_normal(n)
-    V, U = _Basis(n, dtype), _Basis(op.shape[0], dtype)
-    V.append(v / np.linalg.norm(v))
+    V = np.empty((min(max_iter, n), n), dtype=dtype)
+    U = np.empty((len(V), op.shape[0]), dtype=dtype)
+    V[0] = v / np.linalg.norm(v)
     alphas: list[float] = []
     betas: list[float] = []
     s_prev = s = 0.0
     for k in range(1, max_iter + 1):
-        p = np.asarray(op.apply(V.last), dtype=dtype)
-        if U.size:
-            p -= betas[-1] * U.last
-        U.orthogonalize(p)
+        if k > 1:
+            V[k - 1] = r / betas[-1]
+        p = op.apply(V[k - 1])
+        if k > 1:
+            p -= betas[-1] * U[k - 2]
+        _orthogonalize(U[: k - 1], p)
         alphas.append(float(np.linalg.norm(p)))
         if alphas[-1] > 0.0:
-            U.append(p / alphas[-1])
-            r = op.apply_adjoint(U.last) - alphas[-1] * V.last
-            V.orthogonalize(r)
+            U[k - 1] = p / alphas[-1]
+            r = op.apply_adjoint(U[k - 1]) - alphas[-1] * V[k - 1]
+            _orthogonalize(V[:k], r)
             betas.append(float(np.linalg.norm(r)))
         else:
             # T maps span(V_k) into span(U_{k-1}): an invariant pair
@@ -387,56 +390,26 @@ def operator_norm(
         resid = betas[-1] * abs(X[-1, 0]) / s if s > 0.0 else 0.0
         if resid <= tol or betas[-1] == 0.0 or k == n:
             break
-        V.append(r / betas[-1])
     else:
         raise NoConvergenceError(
             f"bidiagonalization residual {resid:.2e} above {tol:.0e} "
             f"after {max_iter} steps",
             quotients=(s_prev, s),
         )
-    return s, k, Yt[0] @ V.vectors
+    return s, k, Yt[0] @ V[:k]
 
 
-class _Basis:
-    """Orthonormal vectors, the rows of one array that is filled in place.
+def _orthogonalize(Q: np.ndarray, w: np.ndarray) -> None:
+    """Remove, in place, w's components along the orthonormal rows of Q.
 
-    The array doubles when it is full, so an append copies one vector
-    (amortized) and orthogonalize works on one contiguous block.
+    Two passes of classical Gram-Schmidt, each two matrix-vector
+    products, keep w orthogonal to working precision even when most
+    of it lay in the span of Q ("twice is enough": Giraud, Langou &
+    Rozloznik 2005).
     """
-
-    def __init__(self, n: int, dtype):
-        self._rows = np.empty((_BASIS_ROWS, n), dtype=dtype)
-        self.size = 0
-
-    @property
-    def vectors(self) -> np.ndarray:
-        return self._rows[: self.size]
-
-    @property
-    def last(self) -> np.ndarray:
-        return self._rows[self.size - 1]
-
-    def append(self, q: np.ndarray) -> None:
-        if self.size == len(self._rows):
-            grown = np.empty((2 * self.size, self._rows.shape[1]), dtype=self._rows.dtype)
-            grown[: self.size] = self._rows
-            self._rows = grown
-        self._rows[self.size] = q
-        self.size += 1
-
-    def orthogonalize(self, w: np.ndarray) -> None:
-        """Remove, in place, w's components along the basis.
-
-        Two passes of classical Gram-Schmidt, each two matrix-vector
-        products, keep w orthogonal to working precision even when most
-        of it lay in the basis ("twice is enough": Giraud, Langou &
-        Rozloznik 2005).
-        """
-        if self.size:
-            Q = self.vectors
-            for _ in range(2):
-                # conj(Q conj(w)) holds the coefficients <q_j, w>
-                w -= np.conj(Q @ np.conj(w)) @ Q
+    for _ in range(2):
+        # conj(Q conj(w)) holds the coefficients <q_j, w>
+        w -= np.conj(Q @ np.conj(w)) @ Q
 
 
 def size_bound(delta_x: float, delta_y: float) -> float:
