@@ -336,7 +336,6 @@ def cmd_blocks(args) -> int:
 
 def cmd_dyadpol(args) -> int:
     profile = ExponentProfile(r=_parse_numbers(args.r, int), C=args.C)
-    corners = envelope_corners(profile)
     lbset = lower_bound_set(profile)
     report = verify_lower_bound(
         profile,
@@ -347,7 +346,7 @@ def cmd_dyadpol(args) -> int:
     )
     payload = {
         "profile": {"r": list(profile.r), "C": profile.C, "N": profile.N},
-        "corners": [str(c) for c in corners],
+        "corners": [str(c) for c in lbset.corners],
         "set": lbset.to_dict(),
         "verification": report.to_dict(),
     }

@@ -16,6 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .newton import lower_chain
+
 
 @dataclass(frozen=True)
 class ExponentProfile:
@@ -41,29 +43,12 @@ class ExponentProfile:
 def envelope_corners(profile: ExponentProfile) -> tuple[Fraction, ...]:
     """Switch points of x -> max_i (r_i + i*x), exactly, left to right.
 
-    Slopes are the distinct integers 0..N (r_0 = 0), so every point where
-    two lines tie on the envelope is a genuine switch; there are at most N.
+    Lines i and j tie at the slope of the segment from (i, -r_i) to
+    (j, -r_j), so the switch points are the edge slopes of the lower
+    convex chain of those points (r_0 = 0); there are at most N.
     """
-    lines = [(0, Fraction(0))] + [
-        (i, Fraction(r)) for i, r in enumerate(profile.r, start=1)
-    ]
-    # sweep by increasing slope; stack holds (slope, intercept, start_x)
-    stack: list[tuple[int, Fraction, Fraction | None]] = []
-    for slope, intercept in lines:
-        start = None
-        while stack:
-            s0, b0, x0 = stack[-1]
-            # slopes arrive strictly increasing, so the new line overtakes
-            # the current top exactly once
-            cross = Fraction(b0 - intercept, slope - s0)
-            if x0 is not None and cross <= x0:
-                stack.pop()
-                continue
-            start = cross
-            break
-        stack.append((slope, intercept, start))
-    corners = sorted({x for _, _, x in stack if x is not None})
-    return tuple(corners)
+    chain = lower_chain([(0, 0)] + [(i, -r) for i, r in enumerate(profile.r, start=1)])
+    return tuple(Fraction(b1 - b0, a1 - a0) for (a0, b0), (a1, b1) in zip(chain, chain[1:]))
 
 
 @dataclass(frozen=True)
@@ -121,29 +106,22 @@ def lower_bound_set(profile: ExponentProfile) -> LowerBoundSet:
     B = max(2 ** (N * B_prime), math.ceil(2 * C * C * (N + 1)))
 
     corners = envelope_corners(profile)
-    # outward integer rounding keeps endpoints at integer exponents
-    raw = [(math.floor(x) - B_prime, math.ceil(x) + B_prime) for x in corners]
-    raw.sort()
-    merged: list[list[int]] = []
-    for lo, hi in raw:
-        if merged and lo < merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-
+    # outward integer rounding keeps endpoints at integer exponents; both
+    # ends only grow along the ascending corners, so hi is the reach so far
     leading_beta = 0
     intervals: list[tuple[int, int]] = []
-    prev_hi: int | None = None
-    for lo, hi in merged:
+    reach: int | None = None
+    for x in corners:
+        lo, hi = math.floor(x) - B_prime, math.ceil(x) + B_prime
         if lo >= 0:
             break
-        if prev_hi is None:
+        if reach is None:
             leading_beta = lo
-        elif prev_hi < min(lo, 0):
-            intervals.append((prev_hi, min(lo, 0)))
-        prev_hi = hi
-    if prev_hi is not None and prev_hi < 0:
-        intervals.append((prev_hi, 0))
+        elif reach < lo:
+            intervals.append((reach, lo))
+        reach = hi
+    if reach is not None and reach < 0:
+        intervals.append((reach, 0))
 
     return LowerBoundSet(
         leading_beta=leading_beta,

@@ -82,23 +82,25 @@ def lower_hull(points) -> list[tuple[int, int]]:
 
     points are lattice points (int, int), so all arithmetic is exact.
     """
-    columns: dict[int, int] = {}
-    for a, b in points:
-        if a not in columns or b < columns[a]:
-            columns[a] = b
-    # keep only strict descents: later columns at the same height are
-    # dominated and can never be hull vertices
+    # strict descents only: a point no lower than the last one kept is dominated
     pareto: list[tuple[int, int]] = []
-    for x, y in sorted(columns.items()):
+    for x, y in sorted(points):
         if not pareto or y < pareto[-1][1]:
             pareto.append((x, y))
+    return lower_chain(pareto)
 
-    hull: list[tuple[int, int]] = []
-    for p in pareto:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
-            hull.pop()
-        hull.append(p)
-    return hull
+
+def lower_chain(points) -> list:
+    """Vertices of the lower convex chain of points with strictly increasing x.
+
+    Andrew's monotone chain; a point on a segment is no vertex.
+    """
+    chain: list = []
+    for p in points:
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
 
 
 def hull_edges(hull) -> tuple[EdgeData, ...]:

@@ -133,24 +133,16 @@ def _cluster_tol(size: int) -> float:
 
 
 def _linkage(roots, tol):
-    """Single-linkage groups at an absolute threshold."""
-    n = len(roots)
-    parent = list(range(n))
+    """Single-linkage groups at an absolute threshold, by flood fill.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) <= tol:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[complex]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(roots[i])
-    return list(groups.values())
+    Each root merges every group with a member within tol.  Groups and
+    their members keep input order, so a mean sums its roots in order.
+    """
+    groups: list[list[int]] = []
+    for k, z in enumerate(roots):
+        near = [g for g in groups if any(abs(z - roots[i]) <= tol for i in g)]
+        groups = [g for g in groups if g not in near] + [sorted(sum(near, [])) + [k]]
+    return [[roots[i] for i in g] for g in sorted(groups)]
 
 
 def _resolve_clusters(roots, scale):
@@ -257,7 +249,10 @@ def _expand(poly, D, m, prefix, gamma_prev, order, out):
     # prefix holds nonzero terms only; a zero root leaves the keys as they
     # are, and the levels below it take strictly steeper edges
     if len(prefix) > _MAX_DEPTH:
-        raise RuntimeError("expansion recursion exceeded the depth cap")
+        raise DomainError(
+            f"a sheet needs more than {_MAX_DEPTH} terms below order {order}; "
+            "ask for a lower order"
+        )
     low: dict[int, int] = {}  # row k -> its least E
     for e, k in poly:
         if k not in low or e < low[k]:
@@ -319,11 +314,11 @@ def _expand(poly, D, m, prefix, gamma_prev, order, out):
 def expand_branches(F: BivarPoly, order=None) -> BranchSet:
     """Expand every solution sheet of F = 0 through the origin.
 
-    order bounds the largest exponent computed (default 4*total_degree + 8)
-    and must be positive; larger is slower and rarely needed.  Pure x and
-    y factors are split off into axis_roots first, so a monomial comes
-    back with no branches.  A coefficient of F beyond the double range, or
-    below it so that it rounds to 0.0, is refused (DomainError).
+    order (default 4*total_degree + 8) bounds the largest exponent computed
+    and must be positive; one needing over _MAX_DEPTH terms on a sheet is
+    refused (DomainError), as is a coefficient of F beyond the double range
+    or rounding to 0.0.  Pure x and y factors are split off into axis_roots
+    first, so a monomial comes back with no branches.
     """
     if not F:
         raise EmptyPolygonError("the zero polynomial has no branch structure")

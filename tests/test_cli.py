@@ -162,6 +162,19 @@ class TestExitCodes:
             "message": f"the coefficient of {term} in F is below the double range",
         }
 
+    # a sheet takes one term per exponent up to the order, more here than
+    # the expansion's depth cap of 512 terms
+    @pytest.mark.parametrize(
+        "phase, order", [("y^2 - x^2 - x^3", "600"), ("y^2 - x^3 - x^4", "10000")], ids=["node", "cusp"]
+    )
+    def test_order_past_the_depth_cap_is_refused(self, capsys, phase, order):
+        code, out, err = run(capsys, "analyze", "--mixed", "--phase", phase, "--order", order)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "DomainError",
+            "message": f"a sheet needs more than 512 terms below order {order}; ask for a lower order",
+        }
+
     def test_bad_fit_window_is_2(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--phase", "x*y", "--fit-window", "16"

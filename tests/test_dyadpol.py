@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -265,6 +266,26 @@ class TestLowerBoundSet:
             assert contains(e, 2.0**e.leading_beta)
             for a, b in e.intervals:
                 assert contains(e, 2.0**a) and contains(e, 2.0**b)
+
+    def test_matches_the_excised_neighborhoods(self):
+        # E is [0, 1] minus the open rounded B'-neighborhoods of the
+        # corners, read in exponents; the corners come from the pairwise
+        # oracle, and the exponents checked are the half-integers below 0,
+        # so none is an endpoint of E or of a neighborhood
+        rng = random.Random(11)
+        points = 0
+        for _ in range(300):
+            r = [rng.randint(0, 40) for _ in range(rng.randint(1, 6))]
+            for C in (1, 2, 3.7):
+                p = ExponentProfile(r=r, C=C)
+                e = lower_bound_set(p)
+                hoods = [(math.floor(x) - e.B_prime, math.ceil(x) + e.B_prime) for x in oracle_corners(p)]
+                for j in range(e.leading_beta - 3, 0):
+                    t = j + 0.5
+                    inside = t <= e.leading_beta or any(a < t < b for a, b in e.intervals)
+                    assert inside == (not any(lo < t < hi for lo, hi in hoods)), (r, C, t)
+                    points += 1
+        assert points > 25_000  # 28,218
 
     def test_to_dict(self):
         d = lower_bound_set(ExponentProfile(r=(20, 22), C=1)).to_dict()

@@ -533,6 +533,56 @@ class TestLinearEdgeRoot:
             assert abs(got.real - want.real) <= ulp and abs(got.imag - want.imag) <= ulp
 
 
+def components(roots, tol):
+    """Connected components of the graph |z_i - z_j| <= tol, by breadth-first search."""
+    seen, out = set(), []
+    for start in range(len(roots)):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, comp = [start], []
+        while queue:
+            i = queue.pop(0)
+            comp.append(i)
+            for j in range(len(roots)):
+                if j not in seen and abs(roots[i] - roots[j]) <= tol:
+                    seen.add(j)
+                    queue.append(j)
+        out.append(sorted(comp))
+    return out
+
+
+class TestLinkage:
+    """_linkage groups are the components of the tol-graph, in input order."""
+
+    @staticmethod
+    def check(roots, tol):
+        groups = puiseux._linkage(roots, tol)
+        want = [[roots[i] for i in comp] for comp in components(roots, tol)]
+        # the oracle lists each component in input order, ordered by its first root
+        assert groups == want
+
+    def test_chain_links_ends_farther_apart_than_tol(self):
+        roots = [0j, 1 + 0j, 2 + 0j]
+        assert puiseux._linkage(roots, 1.0) == [roots]
+        self.check(roots, 1.0)
+
+    def test_chain_closed_by_its_middle_root(self):
+        # a and c each start a group; b joins both, in input order
+        assert puiseux._linkage([0j, 2 + 0j, 1 + 0j], 1.0) == [[0j, 2 + 0j, 1 + 0j]]
+
+    def test_interleaved_groups(self):
+        roots = [0j, 10 + 0j, 0.5 + 0j, 10.5 + 0j]
+        assert puiseux._linkage(roots, 1.0) == [[0j, 0.5 + 0j], [10 + 0j, 10.5 + 0j]]
+        self.check(roots, 1.0)
+
+    def test_seeded_root_sets(self):
+        rng = random.Random(5)
+        for _ in range(500):
+            roots = [complex(rng.uniform(0, 4), rng.uniform(0, 1)) for _ in range(rng.randint(1, 12))]
+            self.check(roots, rng.uniform(0.1, 1.0))
+
+
 @pytest.mark.xfail(
     raises=ValueError,
     strict=True,

@@ -35,8 +35,12 @@ CALLS = [
     ["blocks", "--phase", "x^2*y^2/4", "--lambda", "64", "--j-max", "2"],
     ["dyadpol", "--r", "0,6", "--C", "1", "--trials", "200"],
     ["dyadpol", "--r", "0,1,3,7", "--trials", "100", "--h-density", "16"],
+    ["dyadpol", "--r", "20,22", "--C", "1"],
+    ["dyadpol", "--r", "40,60,62", "--C", "1", "--trials", "100"],
     ["analyze", "--phase", "x^2*y^2/4"],
     ["analyze", "--phase", "(y-x)^2", "--mixed", "--order", "50"],
+    ["analyze", "--mixed", "--phase", "(y-x)^3*(y-2*x)^2"],
+    ["analyze", "--mixed", "--phase", "(y^2-2*x^2)^2 + x^5"],
     ["analyze", "--phase", "x*y +"],
     ["analyze", "--phase", "x + y"],
     ["norm", "--phase", "x*y", "--lambda", "abc"],
