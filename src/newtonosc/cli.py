@@ -1,8 +1,7 @@
 """Command-line front end: analyze, norm, sweep, blocks, dyadpol, selftest.
 
 Every JSON payload carries a schema tag and a provenance block (the
-seed), is validated against the subcommand's schema before it is
-written, and serializes floats as shortest round-trip decimals and
+seed), and serializes floats as shortest round-trip decimals and
 rationals as p/q strings, so identical invocations produce identical
 bytes.
 """
@@ -39,7 +38,6 @@ from .opnorm import (
 from .polycore import integrate_xy, mixed_derivative, parse_poly
 from .puiseux import expand_branches
 from .scaling import SweepConfig, norm_at, verify_theorem
-from .scaling import VERDICT_FAIL, VERDICT_INCONCLUSIVE, VERDICT_PASS
 
 SCHEMA_ID = "newton-osc/2"
 
@@ -64,10 +62,8 @@ def _write(args, text: str) -> None:
             fh.write(text)
 
 
-def _emit_json(args, schema: dict, payload: dict) -> None:
+def _emit_json(args, payload: dict) -> None:
     payload = {"schema": SCHEMA_ID, "provenance": {"seed": args.seed}, **payload}
-    # _validate covers exactly the JSON Schema keywords the schemas below use
-    _validate(schema, payload, "payload")
     _write(args, _json(payload) + "\n")
 
 
@@ -117,10 +113,10 @@ def _csv_row(header: str, d: dict) -> str:
     )
 
 
-def _emit(args, schema: dict, payload: dict, header: str, rows) -> None:
+def _emit(args, payload: dict, header: str, rows) -> None:
     """Write payload as JSON, or the CSV header and rows, as --format says."""
     if args.format == "json":
-        _emit_json(args, schema, payload)
+        _emit_json(args, payload)
     else:
         lines = [f"# {SCHEMA_ID} seed={args.seed}", header, *rows]
         _write(args, "\n".join(lines) + "\n")
@@ -144,113 +140,6 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad fraction {text!r}", 0) from exc
-
-
-# ---------------------------------------------------------------------------
-# schemas
-
-_PROV = {
-    "type": "object",
-    "required": ["seed"],
-    "properties": {"seed": {"type": "integer"}},
-}
-
-_SAMPLE = {
-    "type": "object",
-    "required": ["lambda", "n", "norm", "conv_err", "iterations", "valid"],
-}
-
-
-class ValidationError(ValueError):
-    """A payload does not match its subcommand's schema."""
-
-
-_IS_TYPE = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "integer": lambda v: not isinstance(v, bool)
-    and (isinstance(v, int) or isinstance(v, float) and v.is_integer()),
-}
-
-
-def _validate(schema: dict, value, path: str) -> None:
-    """Raise ValidationError where value breaks schema, as JSON Schema would.
-
-    Knows type (object, array, integer), const, enum, required, properties,
-    items and minItems; each applies only to the values its keyword
-    concerns.  Every const and enum value is a string, so == is JSON
-    equality.
-    """
-    kind = schema.get("type")
-    if kind is not None and not _IS_TYPE[kind](value):
-        raise ValidationError(f"{path}: {value!r} is not of type {kind!r}")
-    if "const" in schema and value != schema["const"]:
-        raise ValidationError(f"{path}: {schema['const']!r} was expected")
-    if "enum" in schema and value not in schema["enum"]:
-        raise ValidationError(f"{path}: {value!r} is not one of {schema['enum']!r}")
-    if isinstance(value, dict):
-        for key in schema.get("required", ()):
-            if key not in value:
-                raise ValidationError(f"{path}: {key!r} is a required property")
-        for key, sub in schema.get("properties", {}).items():
-            if key in value:
-                _validate(sub, value[key], f"{path}.{key}")
-    if isinstance(value, list):
-        if len(value) < schema.get("minItems", 0):
-            raise ValidationError(f"{path}: {value!r} has fewer than {schema['minItems']} items")
-        if "items" in schema:
-            for i, item in enumerate(value):
-                _validate(schema["items"], item, f"{path}[{i}]")
-
-
-def _payload_schema(required, **properties):
-    """Schema of a CLI payload: schema id and provenance, then the command's keys."""
-    return {
-        "type": "object",
-        "required": ["schema", "provenance", *required],
-        "properties": {"schema": {"const": SCHEMA_ID}, "provenance": _PROV, **properties},
-    }
-
-
-ANALYZE_SCHEMA = _payload_schema(
-    ["phase", "mixed_derivative", "polygon", "decay", "branches"],
-    polygon={"type": "object", "required": ["vertices", "A", "B"]},
-    decay={
-        "type": "object",
-        "required": ["t0", "delta", "boundary_crossing", "A", "B", "edges", "degeneracy"],
-    },
-    branches={"type": "object", "required": ["branches", "total_multiplicity"]},
-)
-
-NORM_SCHEMA = _payload_schema(
-    ["samples"], samples={"type": "array", "items": _SAMPLE, "minItems": 1}
-)
-
-SWEEP_SCHEMA = _payload_schema(
-    ["report"],
-    report={
-        "type": "object",
-        "required": ["samples", "slope", "stderr", "predicted", "tol_slope", "verdict"],
-        "properties": {
-            "verdict": {"enum": [VERDICT_PASS, VERDICT_FAIL, VERDICT_INCONCLUSIVE]},
-            "samples": {"type": "array", "items": _SAMPLE},
-        },
-    },
-)
-
-BLOCKS_SCHEMA = _payload_schema(
-    ["estimates", "summary"],
-    estimates={"type": "array"},
-    summary={
-        "type": "object",
-        "required": ["lambda", "D", "j_range", "worst_ratio", "violations", "resolution_failures"],
-    },
-)
-
-DYADPOL_SCHEMA = _payload_schema(
-    ["profile", "corners", "set", "verification"],
-    verification={"type": "object", "required": ["pass", "min_observed", "bound"]},
-)
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +167,14 @@ def cmd_analyze(args) -> int:
         "decay": decay.to_dict(),
         "branches": branches.to_dict(),
     }
-    _emit_json(args, ANALYZE_SCHEMA, payload)
+    _emit_json(args, payload)
     return 0
 
 
 def cmd_norm(args) -> int:
     sample = norm_at(_phase_spec(args), args.lam, seed=args.seed).to_dict()
     rows = [_csv_row(NORM_CSV_HEADER, sample)]
-    _emit(args, NORM_SCHEMA, {"samples": [sample]}, NORM_CSV_HEADER, rows)
+    _emit(args, {"samples": [sample]}, NORM_CSV_HEADER, rows)
     return 0
 
 
@@ -319,7 +208,7 @@ def cmd_sweep(args) -> int:
             fh.write("log2_lambda,log2_norm,predicted\n")
             fh.write("\n".join(rows) + "\n")
     rows = (_csv_row(NORM_CSV_HEADER, s.to_dict()) for s in report.samples)
-    _emit(args, SWEEP_SCHEMA, {"report": report.to_dict()}, NORM_CSV_HEADER, rows)
+    _emit(args, {"report": report.to_dict()}, NORM_CSV_HEADER, rows)
     return 0
 
 
@@ -330,7 +219,7 @@ def cmd_blocks(args) -> int:
     estimates = [e.to_row() for e in estimates]
     rows = (_csv_row(BLOCKS_CSV_HEADER, e) for e in estimates)
     payload = {"estimates": estimates, "summary": summary}
-    _emit(args, BLOCKS_SCHEMA, payload, BLOCKS_CSV_HEADER, rows)
+    _emit(args, payload, BLOCKS_CSV_HEADER, rows)
     return 0
 
 
@@ -350,7 +239,7 @@ def cmd_dyadpol(args) -> int:
         "set": lbset.to_dict(),
         "verification": report.to_dict(),
     }
-    _emit_json(args, DYADPOL_SCHEMA, payload)
+    _emit_json(args, payload)
     return 0
 
 

@@ -317,7 +317,7 @@ def expand_branches(F: BivarPoly, order=None) -> BranchSet:
     order (default 4*total_degree + 8) bounds the largest exponent computed
     and must be positive; one needing over _MAX_DEPTH terms on a sheet is
     refused (DomainError), as is a coefficient of F beyond the double range
-    or rounding to 0.0.  Pure x and y factors are split off into axis_roots
+    or rounding to 0.0, or one of a sheet that overflows a double.  Pure x and y factors are split off into axis_roots
     first, so a monomial comes back with no branches.
     """
     if not F:
@@ -347,7 +347,12 @@ def expand_branches(F: BivarPoly, order=None) -> BranchSet:
 
     branches: list[PuiseuxBranch] = []
     if m > 0:
-        _expand(work, 1, m, [], Fraction(0), order, branches)
+        try:
+            _expand(work, 1, m, [], Fraction(0), order, branches)
+        except OverflowError as exc:
+            raise DomainError(
+                f"a Puiseux coefficient overflowed a double below order {order}"
+            ) from exc
     branches.sort(
         key=lambda b: (
             b.leading_exponent,

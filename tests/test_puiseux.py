@@ -33,6 +33,7 @@ from newtonosc.polycore import (
     parse_poly,
 )
 from newtonosc.puiseux import PRUNE_REL_TOL, expand_branches
+from payload_schemas import check_payload
 from sheet_oracle import branch_failures, sheet_failures
 
 F = Fraction
@@ -320,7 +321,10 @@ PINNED_TRUNCATED = "13ed9b5aa6caae90a96961917beac6d1416e78db86fb4553b5f1350e00fe
 
 
 def analyze_bytes(texts, orders=(None, 50)):
-    """sha256 over exit code, stdout and stderr of analyze --mixed per F and order."""
+    """sha256 over exit code, stdout and stderr of analyze --mixed per F and order.
+
+    Each payload written (exit 0) must also match the analyze schema.
+    """
     digest = hashlib.sha256()
     for text in texts:
         for order in orders:
@@ -328,6 +332,8 @@ def analyze_bytes(texts, orders=(None, 50)):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(["analyze", "--phase", text, "--mixed", *extra])
+            if code == 0:
+                check_payload("analyze", json.loads(out.getvalue()))
             digest.update(f"{code}\n{out.getvalue()}\0{err.getvalue()}\0".encode())
     return digest.hexdigest()
 
@@ -639,7 +645,9 @@ def test_binomial_edge_gives_one_sheet_per_root(text, n, gamma, lead):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["analyze", "--phase", text, "--mixed"]) == 0
-    branches = json.loads(out.getvalue())["branches"]["branches"]
+    payload = json.loads(out.getvalue())
+    check_payload("analyze", payload)
+    branches = payload["branches"]["branches"]
     assert len(branches) == n
     roots = []
     for br in branches:
