@@ -25,9 +25,7 @@ from .opnorm import (
     discretize,
     gradient_bound,
     grid_points,
-    op_vdc_bound,
     operator_norm,
-    size_bound,
 )
 from .polycore import BivarPoly, eval_grid, mixed_derivative
 
@@ -141,12 +139,13 @@ class BlockEstimate:
 
     @property
     def size(self) -> float:
-        """Support-size bound of the block: the ring [2^(-j-1), 2^(-j+1)] is 3 * 2^(-j-1) long.
+        """Support-size bound sqrt(dx*dy) of the block, for a kernel of modulus at most one.
 
-        Read on the full ring, as mu is, though the block's grid covers
-        only the part of it inside the cutoff's support (_block_operator).
+        The ring [2^(-j-1), 2^(-j+1)] is dx = 3 * 2^(-j-1) long.  Read on
+        the full ring, as mu is, though the block's grid covers only the
+        part of it inside the cutoff's support (_block_operator).
         """
-        return size_bound(3.0 * 2.0 ** (-self.j - 1), 3.0 * 2.0 ** (-self.k - 1))
+        return math.sqrt((3.0 * 2.0 ** (-self.j - 1)) * (3.0 * 2.0 ** (-self.k - 1)))
 
     @property
     def bound(self) -> float:
@@ -183,8 +182,8 @@ def _block_operator(p: PhaseSpec, lam: float, j: int, k: int):
     bump(x/rho) bump(y/rho) vanishes beyond rho, so the grid covers
     (x0, min(x1, rho), y0, min(y1, rho)) of block_rect(j, k), never empty
     since j, k >= first_block_scale(rho); it is sized by grid_points and
-    guarded by gradient_bound on that rectangle.  size_bound and mu are
-    still read on the full ring.
+    guarded by gradient_bound on that rectangle.  The size bound and mu
+    are still read on the full ring.
     """
     x0, x1, y0, y1 = block_rect(j, k)
     rect = (x0, min(x1, p.rho), y0, min(y1, p.rho))
@@ -213,8 +212,10 @@ def verify_blocks(p: PhaseSpec, lam: float, D: float = 3.0, j_max: int = 6, seed
     F = S''_xy, both derived from p (EmptyPolygonError when F = 0).
     Returns (estimates, summary); summary carries the worst measured/bound
     ratio per region kind, the blocks exceeding _RATIO_CAP * bound, and any
-    per-block resolution failures.  T at -lam is the conjugate kernel,
-    so a gap block at any lam != 0 is bounded by op_vdc_bound(|lam|, mu).
+    per-block resolution failures.  Each block is bounded by the smaller
+    of its support-size bound (BlockEstimate.size) and, in a gap where
+    |S''_xy| >= mu, the oscillation bound (|lam|*mu)^(-1/2): T at -lam
+    is the conjugate kernel, so the bound holds at any lam != 0.
     """
     F = mixed_derivative(p.S)
     polygon = build_polygon(F)
@@ -240,7 +241,7 @@ def verify_blocks(p: PhaseSpec, lam: float, D: float = 3.0, j_max: int = 6, seed
                 failures.append((j, k, str(exc)))
                 continue
             if region.kind == "Gap" and lam != 0:
-                osc = op_vdc_bound(abs(lam), mu)
+                osc = (abs(lam) * mu) ** -0.5
             else:
                 osc = math.inf
             estimates.append(

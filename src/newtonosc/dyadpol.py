@@ -103,7 +103,7 @@ def lower_bound_set(profile: ExponentProfile) -> LowerBoundSet:
             f"profile constants overflow a double: C={C}, N={N}, "
             f"log2 B={N * B_prime} (needs < 1024)"
         )
-    B = max(2 ** (N * B_prime), math.ceil(2 * C * C * (N + 1)))
+    B = 2 ** (N * B_prime)
 
     corners = envelope_corners(profile)
     # outward integer rounding keeps endpoints at integer exponents; both

@@ -1,4 +1,4 @@
-"""Discretized oscillatory operators, their norms, and two norm bounds.
+"""Discretized oscillatory operators and their norms.
 
 The operator acts by integrating e^{i lam S(x,y)} against a fixed smooth
 tensor-product cutoff.  Midpoint sampling with symmetric sqrt(h) weights
@@ -23,9 +23,6 @@ kernel on the square grid: only its upper triangle is evaluated, then
 mirrored, so M == M.T exactly.
 
 The spectral norm comes from Golub-Kahan-Lanczos bidiagonalization.
-Alongside it live the two bounds the block decomposition compares
-against: the support size bound and the operator oscillation bound
-(lam*mu)^(-1/2).
 """
 
 from __future__ import annotations
@@ -410,17 +407,3 @@ def _orthogonalize(Q: np.ndarray, w: np.ndarray) -> None:
     for _ in range(2):
         # conj(Q conj(w)) holds the coefficients <q_j, w>
         w -= np.conj(Q @ np.conj(w)) @ Q
-
-
-def size_bound(delta_x: float, delta_y: float) -> float:
-    """Support-size bound sqrt(dx*dy) for kernels of modulus at most one."""
-    if delta_x <= 0 or delta_y <= 0:
-        raise ValueError("support dimensions must be positive")
-    return math.sqrt(delta_x * delta_y)
-
-
-def op_vdc_bound(lam: float, mu: float) -> float:
-    """Oscillation bound (lam*mu)^(-1/2) for kernels with |S''_xy| >= mu."""
-    if lam <= 0 or mu <= 0:
-        raise ValueError("lam and mu must be positive")
-    return (lam * mu) ** -0.5

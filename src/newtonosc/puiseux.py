@@ -49,6 +49,8 @@ PRUNE_REL_TOL = 1e-10
 REAL_SNAP_TOL = 1e-10
 
 _MAX_DEPTH = 512
+# Sheets are expanded one by one; time grows as their count squared (x + y^1000: 35 s).
+_MAX_SHEETS = 1024
 
 
 @dataclass(frozen=True)
@@ -315,10 +317,11 @@ def expand_branches(F: BivarPoly, order=None) -> BranchSet:
     """Expand every solution sheet of F = 0 through the origin.
 
     order (default 4*total_degree + 8) bounds the largest exponent computed
-    and must be positive; one needing over _MAX_DEPTH terms on a sheet is
-    refused (DomainError), as is a coefficient of F beyond the double range
-    or rounding to 0.0, or one of a sheet that overflows a double.  Pure x and y factors are split off into axis_roots
-    first, so a monomial comes back with no branches.
+    and must be positive.  DomainError refuses F with over _MAX_SHEETS
+    sheets, a sheet needing over _MAX_DEPTH terms, a coefficient of F
+    beyond the double range or rounding to 0.0, and a coefficient of a
+    sheet that overflows a double.  Pure x and y factors are split off
+    into axis_roots first, so a monomial comes back with no branches.
     """
     if not F:
         raise EmptyPolygonError("the zero polynomial has no branch structure")
@@ -344,6 +347,10 @@ def expand_branches(F: BivarPoly, order=None) -> BranchSet:
                 f"is {where} the double range"
             )
     m = min(k for (e, k) in work if e == 0)
+    if m > _MAX_SHEETS:
+        raise DomainError(
+            f"F has {m} sheets through the origin; at most {_MAX_SHEETS} are expanded"
+        )
 
     branches: list[PuiseuxBranch] = []
     if m > 0:

@@ -74,10 +74,6 @@ class NormSample:
         }
 
 
-def _default_lambdas() -> tuple[float, ...]:
-    return tuple(2.0**m for m in range(4, 12))
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Lambda grid and fit settings for a decay measurement."""
@@ -89,7 +85,7 @@ class SweepConfig:
 
     def __post_init__(self):
         if not self.lambdas:
-            object.__setattr__(self, "lambdas", _default_lambdas())
+            object.__setattr__(self, "lambdas", tuple(2.0**m for m in range(4, 12)))
         lams = tuple(float(l) for l in self.lambdas)
         object.__setattr__(self, "lambdas", lams)
         if len(lams) < 4:
@@ -192,21 +188,6 @@ def sweep(p: PhaseSpec, cfg: SweepConfig | None = None) -> list[NormSample]:
     return [norm_at(p, lam, seed=cfg.seed) for lam in cfg.lambdas]
 
 
-def _in_window(s: NormSample, window: Optional[tuple[float, float]]) -> bool:
-    return window is None or window[0] <= s.lam <= window[1]
-
-
-def _fit_points(
-    samples: Sequence[NormSample], window: Optional[tuple[float, float]]
-) -> list[NormSample]:
-    pts = [s for s in samples if s.valid and _in_window(s, window)]
-    if len(pts) < 4:
-        raise InsufficientSamplesError(
-            f"need at least 4 valid samples to fit, have {len(pts)}"
-        )
-    return pts
-
-
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     xc = x - x.mean()
     sxx = float(xc @ xc)
@@ -227,7 +208,12 @@ def fit_decay(
     the fit.  A flat sequence of norms carries no decay information and
     is refused rather than fitted.
     """
-    pts = _fit_points(samples, fit_window)
+    lo, hi = fit_window if fit_window is not None else (-math.inf, math.inf)
+    pts = [s for s in samples if s.valid and lo <= s.lam <= hi]
+    if len(pts) < 4:
+        raise InsufficientSamplesError(
+            f"need at least 4 valid samples to fit, have {len(pts)}"
+        )
     vals = np.array([s.value for s in pts], dtype=float)
     if np.any(vals <= 0):
         raise DomainError("norm estimates must be positive to fit a power law")

@@ -60,7 +60,11 @@ def _roots(p, mpmath):
     simple = []
     if len(square_free) > 1:
         coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in square_free]
-        simple = list(mpmath.polyroots(coeffs, maxsteps=200, extraprec=60))
+        try:
+            simple = list(mpmath.polyroots(coeffs, maxsteps=200, extraprec=60))
+        except mpmath.libmp.NoConvergence:
+            # a stiff column: coefficients spread over many decades
+            simple = list(mpmath.polyroots(coeffs, maxsteps=2000, extraprec=400))
     return simple + _roots([c / g[0] for c in g], mpmath)
 
 

@@ -22,7 +22,7 @@ from newtonosc.blocks import (
 )
 from newtonosc.errors import ResolutionError, WrongRegionError
 from newtonosc.newton import NewtonPolygon, build_polygon
-from newtonosc.opnorm import GridSpec, PhaseSpec, _midpoints, discretize, size_bound
+from newtonosc.opnorm import GridSpec, PhaseSpec, _midpoints, discretize
 from newtonosc.polycore import BivarPoly, eval_grid, integrate_xy, parse_poly
 
 
@@ -330,6 +330,12 @@ class TestVerifyBlocks:
         assert summary["resolution_failures"] == []
         # oscillatory bound is comfortably ahead of the measurement
         assert summary["worst_ratio"]["Gap"] == pytest.approx(0.405, abs=0.1)
+        # F = xy: mu = 2^-(j+k), and the bound (|lam|*mu)^(-1/2) is the same at -lam
+        neg, _ = verify_blocks(p, -(2.0**8), D=3.0, j_max=6)
+        assert len(neg) == 36
+        for e in ests + neg:
+            assert e.mu == 2.0 ** -(e.j + e.k)
+            assert e.osc == (2.0**8 * e.mu) ** -0.5
 
     def test_band_width_stability(self):
         # no compact edges here, so the band width cannot matter at all

@@ -198,6 +198,18 @@ class TestExitCodes:
             "message": f"a Puiseux coefficient overflowed a double below order {order}",
         }
 
+    # each sheet is expanded on its own, in time growing as the square of
+    # their count, so F with more than 1,024 sheets is refused before any
+    # is expanded: the first input here, and the smallest refused
+    @pytest.mark.parametrize("m", [2000000, 1025])
+    def test_too_many_sheets_are_refused(self, capsys, m):
+        code, out, err = run(capsys, "analyze", "--mixed", "--phase", f"x + y^{m}")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "DomainError",
+            "message": f"F has {m} sheets through the origin; at most 1024 are expanded",
+        }
+
     def test_bad_fit_window_is_2(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--phase", "x*y", "--fit-window", "16"

@@ -167,6 +167,18 @@ class TestLowerBoundSet:
             e = lower_bound_set(ExponentProfile(r=r, C=c))
             assert (e.B_prime, e.B) == (bp, b)
 
+    def test_b_is_a_power_of_two_above_the_slack(self):
+        # B' = ceil(log2 4C^2(N+1)) makes 2^(N B') >= 2 * 2C^2(N+1), so the
+        # bound never needs B = ceil(2C^2(N+1)) in its place
+        profiles = [ExponentProfile(r=r, C=2.0) for r in criterion6_profiles(200)]
+        rng = np.random.default_rng(38)
+        for C in (1.0, 2.0, 3.7, 1e10):
+            profiles += [ExponentProfile(r=random_profile(rng, max_n=8, max_r=40).r, C=C) for _ in range(50)]
+        for p in profiles:
+            e = lower_bound_set(p)
+            assert e.B == 2 ** (p.N * e.B_prime)
+            assert e.B >= math.ceil(2 * p.C * p.C * (p.N + 1))
+
     @pytest.mark.parametrize(
         "r, C, log2_B",
         [

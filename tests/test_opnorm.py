@@ -19,10 +19,8 @@ from newtonosc.opnorm import (
     discretize,
     gradient_bound,
     grid_points,
-    op_vdc_bound,
     operator_norm,
     parity_sectors,
-    size_bound,
 )
 from newtonosc.polycore import BivarPoly, parse_poly
 from newtonosc.scaling import NormSample
@@ -711,22 +709,6 @@ class TestBounds:
             op = DiscreteOperator(matrix=M.astype(complex))
             assert np.linalg.norm(M, 2) <= schur_bound(op) * (1 + 1e-12)
 
-    def test_size_bound(self):
-        assert size_bound(1.0, 1.0) == 1.0
-        j, k = 3, 5
-        assert size_bound(2.0 ** (-j + 2), 2.0 ** (-k + 2)) == pytest.approx(
-            2.0 ** (-(j + k) / 2 + 2)
-        )
-        with pytest.raises(ValueError):
-            size_bound(0.0, 1.0)
-
-    def test_op_vdc_bound(self):
-        assert op_vdc_bound(2.0**8, 1.0) == pytest.approx(2.0**-4)
-        with pytest.raises(ValueError):
-            op_vdc_bound(0.0, 1.0)
-        with pytest.raises(ValueError):
-            op_vdc_bound(1.0, -2.0)
-
     def test_norm_below_schur_and_size(self):
         rng = np.random.default_rng(64)
         phases = ["x*y", "x^2*y^2/4", "x*y^2 + x^3*y", "x^2*y - y^3"]
@@ -736,7 +718,7 @@ class TestBounds:
             op = discretize(p, lam, GridSpec.square(64, 0.5))
             val, _, _ = operator_norm(op, seed=3)
             assert val <= schur_bound(op) * 1.01
-            assert val <= size_bound(1.0, 1.0) * 1.01
+            assert val <= 1.0 * 1.01  # the size bound of the unit square
 
     def test_hoermander_constant_band(self):
         # lam^(1/2) * norm settles near a single constant for S = xy

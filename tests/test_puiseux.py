@@ -674,6 +674,9 @@ BINOMIALS = ["x + y^8", "x^2 + y^8", "x + y^16", "x^3 + 2*y^9"]
 # convergence is 17 - 12*sqrt(2), about 0.029: its terms -3x, -24x^2,
 # -408x^3, -8664x^4, ... grow about 34-fold
 SMALL_RADII = ["1*x^0*y^2 + 3*x^0*y^3 + 3*x^1*y^1 + 1*x^1*y^2"]
+# wide-corpus F whose columns F(x0, .) span so many decades that
+# polyroots needs its retry at higher precision
+STIFF_COLUMNS = ["3*y^4 + x^4*y^3 + 4*x^8*y^4 + 4*x^8*y^5", "3*x*y + 4*x*y^2 + 4*x^6*y^3"]
 
 
 class TestSheetOracle:
@@ -685,7 +688,7 @@ class TestSheetOracle:
             for order in orders:
                 assert sheet_failures(text, order) == [], (text, order)
 
-    @pytest.mark.parametrize("text", LARGE_LEADS + BINOMIALS + SMALL_RADII)
+    @pytest.mark.parametrize("text", LARGE_LEADS + BINOMIALS + SMALL_RADII + STIFF_COLUMNS)
     def test_fixed_and_large_leading_inputs(self, text):
         for order in (None, 1):
             assert sheet_failures(text, order) == [], order

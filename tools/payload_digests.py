@@ -46,6 +46,8 @@ CALLS = [
     ["norm", "--phase", "x*y", "--lambda", "abc"],
     ["sweep", "--phase", "x*y", "--lambdas", "16,abc"],
     ["dyadpol", "--r", "1100"],
+    ["sweep", "--phase", "x*y", "--rho", "0.85", "--lambdas", "16,32,64,128,256", "--fit-window", "32,256"],
+    ["blocks", "--phase", "x^3*y/3 + x*y^2", "--lambda", "-256", "--j-max", "4", "--format", "json"],
 ]
 
 
