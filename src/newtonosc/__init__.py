@@ -47,16 +47,8 @@ from .opnorm import (
     discretize,
     operator_norm,
 )
-from .polycore import (
-    BivarPoly,
-    PuiseuxBranch,
-    PuiseuxTerm,
-    Reality,
-    integrate_xy,
-    mixed_derivative,
-    parse_poly,
-)
-from .puiseux import BranchSet, expand_branches
+from .polycore import BivarPoly, integrate_xy, mixed_derivative, parse_poly
+from .puiseux import BranchSet, PuiseuxBranch, PuiseuxTerm, Reality, expand_branches
 from .scaling import (
     NormSample,
     ScalingReport,

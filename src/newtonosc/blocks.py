@@ -23,11 +23,12 @@ from .opnorm import (
     GridSpec,
     PhaseSpec,
     discretize,
+    eval_grid,
     gradient_bound,
     grid_points,
     operator_norm,
 )
-from .polycore import BivarPoly, eval_grid, mixed_derivative
+from .polycore import BivarPoly, mixed_derivative
 
 _SAMPLE = 16
 # a block counts as a violation when it measures above this many times its bound

@@ -135,13 +135,6 @@ def _parse_numbers(text: str, kind=float) -> tuple:
         raise ParseError(f"bad numeric list {text!r}", 0) from exc
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad fraction {text!r}", 0) from exc
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -152,7 +145,10 @@ def cmd_analyze(args) -> int:
     if not args.mixed:
         F = mixed_derivative(F)
     polygon = build_polygon(F)  # EmptyPolygonError -> exit 3
-    order = _parse_fraction(args.order) if args.order is not None else None
+    try:
+        order = None if args.order is None else Fraction(args.order)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad fraction {args.order!r}", 0) from exc
     branches = expand_branches(F, order=order)
     decay = analyze_decay(F)
     payload = {
@@ -192,15 +188,13 @@ def _plot_rows(report) -> list[str]:
 
 def cmd_sweep(args) -> int:
     p = _phase_spec(args)
-    kwargs = {"tol_slope": args.tol_slope, "seed": args.seed}
-    if args.lambdas is not None:
-        kwargs["lambdas"] = _parse_numbers(args.lambdas)
-    if args.fit_window is not None:
-        window = _parse_numbers(args.fit_window)
-        if len(window) != 2:
-            raise ParseError("fit window must be two numbers lo,hi", 0)
-        kwargs["fit_window"] = window
-    cfg = SweepConfig(**kwargs)
+    lambdas = () if args.lambdas is None else _parse_numbers(args.lambdas)
+    window = None if args.fit_window is None else _parse_numbers(args.fit_window)
+    if window is not None and len(window) != 2:
+        raise ParseError("fit window must be two numbers lo,hi", 0)
+    cfg = SweepConfig(
+        lambdas=lambdas, tol_slope=args.tol_slope, fit_window=window, seed=args.seed
+    )
     report = verify_theorem(p, cfg)
     if args.emit_plot_data is not None:
         rows = _plot_rows(report)

@@ -234,9 +234,11 @@ def _gcd_in_y(P: list, Q: list) -> list:
     while Q:
         while len(P) >= len(Q):  # P <- lc(Q) P - lc(P) y^shift Q
             shift, top = len(P) - len(Q), P[-1]
-            P = _trim([_mul(Q[-1], p) for p in P[:shift]] + [
-                _trim([u - v for u, v in zip_longest(_mul(Q[-1], p), _mul(top, q), fillvalue=0)])
-                for p, q in zip(P[shift:-1], Q)
+            # Q is primitive, so lc(Q) is often the constant 1, which scales nothing
+            low = P[:-1] if Q[-1] == [1] else [_mul(Q[-1], p) for p in P[:-1]]
+            P = _trim(low[:shift] + [
+                _trim([u - v for u, v in zip_longest(p, _mul(top, q), fillvalue=0)])
+                for p, q in zip(low[shift:], Q)
             ])
         P, Q = Q, P and _primitive(P)
     return P
@@ -263,7 +265,6 @@ class DecayReport:
         deg: dict = {"kind": self.degeneracy.kind.value}
         if self.degeneracy.N is not None:
             deg["N"] = self.degeneracy.N
-        if self.degeneracy.c is not None:
             deg["c"] = float(self.degeneracy.c)
         t0, delta, crossing = decay_rate(self.polygon)
         return {

@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, NoConvergenceError, ResolutionError
-from .polycore import BivarPoly, eval_grid, integrate_xy, mixed_derivative
+from .polycore import BivarPoly, integrate_xy, mixed_derivative
 
 # grid sizing: hard cap on the base grid and oversampling safety factor
 GRID_CAP = 4096
@@ -110,6 +110,16 @@ class GridSpec:
 def _midpoints(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
     h = (hi - lo) / n
     return lo + h * (np.arange(n) + 0.5), h
+
+
+def eval_grid(poly: BivarPoly, xs, ys) -> np.ndarray:
+    """Vectorized float evaluation on a tensor grid: out[i, j] = p(xs[i], ys[j])."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    out = np.zeros((xs.size, ys.size))
+    for (a, b), c in poly.terms.items():
+        out += float(c) * np.outer(xs**a, ys**b)
+    return out
 
 
 def gradient_bound(S: BivarPoly, domain) -> float:

@@ -1,19 +1,13 @@
-"""Exact bivariate polynomials over Q, a small phase parser, and series types.
+"""Exact bivariate polynomials over Q, a small phase parser, and calculus.
 
 Everything upstream of the numerics is exact: coefficients are Fractions
-and supports are integer lattice points.  Float evaluation (eval_grid)
-rounds each coefficient to a float and computes in floats.
+and supports are integer lattice points.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Union
-
-import numpy as np
 
 from .errors import NegativeExponentError, ParseError
 
@@ -230,13 +224,6 @@ class _Parser:
         self.pos += 1
         return token
 
-    def parse(self) -> BivarPoly:
-        poly = self.expr()
-        kind, _, pos = self.peek()
-        if kind != "end":
-            raise ParseError("unexpected trailing input", pos)
-        return poly
-
     def expr(self) -> BivarPoly:
         negate = False
         if self.peek()[0] == "-":
@@ -328,10 +315,15 @@ def parse_poly(text: str) -> BivarPoly:
     >>> parse_poly("x^2*y^2/4").terms
     {(2, 2): Fraction(1, 4)}
     """
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    poly = parser.expr()
+    kind, _, pos = parser.peek()
+    if kind != "end":
+        raise ParseError("unexpected trailing input", pos)
+    return poly
 
 
-# --- calculus and evaluation ----------------------------------------------
+# --- calculus --------------------------------------------------------------
 
 
 def mixed_derivative(phase: BivarPoly) -> BivarPoly:
@@ -347,91 +339,4 @@ def integrate_xy(mixed: BivarPoly) -> BivarPoly:
     return BivarPoly(
         {(a + 1, b + 1): c / ((a + 1) * (b + 1)) for (a, b), c in mixed.terms.items()}
     )
-
-
-def eval_grid(poly: BivarPoly, xs, ys) -> np.ndarray:
-    """Vectorized float evaluation on a tensor grid: out[i, j] = p(xs[i], ys[j])."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    out = np.zeros((xs.size, ys.size))
-    for (a, b), c in poly.terms.items():
-        out += float(c) * np.outer(xs**a, ys**b)
-    return out
-
-
-# --- fractional power series ----------------------------------------------
-
-
-class Reality(str, Enum):
-    REAL = "Real"
-    COMPLEX_PAIR = "ComplexPair"
-
-
-@dataclass(frozen=True)
-class PuiseuxTerm:
-    """One term c * x^e of a fractional power series, e >= 0, c != 0."""
-
-    exponent: Fraction
-    coefficient: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", Fraction(self.exponent))
-        object.__setattr__(self, "coefficient", complex(self.coefficient))
-        if self.exponent < 0:
-            raise ValueError("negative exponent in series term")
-        if self.coefficient == 0:
-            raise ValueError("zero coefficients are dropped, not stored")
-
-
-@dataclass(frozen=True)
-class PuiseuxBranch:
-    """A solution sheet y = sum c_k x^(e_k) of F(x, y(x)) = 0 near x = 0+.
-
-    order is the exponent the series is resolved up to, None when it
-    terminates (the sum is the whole solution: the branch is exact).
-    ramification, the lcm of the exponent denominators, is this sheet's
-    alone, never shared across branches.  split_undetermined marks a
-    non-exact cluster of several sheets not told apart at this order.
-    """
-
-    terms: tuple[PuiseuxTerm, ...]
-    multiplicity: int = 1
-    order: Fraction | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
-            raise ValueError("a branch needs at least one term")
-        exponents = [t.exponent for t in self.terms]
-        for e0, e1 in zip(exponents, exponents[1:]):
-            if not e0 < e1:
-                raise ValueError("series exponents must increase strictly")
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be a positive integer")
-
-    @property
-    def exact(self) -> bool:
-        return self.order is None
-
-    @property
-    def ramification(self) -> int:
-        return math.lcm(*(t.exponent.denominator for t in self.terms))
-
-    @property
-    def reality(self) -> Reality:
-        if all(t.coefficient.imag == 0 for t in self.terms):
-            return Reality.REAL
-        return Reality.COMPLEX_PAIR
-
-    @property
-    def split_undetermined(self) -> bool:
-        return not self.exact and self.multiplicity > 1
-
-    @property
-    def leading_exponent(self) -> Fraction:
-        return self.terms[0].exponent
-
-    @property
-    def leading_coefficient(self) -> complex:
-        return self.terms[0].coefficient
 

@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, EmptyPolygonError
 from .newton import EdgeData, hull_edges, lower_hull
-from .polycore import BivarPoly, PuiseuxBranch, PuiseuxTerm
+from .polycore import BivarPoly
 
 # An exact m-fold root of an edge polynomial scatters by about eps^(1/m)
 # relative in double precision (measured: ~8e-8 for doubles, ~1e-5 for
@@ -51,6 +52,80 @@ REAL_SNAP_TOL = 1e-10
 _MAX_DEPTH = 512
 # Sheets are expanded one by one; time grows as their count squared (x + y^1000: 35 s).
 _MAX_SHEETS = 1024
+
+
+class Reality(str, Enum):
+    REAL = "Real"
+    COMPLEX_PAIR = "ComplexPair"
+
+
+@dataclass(frozen=True)
+class PuiseuxTerm:
+    """One term c * x^e of a fractional power series, e >= 0, c != 0."""
+
+    exponent: Fraction
+    coefficient: complex
+
+    def __post_init__(self):
+        object.__setattr__(self, "exponent", Fraction(self.exponent))
+        object.__setattr__(self, "coefficient", complex(self.coefficient))
+        if self.exponent < 0:
+            raise ValueError("negative exponent in series term")
+        if self.coefficient == 0:
+            raise ValueError("zero coefficients are dropped, not stored")
+
+
+@dataclass(frozen=True)
+class PuiseuxBranch:
+    """A solution sheet y = sum c_k x^(e_k) of F(x, y(x)) = 0 near x = 0+.
+
+    order is the exponent the series is resolved up to, None when it
+    terminates (the sum is the whole solution: the branch is exact).
+    ramification, the lcm of the exponent denominators, is this sheet's
+    alone, never shared across branches.  split_undetermined marks a
+    non-exact cluster of several sheets not told apart at this order.
+    """
+
+    terms: tuple[PuiseuxTerm, ...]
+    multiplicity: int = 1
+    order: Fraction | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
+        if not self.terms:
+            raise ValueError("a branch needs at least one term")
+        exponents = [t.exponent for t in self.terms]
+        for e0, e1 in zip(exponents, exponents[1:]):
+            if not e0 < e1:
+                raise ValueError("series exponents must increase strictly")
+        if self.multiplicity < 1:
+            raise ValueError("multiplicity must be a positive integer")
+
+    @property
+    def exact(self) -> bool:
+        return self.order is None
+
+    @property
+    def ramification(self) -> int:
+        return math.lcm(*(t.exponent.denominator for t in self.terms))
+
+    @property
+    def reality(self) -> Reality:
+        if all(t.coefficient.imag == 0 for t in self.terms):
+            return Reality.REAL
+        return Reality.COMPLEX_PAIR
+
+    @property
+    def split_undetermined(self) -> bool:
+        return not self.exact and self.multiplicity > 1
+
+    @property
+    def leading_exponent(self) -> Fraction:
+        return self.terms[0].exponent
+
+    @property
+    def leading_coefficient(self) -> complex:
+        return self.terms[0].coefficient
 
 
 @dataclass(frozen=True)

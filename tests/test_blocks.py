@@ -22,8 +22,8 @@ from newtonosc.blocks import (
 )
 from newtonosc.errors import ResolutionError, WrongRegionError
 from newtonosc.newton import NewtonPolygon, build_polygon
-from newtonosc.opnorm import GridSpec, PhaseSpec, _midpoints, discretize
-from newtonosc.polycore import BivarPoly, eval_grid, integrate_xy, parse_poly
+from newtonosc.opnorm import GridSpec, PhaseSpec, _midpoints, discretize, eval_grid
+from newtonosc.polycore import BivarPoly, integrate_xy, parse_poly
 
 
 def polygon(s: str):

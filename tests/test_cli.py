@@ -17,8 +17,8 @@ import pytest
 import newtonosc
 from newtonosc import blocks, cli, newton, puiseux, scaling
 from newtonosc.cli import build_parser, main
-from newtonosc.polycore import PuiseuxBranch, PuiseuxTerm, Reality, mixed_derivative, parse_poly
-from newtonosc.puiseux import BranchSet, expand_branches
+from newtonosc.polycore import mixed_derivative, parse_poly
+from newtonosc.puiseux import BranchSet, PuiseuxBranch, PuiseuxTerm, Reality, expand_branches
 from payload_schemas import SCHEMAS, check_payload
 from sheet_oracle import sheet_failures
 

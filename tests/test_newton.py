@@ -252,6 +252,11 @@ class TestDegeneracy:
     def test_axis_offset_not_degenerate(self):
         assert analyze_decay(parse_poly("x*(y-x)^2")).degeneracy.kind is DegeneracyKind.NON_DEGENERATE
 
+    def test_high_power(self):
+        deg = analyze_decay(parse_poly("(y-x)^40")).degeneracy
+        assert deg.kind is DegeneracyKind.COMPLETELY_DEGENERATE
+        assert deg.N == 40 and deg.c == 1
+
 
 class TestExactDegeneracy:
     """The polygon's one edge and its polynomial decide N, c and the N-th power."""
@@ -262,6 +267,13 @@ class TestExactDegeneracy:
         # and the gcd of its y-derivatives is never taken
         monkeypatch.setattr(newton, "_gcd_in_y", lambda P, Q: pytest.fail("gcd taken"))
         assert analyze_decay(parse_poly(text)).degeneracy.kind is DegeneracyKind.NON_DEGENERATE
+
+    def test_gcd_skips_products_by_one(self, monkeypatch):
+        # lc(Q) of a primitive Q is 1 all along (y - x)^N: scaling by it is no work
+        real, calls = newton._mul, []
+        monkeypatch.setattr(newton, "_mul", lambda p, q: calls.append(p) or real(p, q))
+        assert analyze_decay(parse_poly("(y-x)^12")).degeneracy.N == 12
+        assert len(calls) < 100
 
     def test_newton_imports_nothing_from_puiseux(self):
         # the verdict reads F alone, never a branch expansion

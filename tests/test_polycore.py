@@ -1,24 +1,25 @@
 """Parser, exact arithmetic, and series container checks."""
 
+import ast
 import hashlib
 import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import newtonosc
 from newtonosc.errors import NegativeExponentError, ParseError
 from newtonosc.polycore import (
     BivarPoly,
-    PuiseuxBranch,
-    PuiseuxTerm,
     RationalLike,
-    Reality,
     integrate_xy,
     mixed_derivative,
     parse_poly,
 )
+from newtonosc.puiseux import PuiseuxBranch, PuiseuxTerm, Reality
 
 F = Fraction
 
@@ -354,3 +355,29 @@ class TestBranchTypes:
     def test_branch_needs_terms(self):
         with pytest.raises(ValueError):
             PuiseuxBranch(terms=())
+
+
+class TestExactLayer:
+    """The exact layer (polycore, newton, errors) imports no numpy; float code lives elsewhere."""
+
+    def test_exact_modules_import_no_numpy(self):
+        src = Path(newtonosc.__file__).parent
+        for name in ("polycore.py", "newton.py", "errors.py"):
+            tree = ast.parse((src / name).read_text())
+            modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+            modules |= {n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+            assert not any(m.split(".")[0] == "numpy" for m in modules), name
+
+    def test_moved_names_have_one_home(self):
+        src = Path(newtonosc.__file__).parent
+        homes = {"eval_grid": [], "PuiseuxTerm": [], "PuiseuxBranch": [], "Reality": []}
+        for path in sorted(src.glob("*.py")):
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in homes:
+                    homes[node.name].append(path.stem)
+        assert homes == {
+            "eval_grid": ["opnorm"],
+            "PuiseuxTerm": ["puiseux"],
+            "PuiseuxBranch": ["puiseux"],
+            "Reality": ["puiseux"],
+        }

@@ -25,14 +25,14 @@ from newtonosc import puiseux
 from newtonosc.cli import main
 from newtonosc.errors import EmptyPolygonError
 from newtonosc.newton import lower_hull
-from newtonosc.polycore import (
-    BivarPoly,
+from newtonosc.polycore import BivarPoly, parse_poly
+from newtonosc.puiseux import (
+    PRUNE_REL_TOL,
     PuiseuxBranch,
     PuiseuxTerm,
     Reality,
-    parse_poly,
+    expand_branches,
 )
-from newtonosc.puiseux import PRUNE_REL_TOL, expand_branches
 from payload_schemas import check_payload
 from sheet_oracle import branch_failures, sheet_failures
 

@@ -25,13 +25,13 @@ from newtonosc.opnorm import (
     auto_grid,
     bump,
     discretize,
+    eval_grid,
     gradient_bound,
     operator_norm,
     parity_sectors,
 )
 from newtonosc.polycore import (
     BivarPoly,
-    eval_grid,
     integrate_xy,
     mixed_derivative,
     parse_poly,

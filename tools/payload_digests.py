@@ -48,6 +48,11 @@ CALLS = [
     ["dyadpol", "--r", "1100"],
     ["sweep", "--phase", "x*y", "--rho", "0.85", "--lambdas", "16,32,64,128,256", "--fit-window", "32,256"],
     ["blocks", "--phase", "x^3*y/3 + x*y^2", "--lambda", "-256", "--j-max", "4", "--format", "json"],
+    ["analyze", "--phase", "x*y", "--order", "1/0"],
+    ["analyze", "--mixed", "--phase", "y^2-x^3", "--order", "3/2"],
+    ["sweep", "--phase", "x*y", "--fit-window", "16"],
+    ["sweep", "--phase", "x*y", "--lambdas", "abc", "--fit-window", "16"],
+    ["analyze", "--mixed", "--phase", "(y-x)^24"],
 ]
 
 
