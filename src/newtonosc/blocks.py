@@ -101,13 +101,10 @@ def classify_block(j: int, k: int, polygon: NewtonPolygon, D: float = 3.0) -> Re
 
 
 def mu_for_block(j: int, k: int, region: Region, polygon: NewtonPolygon) -> float:
-    """Dominant-vertex size 2^(-j*A - k*B) on a gap block."""
+    """Dominant-vertex size 2^(-j*A - k*B) on a gap block; vertex 0 when nu is None."""
     if region.kind != "Gap":
         raise WrongRegionError(f"mu is defined on gap blocks, not {region}")
-    if region.nu is None:
-        a, b = polygon.vertices[0]
-    else:
-        a, b = polygon.vertices[region.nu]
+    a, b = polygon.vertices[region.nu or 0]
     return 2.0 ** -(j * a + k * b)
 
 
@@ -145,8 +142,11 @@ class BlockEstimate:
         The ring [2^(-j-1), 2^(-j+1)] is dx = 3 * 2^(-j-1) long.  Read on
         the full ring, as mu is, though the block's grid covers only the
         part of it inside the cutoff's support (_block_operator).
+        Taken as 3 * 2^(-(j+k+2)/2) by ldexp, since the product dx*dy
+        underflows to 0.0 once j + k passes about 1074.
         """
-        return math.sqrt((3.0 * 2.0 ** (-self.j - 1)) * (3.0 * 2.0 ** (-self.k - 1)))
+        m = self.j + self.k + 2
+        return math.ldexp(math.sqrt(9.0 / 2 ** (m % 2)), -(m // 2))
 
     @property
     def bound(self) -> float:
@@ -216,7 +216,8 @@ def verify_blocks(p: PhaseSpec, lam: float, D: float = 3.0, j_max: int = 6, seed
     per-block resolution failures.  Each block is bounded by the smaller
     of its support-size bound (BlockEstimate.size) and, in a gap where
     |S''_xy| >= mu, the oscillation bound (|lam|*mu)^(-1/2): T at -lam
-    is the conjugate kernel, so the bound holds at any lam != 0.
+    is the conjugate kernel, so the bound holds at any lam != 0.  A gap
+    whose |lam|*mu is 0.0 gets none: it would exceed every double.
     """
     F = mixed_derivative(p.S)
     polygon = build_polygon(F)
@@ -241,10 +242,8 @@ def verify_blocks(p: PhaseSpec, lam: float, D: float = 3.0, j_max: int = 6, seed
             except ResolutionError as exc:
                 failures.append((j, k, str(exc)))
                 continue
-            if region.kind == "Gap" and lam != 0:
-                osc = (abs(lam) * mu) ** -0.5
-            else:
-                osc = math.inf
+            lam_mu = abs(lam) * mu if region.kind == "Gap" else 0.0
+            osc = lam_mu**-0.5 if lam_mu > 0 else math.inf
             estimates.append(
                 BlockEstimate(j=j, k=k, mu=mu, measured=measured, osc=osc, region=region)
             )

@@ -54,11 +54,10 @@ def _fnum(x: float) -> str:
 
 
 def _write(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out in (None, "-"):
+    if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(text)
 
 
@@ -174,18 +173,6 @@ def cmd_norm(args) -> int:
     return 0
 
 
-def _plot_rows(report) -> list[str]:
-    valid = [s for s in report.samples if s.valid]
-    x = np.log2([s.lam for s in valid])
-    y = np.log2([s.value for s in valid])
-    p = float(report.predicted)
-    anchor = float(np.mean(y - p * x))
-    return [
-        ",".join([_fnum(xi), _fnum(yi), _fnum(anchor + p * xi)])
-        for xi, yi in zip(x, y)
-    ]
-
-
 def cmd_sweep(args) -> int:
     p = _phase_spec(args)
     lambdas = () if args.lambdas is None else _parse_numbers(args.lambdas)
@@ -197,7 +184,12 @@ def cmd_sweep(args) -> int:
     )
     report = verify_theorem(p, cfg)
     if args.emit_plot_data is not None:
-        rows = _plot_rows(report)
+        valid = [s for s in report.samples if s.valid]
+        x = np.log2([s.lam for s in valid])
+        y = np.log2([s.value for s in valid])
+        slope = float(report.predicted)
+        anchor = float(np.mean(y - slope * x))
+        rows = [",".join(map(_fnum, (xi, yi, anchor + slope * xi))) for xi, yi in zip(x, y)]
         with open(args.emit_plot_data, "w") as fh:
             fh.write("log2_lambda,log2_norm,predicted\n")
             fh.write("\n".join(rows) + "\n")

@@ -221,11 +221,6 @@ def parity_sectors(S: BivarPoly) -> tuple:
     return (1, -1)
 
 
-def _swap_symmetric(S: BivarPoly) -> bool:
-    """True when S(x, y) = S(y, x) term by term, exactly."""
-    return all(S.terms.get((b, a)) == c for (a, b), c in S.terms.items())
-
-
 def discretize(
     p: PhaseSpec,
     lam: float,
@@ -259,21 +254,22 @@ def discretize(
     is exactly symmetric and about half of its entries are evaluated.
     """
     x0, x1, y0, y1 = g.domain
+    xs, hx = _midpoints(x0, x1, g.n)
+    ys, hy = _midpoints(y0, y1, g.n)
     # |lam| * |grad S| * h: the largest phase step across one cell
-    h = max((x1 - x0) / g.n, (y1 - y0) / g.n)
+    h = max(hx, hy)
     step = abs(lam) * gradient_bound(p.S, g.domain) * h
     if not step <= _MAX_CELL_PHASE:
         raise ResolutionError(
             f"grid n={g.n} does not resolve lambda={lam} (lam*G*h={step:.3f})"
         )
-    xs, hx = _midpoints(x0, x1, g.n)
-    ys, hy = _midpoints(y0, y1, g.n)
     wx = bump(xs / p.rho) * math.sqrt(hx)
     wy = bump(ys / p.rho) * math.sqrt(hy)
     if x_window is not None:
         wx = wx * np.asarray(x_window(xs), dtype=float)
     if y_window is not None:
         wy = wy * np.asarray(y_window(ys), dtype=float)
+    terms = p.S.terms
     even, odd = p.S, None
     if sector is not None:
         if (
@@ -289,15 +285,15 @@ def discretize(
             )
         half = g.n // 2
         xs, ys, wx, wy = xs[half:], ys[half:], 2.0 * wx[half:], wy[half:]
-        even = BivarPoly({k: c for k, c in p.S.terms.items() if k[1] % 2 == 0})
-        odd = BivarPoly({k: c for k, c in p.S.terms.items() if k[1] % 2})
+        even = BivarPoly({k: c for k, c in terms.items() if k[1] % 2 == 0})
+        odd = BivarPoly({k: c for k, c in terms.items() if k[1] % 2})
         fold = np.cos if sector == 1 else np.sin
 
     symmetric = (
         (x0, x1) == (y0, y1)
         and x_window is None
         and y_window is None
-        and _swap_symmetric(p.S)
+        and all(terms.get((b, a)) == c for (a, b), c in terms.items())
     )
     M = np.empty((xs.size, ys.size), dtype=np.complex128 if even else np.float64)
     for r0 in range(0, xs.size, _TILE_ROWS):

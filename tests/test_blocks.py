@@ -381,6 +381,14 @@ class TestVerifyBlocks:
         assert e.bound == row["size_bound"] == pytest.approx(math.sqrt(9 / 128))
         assert e.ratio == pytest.approx(0.125 / math.sqrt(9 / 128))
 
+    def test_size_bound_is_the_square_root_of_the_ring_product(self):
+        # the product is a normal double for every j, k <= 60, so the two
+        # forms agree to the bit there
+        for j in range(61):
+            for k in range(61):
+                e = BlockEstimate(j=j, k=k, mu=1.0, measured=0.0, osc=np.inf, region=Region("AxisX"))
+                assert e.size == math.sqrt((3.0 * 2.0 ** (-j - 1)) * (3.0 * 2.0 ** (-k - 1)))
+
     def test_measured_below_size_bound(self):
         # size bound is oscillation-blind, so it must hold at any lambda
         p = PhaseSpec(S=parse_poly("x^2*y^2/4"), rho=0.5)

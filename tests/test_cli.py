@@ -3,6 +3,7 @@
 import argparse
 import enum
 import json
+import math
 import os
 import subprocess
 import sys
@@ -607,6 +608,33 @@ class TestBlocks:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("phase, lam", [("x^100*y^100", "256"), ("x^2*y^2", "1e-320")])
+    def test_gap_whose_lambda_mu_underflows_gets_no_oscillation_bound(self, capsys, phase, lam):
+        # mu = 2^-1188 at block (6, 6) of x^100*y^100 is 0.0, and
+        # 1e-320 * 2^-12 is too; the true (lambda*mu)^(-1/2) is beyond
+        # every double, so the size bound is the block's bound
+        d = run_json(capsys, "blocks", "--phase", phase, "--lambda", lam, "--j-max", "6",
+                     "--format", "json")
+        rows = d["estimates"]
+        assert len(rows) == 36 and d["summary"]["resolution_failures"] == []
+        bare = [e for e in rows if e["osc_bound"] == ""]
+        assert (6, 6) in [(e["j"], e["k"]) for e in bare]
+        if phase == "x^100*y^100":
+            assert [e for e in rows if e["mu"] == 0.0] == bare
+        for e in bare:
+            assert e["ratio"] == e["measured"] / e["size_bound"]
+
+    def test_block_scale_past_the_ring_product_underflow(self, capsys):
+        # the first block scale is 564, where (3 * 2^-565)^2 underflows
+        # to 0.0 but its square root, the size bound, does not
+        d = run_json(capsys, "blocks", "--phase", "x*y", "--lambda", "16", "--rho", "1e-170",
+                     "--j-max", "565", "--format", "json")
+        rows = d["estimates"]
+        assert [(e["j"], e["k"]) for e in rows] == [(564, 564), (564, 565), (565, 564), (565, 565)]
+        assert rows[0]["size_bound"] == math.ldexp(3.0, -565)
+        assert rows[-1]["size_bound"] == math.ldexp(3.0, -566)
+        assert all(math.isfinite(e["ratio"]) for e in rows)
 
     def test_negative_lambda_keeps_the_oscillation_bound(self, capsys):
         # T at -lambda is the conjugate kernel: same norms, same bounds

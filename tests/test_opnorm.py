@@ -192,6 +192,22 @@ class TestGridSpec:
         with pytest.raises(ResolutionError, match=r"^grid n=64 does not resolve"):
             discretize(p, lam, g)
 
+    @pytest.mark.parametrize("lam, builds", [(315.0, True), (330.0, False)])
+    def test_guard_reads_the_longer_cell_side(self, lam, builds):
+        # a block-shaped rectangle: x*y has G = 0.5 + 0.125 there, so at
+        # n = 64 the long side steps 0.979 (315) or 1.026 (330) times
+        # pi/2 per cell and the short side a quarter of that
+        p = PhaseSpec(S=XY, rho=0.5)
+        g = GridSpec(n=64, domain=(0, 0.5, 0, 0.125))
+        assert gradient_bound(XY, g.domain) == 0.625
+        step = lam * 0.625 * (0.5 / 64) / (math.pi / 2)
+        assert (0.97 < step < 0.98) if builds else (1.02 < step < 1.03)
+        if builds:
+            assert discretize(p, lam, g).matrix.shape == (64, 64)
+        else:
+            with pytest.raises(ResolutionError, match=r"^grid n=64 does not resolve"):
+                discretize(p, lam, g)
+
     def test_gradient_bound(self):
         # |y| + |x| peaks at the corners of the square
         g = gradient_bound(XY, (-0.5, 0.5, -0.5, 0.5))

@@ -53,6 +53,9 @@ CALLS = [
     ["sweep", "--phase", "x*y", "--fit-window", "16"],
     ["sweep", "--phase", "x*y", "--lambdas", "abc", "--fit-window", "16"],
     ["analyze", "--mixed", "--phase", "(y-x)^24"],
+    ["analyze", "--mixed", "--phase", "(y-x)^2 + x^5", "--order", "2"],
+    ["blocks", "--phase", "x^3*y/3 + x*y^2", "--lambda", "-256", "--j-max", "4"],
+    ["blocks", "--phase", "x^100*y^100", "--lambda", "256", "--j-max", "6", "--format", "json"],
 ]
 
 
