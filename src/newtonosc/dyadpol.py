@@ -175,16 +175,17 @@ def verify_lower_bound(
 ) -> LowerBoundReport:
     """Randomized check of min |P| >= 1/B over E.
 
-    Trial t draws from its own generator default_rng([master_seed, t]), so
-    any single trial replays in isolation.  Its draws, in order: N signs
-    (integers(0, 2, size=N), 1 meaning +); when C > 1, N magnitudes
-    2^r_i * C^uniform(-1, 1); then h_density points 2^uniform(lo, hi) per
-    span [lo, hi] of E, leading span [leading_beta - 40, leading_beta]
-    first.  The points come on top of the interval endpoints; h_density 0
-    samples the endpoints alone.  The earliest trial attaining the minimum
-    is the worst.  ValueError, before any sampling, when a coefficient or
-    1 + sum |a_i| can overflow a double, or when one trial's table of
-    h^i exceeds _BLOCK_ELEMENTS doubles.
+    Trial t reads draws [t*d, (t+1)*d) of the random() stream of
+    default_rng(master_seed), d = N + n_mags + h_density * len(spans), so
+    it replays alone after rng.bit_generator.advance(t * d).  In order: N
+    signs (+ when >= 1/2); when C > 1, n_mags = N magnitudes 2^r_i *
+    C^uniform(-1, 1); then h_density points 2^uniform(lo, hi) per span
+    [lo, hi] of E, leading span [leading_beta - 40, leading_beta] first.
+    The points come on top of the interval endpoints; h_density 0 samples
+    the endpoints alone.  The earliest trial attaining the minimum is the
+    worst.  ValueError, before any sampling, when a coefficient or 1 + sum
+    |a_i| can overflow a double, or when one trial's table of h^i exceeds
+    _BLOCK_ELEMENTS doubles.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -212,38 +213,32 @@ def verify_lower_bound(
             f"h_density {h_density} needs more than {_BLOCK_ELEMENTS} doubles per trial "
             f"for this profile; the largest accepted is {most}"
         )
-    # columns of one trial's uniform draws: N magnitudes when C > 1, then
+    # columns of one trial's draws: N signs, N magnitudes when C > 1, then
     # h_density per span; uniform(lo, hi) is lo + (hi - lo) * random()
     n_mags = N if profile.C > 1 else 0
     lo = np.repeat([float(a) for a, _ in spans], h_density)
     width = np.repeat([float(b) - float(a) for a, b in spans], h_density)
     pow2r = 2.0 ** np.array(profile.r, dtype=float)
     block = max(1, _BLOCK_ELEMENTS // ((len(ends) + lo.size) * N))
+    rng = np.random.default_rng(master_seed)
     min_observed, worst_trial, worst_h = math.inf, -1, math.nan
     for first in range(0, trials, block):
         count = min(block, trials - first)
-        signs = np.empty((count, N), dtype=np.int64)
-        draws = np.empty((count, n_mags + lo.size))
-        for k in range(count):
-            rng = np.random.default_rng([master_seed, first + k])
-            signs[k] = rng.integers(0, 2, size=N)
-            rng.random(out=draws[k])
-        mags = pow2r * profile.C ** (-1.0 + 2.0 * draws[:, :n_mags]) if n_mags else pow2r
-        coeffs = (signs * 2 - 1) * mags
+        draws = rng.random((count, N + n_mags + lo.size))
+        mags = pow2r * profile.C ** (-1.0 + 2.0 * draws[:, N : N + n_mags]) if n_mags else pow2r
+        coeffs = np.where(draws[:, :N] >= 0.5, mags, -mags)
         # 2^e by the scalar libm pow: numpy's vectorized power differs from
         # it in the last bit for about 5% of exponents on an AVX-512 host
-        exps = (lo + width * draws[:, n_mags:]).ravel().tolist()
+        exps = (lo + width * draws[:, N + n_mags :]).ravel().tolist()
         points = np.fromiter(map((2.0).__pow__, exps), float, len(exps)).reshape(count, -1)
         hs = np.sort(np.hstack([np.broadcast_to(ends, (count, len(ends))), points]), axis=1)
         # P(h) = 1 + sum a_i h^i over every trial's grid, one matmul per trial
         table = hs[:, :, None] ** np.arange(1, N + 1)
         abs_p = np.abs(1.0 + table @ coeffs[:, :, None])[:, :, 0]
-        idx = np.argmin(abs_p, axis=1)
-        trial_mins = abs_p[np.arange(count), idx]
-        t = int(np.argmin(trial_mins))
-        if trial_mins[t] < min_observed:
-            min_observed, worst_trial = float(trial_mins[t]), first + t
-            worst_h = float(hs[t, idx[t]])
+        # the first minimum in row order: the earliest trial, its first h
+        t, i = divmod(int(np.argmin(abs_p)), abs_p.shape[1])
+        if abs_p[t, i] < min_observed:
+            min_observed, worst_trial, worst_h = float(abs_p[t, i]), first + t, float(hs[t, i])
     return LowerBoundReport(
         min_observed=min_observed,
         bound=lbset.bound,

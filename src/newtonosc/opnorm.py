@@ -379,6 +379,13 @@ def operator_norm(
             p -= betas[-1] * U[k - 2]
         _orthogonalize(U[: k - 1], p)
         alphas.append(float(np.linalg.norm(p)))
+        if k == 1 and alphas[0] < 2.0**-500:
+            # the norms square entries, underflowing below ~1e-154: solve M * 2^shift
+            shift = min(-math.frexp(float(np.max(np.abs(op.matrix))))[1], 1023)
+            if shift > 500:
+                lifted = DiscreteOperator(op.matrix * 2.0**shift)
+                s, k, vec = operator_norm(lifted, tol, max_iter, seed, v0)
+                return math.ldexp(s, -shift), k, vec
         if alphas[-1] > 0.0:
             U[k - 1] = p / alphas[-1]
             r = op.apply_adjoint(U[k - 1]) - alphas[-1] * V[k - 1]

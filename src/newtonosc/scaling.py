@@ -127,8 +127,9 @@ def _solve(p: PhaseSpec, lam: float, n: int, seed: int, start=None):
         s, k, starts[sector] = operator_norm(op, seed=seed, v0=v0)
         value, steps = max(value, s), steps + k
         del op
-    if not value > 0:
-        # the kernel is unimodular times a cutoff that is 1 at the origin
+    if not value >= 2.0**-1022:
+        # T is never 0, and no entry exceeds the norm: below the smallest
+        # normal double every entry is subnormal or 0 and has lost digits
         raise DomainError(
             f"grid n={n} gives norm {value} at lambda={lam}, rho={p.rho}: "
             "the kernel is too small for double precision (underflow)"
@@ -157,9 +158,9 @@ def norm_at(p: PhaseSpec, lam: float, seed: int = 0) -> NormSample:
     ones on the large one (nested iteration, as in cascadic multigrid).
     auto_grid returns a power of two >= GRID_MIN, so n, its check grid
     and every doubling are even and share the phase's sector list.  A
-    grid whose value is not positive raises DomainError: T is never
-    zero, so such a value means the kernel underflowed in double
-    precision.
+    grid whose value is below 2^-1022, the smallest normal double,
+    raises DomainError: T is never zero, so such a value means the
+    kernel underflowed in double precision.
     """
     n = auto_grid(p, lam).n
     m = n // 2 if n > GRID_MIN else 2 * n
@@ -324,10 +325,7 @@ class ScalingReport:
 
 
 def predicted_exponent(decay: DecayReport) -> Fraction:
-    """The decay exponent the analysis predicts for log2-norm slopes."""
-    deg = decay.degeneracy
-    if deg.kind is DegeneracyKind.COMPLETELY_DEGENERATE:
-        return Fraction(-1, deg.N + 2)
+    """-delta/2, the predicted log2-norm slope; -1/(N + 2) when F = U (y - f(x))^N."""
     return -decay.delta / 2
 
 

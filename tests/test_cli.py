@@ -18,8 +18,11 @@ import pytest
 import newtonosc
 from newtonosc import blocks, cli, newton, puiseux, scaling
 from newtonosc.cli import build_parser, main
+from newtonosc.dyadpol import ExponentProfile, lower_bound_set
+from newtonosc.opnorm import PhaseSpec
 from newtonosc.polycore import mixed_derivative, parse_poly
 from newtonosc.puiseux import BranchSet, PuiseuxBranch, PuiseuxTerm, Reality, expand_branches
+from dyadpol_oracle import replay_trial
 from payload_schemas import SCHEMAS, check_payload
 from sheet_oracle import sheet_failures
 
@@ -102,7 +105,7 @@ class TestExitCodes:
 
     def test_underflowed_norm_is_1(self, capsys):
         code, out, err = run(
-            capsys, "norm", "--phase", "x*y", "--lambda", "64", "--rho", "1e-200"
+            capsys, "norm", "--phase", "x*y", "--lambda", "64", "--rho", "1e-310"
         )
         assert code == 1
         assert out == ""
@@ -636,6 +639,17 @@ class TestBlocks:
         assert rows[-1]["size_bound"] == math.ldexp(3.0, -566)
         assert all(math.isfinite(e["ratio"]) for e in rows)
 
+    def test_blocks_whose_entries_square_below_the_double_range(self, capsys):
+        # entries near 1e-184 square to below the double range, yet each
+        # block is measured: the dense SVD of its kernel lifted by 2^700
+        d = run_json(capsys, "blocks", "--phase", "x*y", "--lambda", "16", "--rho", "1e-170",
+                     "--j-max", "565", "--format", "json")
+        p = PhaseSpec(S=parse_poly("x*y"), rho=1e-170)
+        for e in d["estimates"]:
+            M = blocks._block_operator(p, 16.0, e["j"], e["k"]).matrix
+            dense = float(np.linalg.norm(M * 2.0**700, 2)) * 2.0**-700
+            assert e["measured"] == pytest.approx(dense, rel=1e-10, abs=0)
+
     def test_negative_lambda_keeps_the_oscillation_bound(self, capsys):
         # T at -lambda is the conjugate kernel: same norms, same bounds
         argv = ("blocks", "--phase", "x^2*y^2/4", "--j-max", "3", "--format", "json")
@@ -1119,20 +1133,34 @@ class TestPinnedPayloads:
         "argv, worst",
         [
             (("--r", "0,6", "--C", "1", "--trials", "50"),
-             ("0x1.fa00000000000p-1", 6, "0x1.0000000000000p-7")),
+             ("0x1.fa00000000000p-1", 15, "0x1.0000000000000p-7")),
             (("--r", "0,30", "--trials", "20"),
-             ("0x1.ffcee7db340acp-1", 17, "0x1.0000000000000p-21")),
+             ("0x1.ffc26d8766729p-1", 18, "0x1.0000000000000p-21")),
             (("--r", "12,0,7", "--C", "3", "--trials", "20"),
-             ("0x1.fc1271dad0320p-1", 17, "0x1.0000000000000p-20")),
+             ("0x1.fbef93abb7662p-1", 8, "0x1.0000000000000p-20")),
             (("--r", "3,7,12", "--trials", "1000", "--seed", "5"),
-             ("0x1.f7ea491270fcap-1", 367, "0x1.0000000000000p-10")),
+             ("0x1.f80c898042c40p-1", 59, "0x1.0000000000000p-10")),
             (("--r", "0,6", "--C", "1", "--h-density", "0", "--trials", "300"),
-             ("0x1.fa00000000000p-1", 6, "0x1.0000000000000p-7")),
+             ("0x1.fa00000000000p-1", 1, "0x1.0000000000000p-7")),
         ],
     )
     def test_dyadpol_worst_trial(self, capsys, argv, worst):
         v = run_json(capsys, "dyadpol", *argv)["verification"]
         assert (v["min_observed"].hex(), v["worst_trial"], v["worst_h"].hex()) == worst
+
+    # the worst trial of a payload replays alone from (seed, worst_trial)
+    # through the documented advance recipe
+    @pytest.mark.parametrize(
+        "r, C, trials, h_density, seed",
+        [((0, 30), 2.0, 20, 12, 0), ((3, 7, 12), 2.0, 1000, 12, 5), ((0, 1, 3, 7), 3.0, 200, 16, 9)],
+    )
+    def test_worst_trial_replays_alone(self, capsys, r, C, trials, h_density, seed):
+        v = run_json(capsys, "dyadpol", "--r", ",".join(map(str, r)), "--C", str(C),
+                     "--trials", str(trials), "--h-density", str(h_density),
+                     "--seed", str(seed))["verification"]
+        p = ExponentProfile(r=r, C=C)
+        replayed = replay_trial(p, lower_bound_set(p), h_density, seed, v["worst_trial"])
+        assert replayed == (v["min_observed"], v["worst_h"])
 
 
 class TestSurface:

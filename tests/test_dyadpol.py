@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from dyadpol_oracle import draw_count, replay_trial, replay_verify, trial_rng
 
 from newtonosc import dyadpol
 from newtonosc.dyadpol import (
@@ -46,51 +47,18 @@ def oracle_corners(profile):
     return tuple(sorted(xs))
 
 
-def sample_points(lbset: LowerBoundSet, h_density: int, rng) -> np.ndarray:
-    """Log-uniform draws per interval of E, plus every interval endpoint."""
-    spans = [(lbset.leading_beta - dyadpol._LEADING_OCTAVES, lbset.leading_beta)]
-    spans.extend(lbset.intervals)
-    values = [2.0 ** float(b) for _, b in spans]
-    values.extend(2.0 ** float(a) for a, _ in lbset.intervals)
-    for lo, hi in spans:
-        if h_density > 0 and hi > lo:
-            exps = rng.uniform(float(lo), float(hi), size=h_density)
-            values.extend(2.0**e for e in exps)
-    return np.array(sorted(values))
+def record_draws(monkeypatch):
+    """Patch default_rng so every random() block drawn is kept, in order."""
+    draws = []
 
+    class Recording(np.random.Generator):
+        def random(self, *args, **kwargs):
+            out = super().random(*args, **kwargs)
+            draws.append(out.copy())
+            return out
 
-def sample_coefficients(profile: ExponentProfile, rng) -> np.ndarray:
-    """One admissible coefficient vector: random signs, log-uniform sizes."""
-    N = profile.N
-    signs = rng.integers(0, 2, size=N) * 2 - 1
-    if profile.C > 1:
-        mags = 2.0 ** np.array(profile.r, dtype=float) * profile.C ** rng.uniform(
-            -1.0, 1.0, size=N
-        )
-    else:
-        mags = 2.0 ** np.array(profile.r, dtype=float)
-    return signs * mags
-
-
-def replay_trial(profile, lbset, h_density, master_seed, t):
-    """Trial t on its own: (min |P| over its grid, the h attaining it first)."""
-    rng = np.random.default_rng([master_seed, t])
-    coeffs = sample_coefficients(profile, rng)
-    hs = sample_points(lbset, h_density, rng)
-    powers = np.arange(1, profile.N + 1)
-    values = 1.0 + (hs[:, None] ** powers[None, :]) @ coeffs
-    idx = int(np.argmin(np.abs(values)))
-    return float(abs(values[idx])), float(hs[idx])
-
-
-def replay_verify(profile, lbset, trials, h_density, master_seed):
-    """The per-trial loop: (min_observed, worst_trial, worst_h), earliest trial on ties."""
-    min_observed, worst_trial, worst_h = math.inf, -1, math.nan
-    for t in range(trials):
-        trial_min, h = replay_trial(profile, lbset, h_density, master_seed, t)
-        if trial_min < min_observed:
-            min_observed, worst_trial, worst_h = trial_min, t, h
-    return min_observed, worst_trial, worst_h
+    monkeypatch.setattr(dyadpol.np.random, "default_rng", lambda seed: Recording(np.random.PCG64(seed)))
+    return draws
 
 
 def worst(rep):
@@ -378,11 +346,13 @@ class TestVerify:
 
     def test_sum_order_reaches_the_report(self):
         # a rare call whose min_observed changes when the dot products of
-        # P sum in another order (einsum instead of matmul, say)
+        # P sum in another order (einsum instead of matmul)
         p = ExponentProfile(r=(4, 0, 10, 1), C=3.0)
         e = lower_bound_set(p)
-        rep = verify_lower_bound(p, e, trials=3, h_density=0, master_seed=756)
-        assert worst(rep) == replay_verify(p, e, 3, 0, 756)
+        rep = verify_lower_bound(p, e, trials=3, h_density=0, master_seed=777)
+        assert worst(rep) == replay_verify(p, e, 3, 0, 777)
+        einsum = replay_verify(p, e, 3, 0, 777, dot=lambda a, c: np.einsum("ij,j->i", a, c))
+        assert einsum[0] != rep.min_observed
 
     def test_earliest_tie_wins_across_blocks(self, monkeypatch):
         # C = 1 and endpoints only: the trial minimum depends on the signs
@@ -390,11 +360,48 @@ class TestVerify:
         p = ExponentProfile(r=(0, 6), C=1)
         e = lower_bound_set(p)
         monkeypatch.setattr(dyadpol, "_BLOCK_ELEMENTS", 6)
-        rep = verify_lower_bound(p, e, trials=40, h_density=0, master_seed=3)
-        assert worst(rep) == replay_verify(p, e, 40, 0, 3)
-        tied = [t for t in range(40) if replay_trial(p, e, 0, 3, t)[0] == rep.min_observed]
+        rep = verify_lower_bound(p, e, trials=40, h_density=0, master_seed=4)
+        assert worst(rep) == replay_verify(p, e, 40, 0, 4)
+        tied = [t for t in range(40) if replay_trial(p, e, 0, 4, t)[0] == rep.min_observed]
         assert len({t // 3 for t in tied}) > 1 and tied[0] >= 3
         assert rep.worst_trial == tied[0]
+
+    # the stream contract: trial t reads draws [t*d, (t+1)*d) of the one
+    # random() stream, however the trials are cut into blocks
+    @pytest.mark.parametrize("C", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("h_density", [0, 6, 16])
+    def test_each_trial_replays_alone_across_blocks(self, monkeypatch, C, h_density):
+        for i, r in enumerate(criterion6_profiles(12)):
+            p = ExponentProfile(r=r, C=C)
+            e = lower_bound_set(p)
+            # three trials per block
+            one_trial = (1 + 2 * len(e.intervals) + h_density * (1 + len(e.intervals))) * p.N
+            with monkeypatch.context() as m:
+                m.setattr(dyadpol, "_BLOCK_ELEMENTS", 3 * one_trial)
+                draws = record_draws(m)
+                rep = verify_lower_bound(p, e, trials=10, h_density=h_density, master_seed=i)
+            assert [len(block) for block in draws] == [3, 3, 3, 1]
+            d = draw_count(p, e, h_density)
+            for t, row in enumerate(np.vstack(draws)):
+                assert np.array_equal(row, trial_rng(p, e, h_density, i, t).random(d)), (r, t)
+            assert worst(rep) == replay_verify(p, e, 10, h_density, i), r
+
+    @pytest.mark.parametrize("C", [1.0, 2.0])
+    def test_a_shorter_run_is_a_prefix(self, monkeypatch, C):
+        for i, r in enumerate(criterion6_profiles(10)):
+            p = ExponentProfile(r=r, C=C)
+            e = lower_bound_set(p)
+            with monkeypatch.context() as m:
+                long_draws = record_draws(m)
+                long = verify_lower_bound(p, e, trials=300, h_density=6, master_seed=i)
+            for T in (1, 7, 150, 299):
+                with monkeypatch.context() as m:
+                    draws = record_draws(m)
+                    rep = verify_lower_bound(p, e, trials=T, h_density=6, master_seed=i)
+                assert np.array_equal(np.vstack(draws), np.vstack(long_draws)[:T]), (r, T)
+                assert rep.min_observed >= long.min_observed
+                if long.worst_trial < T:
+                    assert worst(rep) == worst(long), (r, T)
 
     def test_seed_changes_samples(self):
         p = ExponentProfile(r=(3, 7), C=2)

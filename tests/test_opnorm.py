@@ -561,6 +561,30 @@ class TestOperatorNorm:
         op = DiscreteOperator(matrix=np.zeros((16, 16), dtype=complex))
         assert operator_norm(op, seed=0)[0] == 0.0
 
+    @pytest.mark.parametrize("real", [True, False])
+    def test_entries_below_the_square_underflow(self, real):
+        # entries near 1e-170 square to below the double range, where the
+        # Lanczos norms read 0.0; the solve runs on the matrix lifted by an
+        # exact power of two, so it is the solve of the lifted matrix
+        # scaled back bit for bit, and matches its dense SVD
+        rng = np.random.default_rng(170)
+        M = random_op(rng, 40).matrix
+        M = M.real if real else M
+        lifted = M * 2.0 ** -math.frexp(np.abs(M).max())[1]
+        tiny = DiscreteOperator(matrix=lifted * 2.0**-565)
+        assert 1e-171 < np.abs(tiny.matrix).max() < 1e-169
+        val, k, vec = operator_norm(tiny, tol=1e-13, seed=3)
+        ref_val, ref_k, ref_vec = operator_norm(DiscreteOperator(matrix=lifted), tol=1e-13, seed=3)
+        assert (val, k) == (math.ldexp(ref_val, -565), ref_k)
+        assert np.array_equal(vec, ref_vec)
+        assert val == pytest.approx(np.linalg.norm(lifted, 2) * 2.0**-565, rel=1e-10, abs=0)
+
+    def test_subnormal_entries_are_lifted_by_2_to_the_1023(self):
+        rng = np.random.default_rng(171)
+        op = DiscreteOperator(matrix=rng.standard_normal((30, 30)) * 1e-310)
+        dense = np.linalg.norm(op.matrix * 2.0**1023, 2) * 2.0**-1023
+        assert operator_norm(op, tol=1e-13, seed=0)[0] == pytest.approx(dense, rel=1e-10, abs=0)
+
     def test_no_convergence_strict_mode(self):
         # 64 singular values clustered just below 1: three Krylov steps
         # cannot settle the top one to 1e-15

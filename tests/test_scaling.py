@@ -14,7 +14,7 @@ from newtonosc.errors import (
     InsufficientSamplesError,
     ResolutionError,
 )
-from newtonosc.newton import analyze_decay
+from newtonosc.newton import DegeneracyKind, analyze_decay
 from newtonosc import scaling
 from newtonosc.blocks import block_rect, first_block_scale
 from newtonosc.opnorm import (
@@ -179,11 +179,21 @@ class TestNormAt:
             norm_at(p, math.nan)
 
     def test_underflowed_norm_is_refused(self):
-        # T is never zero: the dense SVD of the n = 16 sector is 9.8e-201,
-        # but the squared Lanczos vector norms underflow to 0
-        p = PhaseSpec(S=parse_poly("x*y"), rho=1e-200)
+        # T is never zero: at rho 1e-310 the norm, 9.8e-311, is below the
+        # smallest normal double, so every kernel entry is subnormal
+        p = PhaseSpec(S=parse_poly("x*y"), rho=1e-310)
         with pytest.raises(DomainError, match="underflow"):
             norm_at(p, 64.0)
+
+    def test_norm_whose_squares_underflow_is_measured(self):
+        # at rho 1e-200 the entries square to below the double range; the
+        # dense SVD of the n = 16 kernel, lifted by 2^600, is 9.8e-201
+        p = PhaseSpec(S=parse_poly("x*y"), rho=1e-200)
+        s = norm_at(p, 64.0)
+        M = discretize(p, 64.0, GridSpec.square(s.n, p.rho)).matrix
+        dense = float(np.linalg.norm(M * 2.0**600, 2)) * 2.0**-600
+        assert s.n == 16 and s.valid
+        assert s.value == pytest.approx(dense, rel=1e-10, abs=0)
 
     def test_validity_reads_conv_tol(self, monkeypatch):
         s = NormSample(lam=16.0, n=64, value=0.3, conv_err=1e-10, iterations=20)
@@ -664,6 +674,17 @@ class TestPredictedExponent:
 
     def test_degenerate_cube(self):
         assert predicted_exponent(analyze_decay(parse_poly("(y - 2*x)^3"))) == Fraction(-1, 5)
+
+    @pytest.mark.parametrize("N", range(2, 25))
+    def test_completely_degenerate_is_minus_one_over_n_plus_2(self, N):
+        d = analyze_decay(parse_poly(f"(y-x)^{N}"))
+        assert d.degeneracy.kind is DegeneracyKind.COMPLETELY_DEGENERATE and d.degeneracy.N == N
+        assert predicted_exponent(d) == Fraction(-1, N + 2)
+
+    def test_completely_degenerate_with_a_unit_factor(self):
+        d = analyze_decay(parse_poly("(2 + x - 3*y)*(y - 3*x/2 - x^2)^5"))
+        assert d.degeneracy.kind is DegeneracyKind.COMPLETELY_DEGENERATE and d.degeneracy.N == 5
+        assert predicted_exponent(d) == Fraction(-1, 7)
 
     def test_edge_case(self):
         # delta = 2/5 crossing an edge; exponent -1/5
