@@ -30,7 +30,6 @@ from .errors import (
     NoConvergenceError,
     ParseError,
     ResolutionError,
-    WrongRegionError,
 )
 from .newton import (
     DecayReport,
@@ -87,7 +86,6 @@ __all__ = [
     "ResolutionError",
     "ScalingReport",
     "SweepConfig",
-    "WrongRegionError",
     "analyze_decay",
     "build_polygon",
     "chi",

@@ -1,11 +1,10 @@
 """Smooth dyadic block decomposition of the operator's ++ quadrant.
 
-Each block T_jk lives on x ~ 2^-j, y ~ 2^-k.  Its position relative to
-the polygon edge slopes decides which elementary bound applies: in the
-gaps between edge directions the mixed derivative is comparable to a
-single vertex monomial, so the oscillation bound (lam*mu)^(-1/2) kicks
-in with mu = 2^(-j*A - k*B) read off that vertex; near an edge or near
-an axis only the support size bound is claimed.
+Each block T_jk lives on x ~ 2^-j, y ~ 2^-k, and mu_bound proves |S''_xy|
+>= mu on its ring.  Its position relative to the polygon edge slopes
+decides which bound is claimed: in the gaps between edge directions the
+oscillation bound (lam*mu)^(-1/2) of the operator van der Corput lemma;
+near an edge or near an axis only the support size bound.
 """
 
 from __future__ import annotations
@@ -16,21 +15,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ResolutionError, WrongRegionError
+from .errors import ResolutionError
 from .newton import NewtonPolygon, build_polygon
 from .opnorm import (
     GRID_CAP,
     GridSpec,
     PhaseSpec,
     discretize,
-    eval_grid,
     gradient_bound,
     grid_points,
     operator_norm,
 )
+# not called here: perfbench/layers.py traces eval_grid where blocks looks it up
+from .opnorm import eval_grid  # noqa: F401
 from .polycore import BivarPoly, mixed_derivative
 
-_SAMPLE = 16
 # a block counts as a violation when it measures above this many times its bound
 _RATIO_CAP = 10.0
 
@@ -100,14 +99,6 @@ def classify_block(j: int, k: int, polygon: NewtonPolygon, D: float = 3.0) -> Re
     return Region("Gap", nu)
 
 
-def mu_for_block(j: int, k: int, region: Region, polygon: NewtonPolygon) -> float:
-    """Dominant-vertex size 2^(-j*A - k*B) on a gap block; vertex 0 when nu is None."""
-    if region.kind != "Gap":
-        raise WrongRegionError(f"mu is defined on gap blocks, not {region}")
-    a, b = polygon.vertices[region.nu or 0]
-    return 2.0 ** -(j * a + k * b)
-
-
 def block_rect(j: int, k: int) -> tuple[float, float, float, float]:
     return (
         2.0 ** (-j - 1),
@@ -117,13 +108,25 @@ def block_rect(j: int, k: int) -> tuple[float, float, float, float]:
     )
 
 
-def empirical_range(F: BivarPoly, j: int, k: int):
-    """(min, max) of |F| over a _SAMPLE x _SAMPLE sample of the block rectangle."""
-    x0, x1, y0, y1 = block_rect(j, k)
-    xs = np.linspace(x0, x1, _SAMPLE)
-    ys = np.linspace(y0, y1, _SAMPLE)
-    vals = np.abs(eval_grid(F, xs, ys))
-    return float(vals.min()), float(vals.max())
+def mu_bound(F: BivarPoly, j: int, k: int) -> float:
+    """A lower bound of |F| on the closed ring rectangle of block (j, k), 0.0 if none.
+
+    Over the terms c_v x^a y^b of F, the largest |c_v| min x^a y^b minus the
+    other terms' |c_w| max x^a' y^b', each read at a corner of [2^(-j-1),
+    2^(-j+1)] x [2^(-k-1), 2^(-k+1)].  The mirror of opnorm.gradient_bound:
+    exact in Fractions of F's coefficients, rounded down once; the largest
+    double when beyond it, which still bounds |F| from below.
+    """
+    two = Fraction(2)
+    terms = [
+        (abs(c), two ** -(a * (j + 1) + b * (k + 1)), two ** -(a * (j - 1) + b * (k - 1)))
+        for (a, b), c in F.terms.items()
+    ]
+    best = max(c * (low + top) for c, low, top in terms) - sum(c * top for c, _, top in terms)
+    if best <= 0:
+        return 0.0
+    mu = float(min(best, Fraction(np.finfo(float).max)))
+    return mu if Fraction(mu) <= best else math.nextafter(mu, 0.0)
 
 
 @dataclass(frozen=True)
@@ -209,15 +212,16 @@ def measure_block(p: PhaseSpec, lam: float, j: int, k: int, seed: int = 0) -> fl
 def verify_blocks(p: PhaseSpec, lam: float, D: float = 3.0, j_max: int = 6, seed: int = 0):
     """Measure every block with j, k <= j_max against its claimed bounds.
 
-    Regions and gap sizes mu are read off the Newton polygon of
-    F = S''_xy, both derived from p (EmptyPolygonError when F = 0).
+    Regions are read off the Newton polygon of F = S''_xy and mu off its
+    terms (mu_bound), both derived from p (EmptyPolygonError when F = 0).
     Returns (estimates, summary); summary carries the worst measured/bound
     ratio per region kind, the blocks exceeding _RATIO_CAP * bound, and any
     per-block resolution failures.  Each block is bounded by the smaller
     of its support-size bound (BlockEstimate.size) and, in a gap where
     |S''_xy| >= mu, the oscillation bound (|lam|*mu)^(-1/2): T at -lam
     is the conjugate kernel, so the bound holds at any lam != 0.  A gap
-    whose |lam|*mu is 0.0 gets none: it would exceed every double.
+    whose |lam|*mu is 0.0 gets none: it would exceed every double; one
+    beyond the double range claims the looser largest double's root.
     """
     F = mixed_derivative(p.S)
     polygon = build_polygon(F)
@@ -225,6 +229,8 @@ def verify_blocks(p: PhaseSpec, lam: float, D: float = 3.0, j_max: int = 6, seed
         raise ValueError(f"lambda must be finite, got {lam}")
     if not 0 < D < math.inf:  # refuses NaN too
         raise ValueError(f"band width D must be positive and finite, got {D}")
+    if j_max >= 1024:  # chi's 2^j is beyond the double range
+        raise ValueError(f"j_max={j_max} is past the largest block scale 1023")
     j_min = first_block_scale(p.rho)
     if j_max < j_min:
         raise ValueError(f"j_max={j_max} is below the first block scale {j_min}")
@@ -233,16 +239,13 @@ def verify_blocks(p: PhaseSpec, lam: float, D: float = 3.0, j_max: int = 6, seed
     for j in range(j_min, j_max + 1):
         for k in range(j_min, j_max + 1):
             region = classify_block(j, k, polygon, D)
-            if region.kind == "Gap":
-                mu = mu_for_block(j, k, region, polygon)
-            else:
-                mu, _ = empirical_range(F, j, k)
             try:
                 measured = measure_block(p, lam, j, k, seed=seed)
             except ResolutionError as exc:
                 failures.append((j, k, str(exc)))
                 continue
-            lam_mu = abs(lam) * mu if region.kind == "Gap" else 0.0
+            mu = mu_bound(F, j, k)
+            lam_mu = min(abs(lam) * mu, np.finfo(float).max) if region.kind == "Gap" else 0.0
             osc = lam_mu**-0.5 if lam_mu > 0 else math.inf
             estimates.append(
                 BlockEstimate(j=j, k=k, mu=mu, measured=measured, osc=osc, region=region)

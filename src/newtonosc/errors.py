@@ -18,10 +18,6 @@ class EmptyPolygonError(ValueError):
     """The zero polynomial has no Newton polygon."""
 
 
-class WrongRegionError(ValueError):
-    """Monomial size formulas only apply on gap blocks."""
-
-
 class ResolutionError(RuntimeError):
     """The requested frequency cannot be resolved within the grid cap."""
 

@@ -1,33 +1,54 @@
 """Dyadic partition, block classification, and block-level bound checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from newtonosc.blocks import (
-    _SAMPLE,
     BlockEstimate,
     Region,
     block_rect,
     chi,
     _block_operator,
     classify_block,
-    empirical_range,
     first_block_scale,
     measure_block,
-    mu_for_block,
+    mu_bound,
     theta,
     verify_blocks,
 )
-from newtonosc.errors import ResolutionError, WrongRegionError
+from newtonosc.errors import ResolutionError
 from newtonosc.newton import NewtonPolygon, build_polygon
 from newtonosc.opnorm import GridSpec, PhaseSpec, _midpoints, discretize, eval_grid
-from newtonosc.polycore import BivarPoly, integrate_xy, parse_poly
+from newtonosc.polycore import BivarPoly, integrate_xy, mixed_derivative, parse_poly
 
 
 def polygon(s: str):
     return build_polygon(parse_poly(s))
+
+
+def sampled_abs(F: BivarPoly, j: int, k: int, n: int = 64) -> np.ndarray:
+    """|F| on an n x n grid of block (j, k)'s closed ring rectangle, corners included."""
+    x0, x1, y0, y1 = block_rect(j, k)
+    return np.abs(eval_grid(F, np.linspace(x0, x1, n), np.linspace(y0, y1, n)))
+
+
+def exact_corners(F: BivarPoly, j: int, k: int) -> list[Fraction]:
+    """|F| at the four corners of block (j, k)'s ring rectangle, in Fractions."""
+    x0, x1, y0, y1 = (Fraction(v) for v in block_rect(j, k))
+    return [
+        abs(sum(c * x**a * y**b for (a, b), c in F.terms.items()))
+        for x in (x0, x1)
+        for y in (y0, y1)
+    ]
+
+
+def assert_mu_below_F(F: BivarPoly, j: int, k: int, mu: float):
+    # rounding in the float sample is allowed 1e-12 relative; the corners are exact
+    assert mu <= float(sampled_abs(F, j, k).min()) * (1 + 1e-12), (j, k)
+    assert all(Fraction(mu) <= v for v in exact_corners(F, j, k)), (j, k)
 
 
 def derivative_control(
@@ -47,15 +68,11 @@ def derivative_control(
     rows = []
     for j in range(j_min, j_max + 1):
         for k in range(j_min, j_max + 1):
-            region = classify_block(j, k, polygon, D)
-            if region.kind != "Gap":
+            if classify_block(j, k, polygon, D).kind != "Gap":
                 continue
-            mu = mu_for_block(j, k, region, polygon)
-            x0, x1, y0, y1 = block_rect(j, k)
-            xs = np.linspace(x0, x1, _SAMPLE)
-            ys = np.linspace(y0, y1, _SAMPLE)
-            c1 = float(np.max(np.abs(eval_grid(Fy, xs, ys)))) / (mu * 2.0**k)
-            c2 = float(np.max(np.abs(eval_grid(Fyy, xs, ys)))) / (mu * 2.0 ** (2 * k))
+            mu = mu_bound(F, j, k)
+            c1 = float(sampled_abs(Fy, j, k, 16).max()) / (mu * 2.0**k)
+            c2 = float(sampled_abs(Fyy, j, k, 16).max()) / (mu * 2.0 ** (2 * k))
             rows.append((j, k, c1, c2))
     return rows
 
@@ -197,47 +214,68 @@ class TestClassify:
 
 
 class TestMu:
+    # mu_bound(F, j, k) = max over the terms v of |c_v| min x^a y^b minus
+    # the other terms' |c_w| max x^a' y^b' on the closed ring rectangle
+
     def test_frozen_values(self):
-        g = polygon("x^2 + y^2")
-        r = classify_block(5, 10, g)
-        assert mu_for_block(5, 10, r, g) == pytest.approx(2.0**-10)
-        r = classify_block(10, 5, g)
-        assert mu_for_block(10, 5, r, g) == pytest.approx(2.0**-10)
+        # x^2 >= 2^-12 and y^2 <= 2^-18 on block (5, 10)
+        F = parse_poly("x^2 + y^2")
+        assert mu_bound(F, 5, 10) == 2.0**-12 - 2.0**-18
+        assert mu_bound(F, 10, 5) == 2.0**-12 - 2.0**-18
 
     def test_monomial_mu(self):
-        g = polygon("x*y")
-        r = classify_block(3, 4, g)
-        assert mu_for_block(3, 4, r, g) == pytest.approx(2.0**-7)
+        # the inner corner (2^-4, 2^-5) of block (3, 4), times the coefficient
+        assert mu_bound(parse_poly("x*y"), 3, 4) == 2.0**-9
+        assert mu_bound(parse_poly("x*y/100"), 3, 4) == pytest.approx(2.0**-9 / 100, rel=1e-15)
+        assert mu_bound(parse_poly("5"), 700, 0) == 5.0
 
-    def test_rejects_non_gap(self):
+    def test_rounded_down_once(self):
+        # 1/10 rounds up to the nearest double, so mu is the double below it
+        mu = mu_bound(parse_poly("1/10"), 1, 1)
+        assert Fraction(mu) < Fraction(1, 10) < Fraction(math.nextafter(mu, 1.0))
+        mu = mu_bound(parse_poly("1/3"), 1, 1)
+        assert Fraction(mu) < Fraction(1, 3) < Fraction(math.nextafter(mu, 1.0))
+
+    def test_beyond_the_double_range(self):
+        # 10^400 / 4 on block (0, 0) is the largest double; 2^-1400 is 0.0
+        assert mu_bound(parse_poly("10^400*x*y"), 0, 0) == np.finfo(float).max
+        assert mu_bound(parse_poly("x^100*y^100"), 6, 6) == 0.0
+
+    def test_every_region_reads_one_rule(self):
+        # both terms of the circle span [2^-12, 2^-8] on near-edge block
+        # (5, 5), so neither dominates and mu is 0 there; on the gap blocks
+        # of x(y - x)^2 its three terms are within the ring's spread of
+        # each other until |j - k| reaches 8
         g = polygon("x^2 + y^2")
-        r = classify_block(5, 5, g)
-        assert r.kind == "NearEdge"
-        with pytest.raises(WrongRegionError):
-            mu_for_block(5, 5, r, g)
+        assert classify_block(5, 5, g).kind == "NearEdge"
+        assert mu_bound(parse_poly("x^2 + y^2"), 5, 5) == 0.0
+        F = parse_poly("x*(y - x)^2")
+        g = build_polygon(F)
+        assert classify_block(10, 1, g).kind == "AxisY"
+        assert mu_bound(F, 10, 1) == 2.0**-15 - 2.0**-17 - 2.0**-27
+        for j in range(1, 13):
+            for k in range(1, 13):
+                if classify_block(j, k, g).kind == "Gap":
+                    assert (mu_bound(F, j, k) > 0) == (abs(j - k) >= 8), (j, k)
 
     def test_matches_empirical_magnitude(self):
-        # on gap blocks mu tracks |F| within the dominance margin
-        cases = ["x^2 + y^2", "x*y", "x*(y - x)^2"]
+        # mu never exceeds |F| sampled densely or at the exact corners,
+        # on every block, and on a monomial the inner corner attains it
+        cases = ["x^2 + y^2", "x*y", "x*(y - x)^2", "7/3*x^3*y - 2*x*y^5 + 1/9"]
         for s in cases:
             f = parse_poly(s)
-            g = build_polygon(f)
-            margin = 2.0 ** (g.A + g.B + 4)
-            for j in range(1, 9):
-                for k in range(1, 9):
-                    r = classify_block(j, k, g)
-                    if r.kind != "Gap":
-                        continue
-                    mu = mu_for_block(j, k, r, g)
-                    lo, hi = empirical_range(f, j, k)
-                    assert lo >= mu / margin, (s, j, k)
-                    assert hi <= mu * margin, (s, j, k)
+            for j in range(0, 9):
+                for k in range(0, 9):
+                    assert_mu_below_F(f, j, k, mu_bound(f, j, k))
+        assert mu_bound(parse_poly("x*y"), 4, 6) == float(sampled_abs(parse_poly("x*y"), 4, 6).min())
 
     def test_circle_empirical_factors(self):
-        lo, hi = empirical_range(parse_poly("x^2 + y^2"), 5, 10)
-        mu = 2.0**-10
-        assert lo / mu == pytest.approx(0.25, rel=0.05)
-        assert hi / mu == pytest.approx(4.0, rel=0.05)
+        # sampled min and max of |F| over mu: (1 + 2^-10) / (1 - 2^-6) and 16 times it
+        vals = sampled_abs(parse_poly("x^2 + y^2"), 5, 10)
+        mu = mu_bound(parse_poly("x^2 + y^2"), 5, 10)
+        factor = (1 + 2.0**-10) / (1 - 2.0**-6)
+        assert vals.min() / mu == pytest.approx(factor, rel=1e-12)
+        assert vals.max() / mu == pytest.approx(16 * factor, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +368,12 @@ class TestVerifyBlocks:
         assert summary["resolution_failures"] == []
         # oscillatory bound is comfortably ahead of the measurement
         assert summary["worst_ratio"]["Gap"] == pytest.approx(0.405, abs=0.1)
-        # F = xy: mu = 2^-(j+k), and the bound (|lam|*mu)^(-1/2) is the same at -lam
+        # F = xy: mu = 2^-(j+1) * 2^-(k+1) at the inner corner, and the
+        # bound (|lam|*mu)^(-1/2) is the same at -lam
         neg, _ = verify_blocks(p, -(2.0**8), D=3.0, j_max=6)
         assert len(neg) == 36
         for e in ests + neg:
-            assert e.mu == 2.0 ** -(e.j + e.k)
+            assert e.mu == 2.0 ** -(e.j + e.k + 2)
             assert e.osc == (2.0**8 * e.mu) ** -0.5
 
     def test_band_width_stability(self):
@@ -441,12 +480,116 @@ class TestBlockInvariance:
                 assert got == pytest.approx(ref, rel=1e-10)
 
 
+    @pytest.mark.parametrize("text", ["x^3*y/3 + x*y^2", "x^3*y^3/9 + x^2*y/2"])
+    def test_bounds_follow_the_symmetries(self, text):
+        # -S and S + g(x) + h(y) have the same |F| term by term, so every
+        # row keeps mu and osc bit for bit and its norm and ratio to
+        # rounding, and the violations stay. Swapping x and y maps block
+        # (j, k) to (k, j) with the same mu; its band is measured along k,
+        # so osc and the ratio stay where both blocks are classified alike
+        # (every block of the second phase, whose edge has slope 1)
+        S = parse_poly(text)
+        lam = 2.0**8
+        ref, ref_summary = verify_blocks(PhaseSpec(S=S, rho=0.5), lam, j_max=5)
+        assert len(ref) == 25
+        for other in (-S, S + parse_poly("x^4 - 5*y^3 + 2")):
+            ests, summary = verify_blocks(PhaseSpec(S=other, rho=0.5), lam, j_max=5)
+            assert summary["violations"] == ref_summary["violations"]
+            for a, b in zip(ref, ests, strict=True):
+                assert (b.j, b.k, b.region, b.mu, b.osc) == (a.j, a.k, a.region, a.mu, a.osc)
+                assert b.measured == pytest.approx(a.measured, rel=1e-10)
+                assert b.ratio == pytest.approx(a.ratio, rel=1e-10)
+        swapped = BivarPoly({(b, a): c for (a, b), c in S.terms.items()})
+        ests, _ = verify_blocks(PhaseSpec(S=swapped, rho=0.5), lam, j_max=5)
+        by_block = {(e.k, e.j): e for e in ests}
+        alike = 0
+        for a in ref:
+            b = by_block[a.j, a.k]
+            assert b.mu == a.mu
+            assert b.measured == pytest.approx(a.measured, rel=1e-10)
+            if (a.region.kind == "Gap") == (b.region.kind == "Gap"):
+                alike += 1
+                assert b.osc == a.osc
+                assert b.ratio == pytest.approx(a.ratio, rel=1e-10)
+        assert alike == (16 if text.startswith("x^3*y/3") else 25)
+
+
+class TestCoefficientScaling:
+    # (S, lam) and (S/c, c*lam) build the same kernels, so they must give
+    # the same violations, ratios and lam*mu
+    @pytest.mark.parametrize("c", [Fraction(1, 100), Fraction(7, 3), Fraction(100)], ids=str)
+    @pytest.mark.parametrize("text, lam", [
+        ("x*y", 1024.0), ("x^2*y^2/4", 2048.0), ("x^3*y/3 + x*y^2", 256.0),
+    ])
+    def test_same_verdict(self, text, lam, c):
+        S = parse_poly(text)
+        ref, ref_summary = verify_blocks(PhaseSpec(S=S, rho=0.5), lam)
+        ests, summary = verify_blocks(PhaseSpec(S=S * (1 / c), rho=0.5), float(c * Fraction(lam)))
+        assert summary["violations"] == ref_summary["violations"]
+        for a, b in zip(ref, ests, strict=True):
+            assert (b.j, b.k, b.region) == (a.j, a.k, a.region)
+            assert b.ratio == pytest.approx(a.ratio, rel=1e-12, abs=0)
+            assert b.mu * summary["lambda"] == pytest.approx(a.mu * lam, rel=1e-12, abs=0)
+
+
+class TestReferenceCalls:
+    # the seven verify_blocks calls of ROADMAP item 24, as (S, rho, lam, j_max)
+    CALLS = [
+        ("x^2*y^2/4", 0.5, 2048.0, 8), ("x^2*y^2/4", 0.9, 256.0, 6), ("x*y", 0.5, 1024.0, 6),
+        ("x^3*y/3 + x*y^2", 0.5, 256.0, 6), ("-(y-x)^4/12", 0.5, 256.0, 6),
+        ("x^3*y^3/9", 0.5, 4096.0, 6), ("x^2*y + x*y^3", 0.5, 1024.0, 6),
+    ]
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return [
+            (parse_poly(text), *verify_blocks(PhaseSpec(S=parse_poly(text), rho=rho), lam, j_max=j_max))
+            for text, rho, lam, j_max in self.CALLS
+        ]
+
+    def test_mu_below_F_on_every_row(self, runs):
+        for S, ests, _ in runs:
+            F = mixed_derivative(S)
+            for e in ests:
+                assert_mu_below_F(F, e.j, e.k, e.mu)
+
+    def test_measured_below_size_on_every_row(self, runs):
+        # the size bound is Hilbert-Schmidt: a kernel of modulus at most 1
+        for _, ests, summary in runs:
+            assert summary["violations"] == [] and summary["resolution_failures"] == []
+            for e in ests:
+                assert e.measured <= e.size
+
+    def test_gap_rows_without_an_oscillation_bound(self, runs):
+        # mu is 0 where no term of F dominates the others across the ring:
+        # 2 of 23 gap rows of x^3*y/3 + x*y^2, and all 12 of -(y-x)^4/12,
+        # whose F = (y - x)^2 cancels
+        counts = [
+            (sum(e.region.kind == "Gap" and e.osc == math.inf for e in ests),
+             sum(e.region.kind == "Gap" for e in ests))
+            for _, ests, _ in runs
+        ]
+        assert counts == [(0, 64), (0, 49), (0, 36), (2, 23), (12, 12), (0, 36), (0, 12)]
+
+    @pytest.mark.parametrize("F", ["x^2 + 2*y", "y^3 + x^2*y + x^5"])
+    def test_mu_below_F_on_the_pinned_payloads(self, F):
+        # F of tests/test_cli.py's pinned blocks payloads, j, k = 1..5
+        F = parse_poly(F)
+        for j in range(1, 6):
+            for k in range(1, 6):
+                assert_mu_below_F(F, j, k, mu_bound(F, j, k))
+
+
 class TestDerivativeControl:
+    # constants against the proven mu: the ring's factor-4 spread of x*y
+    # puts |F_y| / (mu 2^k) at 2^3, and the circle's at 64/3 and 32/3 on
+    # its gap blocks next to the band, k = j - 3
+
     def test_monomial_constants(self):
         rows = derivative_control(parse_poly("x*y"), polygon("x*y"), j_max=6)
         assert rows
         for _, _, c1, c2 in rows:
-            assert c1 == pytest.approx(2.0, rel=1e-12)
+            assert c1 == pytest.approx(8.0, rel=1e-12)
             assert c2 == 0.0
 
     def test_circle_constants_bounded(self):
@@ -455,6 +598,6 @@ class TestDerivativeControl:
         )
         c1s = [r[2] for r in rows]
         c2s = [r[3] for r in rows]
-        assert max(c1s) == pytest.approx(4.0, rel=0.01)
-        assert max(c2s) == pytest.approx(2.0, rel=0.01)
-        assert max(c1s) <= 8.0 and max(c2s) <= 8.0
+        assert max(c1s) == pytest.approx(64 / 3, rel=1e-12)
+        assert max(c2s) == pytest.approx(32 / 3, rel=1e-12)
+        assert {(j, k) for j, k, c1, _ in rows if c1 == max(c1s)} == {(j, j - 3) for j in range(4, 9)}

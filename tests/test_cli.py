@@ -565,7 +565,8 @@ class TestBlocks:
         assert len(lines) == 2 + 9
         first = lines[2].split(",")
         assert first[:3] == ["1", "1", "Gap(vertex)"]
-        assert float(first[3]) == 0.25
+        # F = xy is at least 2^-2 * 2^-2 on the ring [1/4, 1]^2
+        assert float(first[3]) == 0.0625
 
     def test_json_summary(self, capsys):
         d = run_json(
@@ -614,7 +615,7 @@ class TestBlocks:
 
     @pytest.mark.parametrize("phase, lam", [("x^100*y^100", "256"), ("x^2*y^2", "1e-320")])
     def test_gap_whose_lambda_mu_underflows_gets_no_oscillation_bound(self, capsys, phase, lam):
-        # mu = 2^-1188 at block (6, 6) of x^100*y^100 is 0.0, and
+        # mu = 10^4 * 2^-1386 at block (6, 6) of x^100*y^100 is 0.0, and
         # 1e-320 * 2^-12 is too; the true (lambda*mu)^(-1/2) is beyond
         # every double, so the size bound is the block's bound
         d = run_json(capsys, "blocks", "--phase", phase, "--lambda", lam, "--j-max", "6",
@@ -649,6 +650,44 @@ class TestBlocks:
             M = blocks._block_operator(p, 16.0, e["j"], e["k"]).matrix
             dense = float(np.linalg.norm(M * 2.0**700, 2)) * 2.0**-700
             assert e["measured"] == pytest.approx(dense, rel=1e-10, abs=0)
+
+    def test_block_scale_past_1023_is_refused(self, capsys):
+        # chi's 2^j is beyond the double range at j = 1024: refused before
+        # any block is measured, not a bare OverflowError
+        code, out, err = run(capsys, "blocks", "--phase", "x*y", "--lambda", "64",
+                             "--rho", "1e-300", "--j-max", "1024")
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error == {"type": "ValueError",
+                         "message": "j_max=1024 is past the largest block scale 1023"}
+        d = run_json(capsys, "blocks", "--phase", "x*y", "--lambda", "64", "--rho", "1e-300",
+                     "--j-max", "1023", "--format", "json")
+        assert d["summary"]["j_range"] == [996, 1023] and d["summary"]["violations"] == []
+
+    def test_coefficient_beyond_the_double_range_in_F_fails_every_block(self, capsys):
+        # F's coefficient 9 * 10^308 exceeds the largest double while S's
+        # does not; mu is exact, so every block reaches the grid check and
+        # fails it by name
+        d = run_json(capsys, "blocks", "--phase", "10^307*x^2*y^9 - 6/3*x^9*y^6 + 9*x^0*y^3",
+                     "--lambda", "1e-9", "--j-max", "8", "--D", "1e-300", "--rho", "1",
+                     "--format", "json")
+        failures = d["summary"]["resolution_failures"]
+        assert d["estimates"] == [] and d["summary"]["violations"] == []
+        assert [(j, k) for j, k, _ in failures] == [(j, k) for j in range(9) for k in range(9)]
+        assert all(msg.startswith(f"block ({j},{k}) needs n=") for j, k, msg in failures)
+
+    def test_lambda_mu_beyond_the_double_range_keeps_its_bound(self, capsys):
+        # 1e308 * 4 overflows; the row claims the largest double's root,
+        # looser than 1/sqrt(4e308), and keeps a finite ratio (the size
+        # bound is the smaller here)
+        d = run_json(capsys, "blocks", "--phase", "4*x*y", "--lambda", "1e308", "--rho", "1e-300",
+                     "--j-max", "997", "--format", "json")
+        rows = d["estimates"]
+        assert len(rows) == 4 and d["summary"]["violations"] == []
+        for e in rows:
+            assert e["mu"] == 4.0
+            assert e["osc_bound"] == np.finfo(float).max ** -0.5
+            assert e["ratio"] == e["measured"] / min(e["size_bound"], e["osc_bound"])
 
     def test_negative_lambda_keeps_the_oscillation_bound(self, capsys):
         # T at -lambda is the conjugate kernel: same norms, same bounds
@@ -1058,43 +1097,44 @@ class TestPinnedPayloads:
     # (j, k, region, mu, size_bound) for j, k = 1..5 in row order
     BLOCKS = {
         ("--phase", "x^3*y/3 + x*y^2"): (
-            "1 1 NearEdge(1) 0.5625 0.75|1 2 NearEdge(1) 0.3125 0.5303300858899106|"
-            "1 3 NearEdge(1) 0.1875 0.375|1 4 NearEdge(1) 0.125 0.2651650429449553|"
-            "1 5 Gap(1) 0.25 0.1875|2 1 Gap(0) 0.5 0.5303300858899106|"
-            "2 2 NearEdge(1) 0.265625 0.375|2 3 NearEdge(1) 0.140625 0.2651650429449553|"
-            "2 4 NearEdge(1) 0.078125 0.1875|2 5 NearEdge(1) 0.046875 0.13258252147247765|"
-            "3 1 Gap(0) 0.5 0.375|3 2 Gap(0) 0.25 0.2651650429449553|3 3 Gap(0) 0.125 0.1875|"
-            "3 4 NearEdge(1) 0.06640625 0.13258252147247765|3 5 NearEdge(1) 0.03515625 0.09375|"
-            "4 1 Gap(0) 0.5 0.2651650429449553|4 2 Gap(0) 0.25 0.1875|"
-            "4 3 Gap(0) 0.125 0.13258252147247765|4 4 Gap(0) 0.0625 0.09375|"
-            "4 5 Gap(0) 0.03125 0.06629126073623882|5 1 Gap(0) 0.5 0.1875|"
-            "5 2 Gap(0) 0.25 0.13258252147247765|5 3 Gap(0) 0.125 0.09375|"
-            "5 4 Gap(0) 0.0625 0.06629126073623882|5 5 Gap(0) 0.03125 0.046875"
+            "1 1 NearEdge(1) 0.0 0.75|1 2 NearEdge(1) 0.0 0.5303300858899106|"
+            "1 3 NearEdge(1) 0.0 0.375|1 4 NearEdge(1) 0.0 0.2651650429449553|"
+            "1 5 Gap(1) 0.0 0.1875|2 1 Gap(0) 0.25 0.5303300858899106|"
+            "2 2 NearEdge(1) 0.0 0.375|2 3 NearEdge(1) 0.0 0.2651650429449553|"
+            "2 4 NearEdge(1) 0.0 0.1875|2 5 NearEdge(1) 0.0 0.13258252147247765|"
+            "3 1 Gap(0) 0.4375 0.375|3 2 Gap(0) 0.1875 0.2651650429449553|"
+            "3 3 Gap(0) 0.0625 0.1875|"
+            "3 4 NearEdge(1) 0.0 0.13258252147247765|3 5 NearEdge(1) 0.0 0.09375|"
+            "4 1 Gap(0) 0.484375 0.2651650429449553|4 2 Gap(0) 0.234375 0.1875|"
+            "4 3 Gap(0) 0.109375 0.13258252147247765|4 4 Gap(0) 0.046875 0.09375|"
+            "4 5 Gap(0) 0.015625 0.06629126073623882|5 1 Gap(0) 0.49609375 0.1875|"
+            "5 2 Gap(0) 0.24609375 0.13258252147247765|5 3 Gap(0) 0.12109375 0.09375|"
+            "5 4 Gap(0) 0.05859375 0.06629126073623882|5 5 Gap(0) 0.02734375 0.046875"
         ),
         ("--mixed", "--phase", "y^3 + x^2*y + x^5"): (
-            "1 1 NearEdge(1) 0.0322265625 0.75|1 2 NearEdge(1) 0.0107421875 0.5303300858899106|"
-            "1 3 NearEdge(1) 0.005126953125 0.375|"
-            "1 4 NearEdge(2) 0.002960205078125 0.2651650429449553|"
-            "1 5 NearEdge(2) 0.001956939697265625 0.1875|"
-            "2 1 NearEdge(1) 0.019561767578125 0.5303300858899106|"
-            "2 2 NearEdge(1) 0.003936767578125 0.375|"
-            "2 3 NearEdge(1) 0.001251220703125 0.2651650429449553|"
-            "2 4 NearEdge(1) 0.00054931640625 0.1875|"
-            "2 5 NearEdge(2) 0.000278472900390625 0.13258252147247765|"
-            "3 1 NearEdge(1) 0.016602516174316406 0.375|"
-            "3 2 NearEdge(1) 0.0024423599243164062 0.2651650429449553|"
-            "3 3 NearEdge(1) 0.0004892349243164062 0.1875|"
-            "3 4 NearEdge(1) 0.00015354156494140625 0.13258252147247765|"
-            "3 5 NearEdge(1) 6.580352783203125e-05 0.09375|"
-            "4 1 Gap(0) 0.125 0.2651650429449553|"
-            "4 2 NearEdge(1) 0.0020752251148223877 0.1875|"
-            "4 3 NearEdge(1) 0.0003052055835723877 0.13258252147247765|"
-            "4 4 NearEdge(1) 6.10649585723877e-05 0.09375|"
-            "4 5 NearEdge(1) 1.9103288650512695e-05 0.06629126073623882|"
-            "5 1 Gap(0) 0.125 0.1875|5 2 Gap(0) 0.015625 0.13258252147247765|"
-            "5 3 NearEdge(1) 0.0002594003453850746 0.09375|"
-            "5 4 NearEdge(1) 3.8147903978824615e-05 0.06629126073623882|"
-            "5 5 NearEdge(1) 7.630325853824615e-06 0.046875"
+            "1 1 NearEdge(1) 0.0 0.75|1 2 NearEdge(1) 0.0 0.5303300858899106|"
+            "1 3 NearEdge(1) 0.0 0.375|"
+            "1 4 NearEdge(2) 0.0 0.2651650429449553|"
+            "1 5 NearEdge(2) 0.0 0.1875|"
+            "2 1 NearEdge(1) 0.0 0.5303300858899106|"
+            "2 2 NearEdge(1) 0.0 0.375|"
+            "2 3 NearEdge(1) 0.0 0.2651650429449553|"
+            "2 4 NearEdge(1) 0.0 0.1875|"
+            "2 5 NearEdge(2) 0.0 0.13258252147247765|"
+            "3 1 NearEdge(1) 0.0 0.375|"
+            "3 2 NearEdge(1) 0.0 0.2651650429449553|"
+            "3 3 NearEdge(1) 0.0 0.1875|"
+            "3 4 NearEdge(1) 0.0 0.13258252147247765|"
+            "3 5 NearEdge(1) 0.0 0.09375|"
+            "4 1 Gap(0) 0.0 0.2651650429449553|"
+            "4 2 NearEdge(1) 0.0 0.1875|"
+            "4 3 NearEdge(1) 0.0 0.13258252147247765|"
+            "4 4 NearEdge(1) 0.0 0.09375|"
+            "4 5 NearEdge(1) 0.0 0.06629126073623882|"
+            "5 1 Gap(0) 0.011717796325683594 0.1875|5 2 Gap(0) 0.0 0.13258252147247765|"
+            "5 3 NearEdge(1) 0.0 0.09375|"
+            "5 4 NearEdge(1) 0.0 0.06629126073623882|"
+            "5 5 NearEdge(1) 0.0 0.046875"
         ),
     }
 
@@ -1193,7 +1233,7 @@ class TestSurface:
         "GridSpec", "InsufficientSamplesError", "LowerBoundReport", "LowerBoundSet",
         "NegativeExponentError", "NewtonPolygon", "NoConvergenceError", "NormSample",
         "ParseError", "PhaseSpec", "PuiseuxBranch", "PuiseuxTerm", "Reality", "Region",
-        "ResolutionError", "ScalingReport", "SweepConfig", "WrongRegionError",
+        "ResolutionError", "ScalingReport", "SweepConfig",
         "analyze_decay", "build_polygon", "chi", "classify_block", "decay_rate",
         "discretize", "envelope_corners", "expand_branches", "fit_decay",
         "integrate_xy", "lower_bound_set", "mixed_derivative", "norm_at",

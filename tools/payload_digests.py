@@ -56,6 +56,9 @@ CALLS = [
     ["analyze", "--mixed", "--phase", "(y-x)^2 + x^5", "--order", "2"],
     ["blocks", "--phase", "x^3*y/3 + x*y^2", "--lambda", "-256", "--j-max", "4"],
     ["blocks", "--phase", "x^100*y^100", "--lambda", "256", "--j-max", "6", "--format", "json"],
+    ["blocks", "--phase", "x*y/100", "--lambda", "102400", "--format", "json"],
+    ["blocks", "--phase", "10^307*x^2*y^9 - 6/3*x^9*y^6 + 9*x^0*y^3", "--lambda", "1e-9",
+     "--j-max", "8", "--D", "1e-300", "--rho", "1", "--format", "json"],
 ]
 
 
